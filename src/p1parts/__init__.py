@@ -9,8 +9,9 @@ from .poly import (
 )
 from .parser import ParseError, ProblemError, ProblemSpec, parse_polynomial, parse_problem
 from .groebner import (
-    IdealBasis, buchberger, elimination_subbasis, heuristic_radical,
-    ideal_saturate, normal_form, principal_saturate, radical_membership,
+    ExponentOverflowError, IdealBasis, buchberger, elimination_subbasis,
+    heuristic_radical, ideal_saturate, normal_form, principal_saturate,
+    radical_membership,
 )
 from .multiproj import (
     MaxNodesExceeded, Part, PartTree, SplitFinding, canonical_constraints,

@@ -4,8 +4,9 @@ Pipeline: parse a problem file, decompose its variety into parts, render
 the part tree as text, JSON or DOT, and optionally validate the result
 against the brute-force finite-field oracle.
 
-Exit codes: 0 success, 1 input error, 2 node/enumeration limit exceeded,
-3 failed oracle check.  Renderings go to stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 input error, 2 node/enumeration/exponent limit
+exceeded, 3 failed oracle check.  Renderings go to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from .groebner import ExponentOverflowError
 from .multiproj import (
     MaxNodesExceeded, PartTree, multihomogenize, partition_variety,
 )
@@ -128,7 +130,7 @@ def run(options: RunOptions) -> int:
     try:
         tree = partition_variety(problem, max_nodes=options.max_nodes,
                                  radical=options.radical)
-    except MaxNodesExceeded as exc:
+    except (MaxNodesExceeded, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -63,7 +63,14 @@ class Field:
     # -- raw value helpers -------------------------------------------------
 
     def coerce(self, x):
-        """Coerce an int, Fraction, or raw value into canonical form."""
+        """Coerce an int or a Fraction (raw values are both) into canonical form.
+
+        Anything else raises FieldError: a float has already been rounded,
+        so there is no exact value left to recover.
+        """
+        if not isinstance(x, (int, Fraction)):
+            raise FieldError(
+                f"coefficient {x!r} is not exact: use an int or a Fraction")
         p = self.characteristic
         if p == 0:
             return Fraction(x)

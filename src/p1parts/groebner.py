@@ -6,19 +6,44 @@ minimal reduced basis, monic, sorted by increasing leading monomial.
 Saturation and radical membership both ride on one mechanism: adjoin a
 fresh top slot t, add 1 - t*f, eliminate.
 
-The problem sizes this package targets are tiny, so the implementation
-favors exactness and verifiability over raw speed.
+The core works on packed monomials (Monagan & Pearce 2007): each
+exponent tuple becomes one int with 16 bits per slot, slot 0 in the
+highest field and bit 15 of every field a guard bit that stays clear.
+Lex order is then int order and multiplying monomials is adding ints.
+Divisibility is one masked subtraction: a divides b exactly when
+``((b | guard) - a) & guard == guard``, because a field keeps its guard
+bit only where b's exponent is at least a's.  An exponent that reaches
+2^15 raises ExponentOverflowError rather than wrap.  Packing is local to
+a call: ``buchberger`` packs its input once and unpacks only the final
+basis, ``normal_form`` packs its arguments each time.
+
+Division picks the largest remaining term off a max-heap and reduces it
+by the first generator, in increasing leading-monomial order, whose
+leading monomial divides it.  The minimal basis becomes the reduced one
+in a single pass in increasing lead order: no later leading monomial can
+divide a term of an earlier element, so reducing each element by the
+already-reduced smaller ones is enough.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
+from bisect import insort
 from dataclasses import dataclass
 
-from .poly import (
-    Polynomial, _mono_div, _mono_divides, _mono_lcm, _mono_mul, exact_div,
-    poly_gcd, squarefree_part,
-)
+from .poly import Polynomial, exact_div, poly_gcd, squarefree_part
+
+_EXPONENT_LIMIT = 1 << 15  # the top bit of each 16-bit slot is the guard
+
+
+class ExponentOverflowError(ValueError):
+    """An exponent reached 2^15, more than a packed monomial slot holds."""
+
+
+def _overflow():
+    return ExponentOverflowError(
+        f"exponent reached {_EXPONENT_LIMIT}, the limit of a packed monomial slot")
 
 
 @dataclass(frozen=True)
@@ -47,6 +72,105 @@ def _as_gens(basis_or_gens):
     return list(basis_or_gens)
 
 
+class _Packing:
+    """Conversion between exponent tuples and packed ints for one slot count."""
+
+    __slots__ = ("nslots", "guard", "_struct")
+
+    def __init__(self, nslots: int):
+        self.nslots = nslots
+        self._struct = struct.Struct(f">{nslots}H")
+        self.guard = int.from_bytes(b"\x80\x00" * nslots, "big")
+
+    def pack(self, terms) -> dict:
+        """Packed copy of a tuple-keyed term map."""
+        pack = self._struct.pack
+        try:
+            out = {int.from_bytes(pack(*m), "big"): c for m, c in terms.items()}
+        except struct.error:  # an exponent of 2^16 or more
+            raise _overflow() from None
+        guard = self.guard
+        if any(m & guard for m in out):
+            raise _overflow()
+        return out
+
+    def unpack(self, field, terms) -> Polynomial:
+        """Polynomial of a packed term map."""
+        size, unpack = self._struct.size, self._struct.unpack
+        return Polynomial._raw(field, self.nslots, {
+            unpack(m.to_bytes(size, "big")): c for m, c in terms.items()})
+
+
+def _monic_head(terms: dict, field):
+    """(lead, tail) of a packed term map (consumed) made monic.
+
+    The tail is a list of (monomial, coefficient) pairs without the lead.
+    """
+    lead = max(terms)
+    lc = terms.pop(lead)
+    if lc == field.one():
+        return lead, list(terms.items())
+    inv = field.inv(lc)
+    return lead, [(m, field.mul(c, inv)) for m, c in terms.items()]
+
+
+def _lead_key(head):
+    return head[0]
+
+
+def _lcm(a: int, b: int, guard: int) -> int:
+    """Slot-wise maximum of two packed monomials."""
+    ge = ((a | guard) - b) & guard  # guard bits of the slots where a >= b
+    mask = ge | (ge - (ge >> 15))  # widened to whole 16-bit fields
+    return b ^ ((a ^ b) & mask)
+
+
+def _subtract(work: dict, heap: list, tail, shift: int, c, p: int, guard: int):
+    """work -= c * x^shift * tail, pushing the negation of each new monomial."""
+    for mono, cg in tail:
+        t = mono + shift
+        w = work.get(t)
+        if w is None:
+            if t & guard:
+                raise _overflow()
+            w = -cg * c
+            work[t] = w % p if p else w
+            heapq.heappush(heap, -t)
+        else:
+            w -= cg * c
+            if p:
+                w %= p
+            if w:
+                work[t] = w
+            else:
+                del work[t]
+
+
+def _reduce(work: dict, heads, p: int, guard: int) -> dict:
+    """Remainder of the packed term map ``work`` (consumed) by ``heads``.
+
+    ``heads`` are monic (lead, tail) pairs sorted by lead; ``p`` is the
+    field characteristic, 0 for the rationals.  The remainder's terms come
+    out in decreasing order.
+    """
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        mg = m | guard
+        for lead, tail in heads:
+            if (mg - lead) & guard == guard:
+                _subtract(work, heap, tail, m - lead, c, p, guard)
+                break
+        else:
+            out[m] = c
+    return out
+
+
 def normal_form(f: Polynomial, basis_or_gens) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
@@ -57,60 +181,14 @@ def normal_form(f: Polynomial, basis_or_gens) -> Polynomial:
     gens = [g for g in _as_gens(basis_or_gens) if not g.is_zero()]
     if f.is_zero() or not gens:
         return f
+    for g in gens:
+        f._check(g)
     gens.sort(key=lambda g: g.lead_monomial())
-    field = f.field
-    heads = [(g.lead_monomial(), g.lead_coeff(), g.terms) for g in gens]
-    work = dict(f.terms)
-    out = {}
-    while work:
-        m = max(work)
-        c = work[m]
-        for lm, lc, terms in heads:
-            if _mono_divides(lm, m):
-                shift = _mono_div(m, lm)
-                factor = field.div(c, lc)
-                for mono, cg in terms.items():
-                    t = _mono_mul(mono, shift)
-                    v = field.sub(work.get(t, 0), field.mul(cg, factor))
-                    if v:
-                        work[t] = v
-                    elif t in work:
-                        del work[t]
-                break
-        else:
-            out[m] = c
-            del work[m]
-    return Polynomial._raw(field, f.nslots, out)
-
-
-def _spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    field = f.field
-    lm_f, lm_g = f.lead_monomial(), g.lead_monomial()
-    lcm = _mono_lcm(lm_f, lm_g)
-    a = f.mul_term(_mono_div(lcm, lm_f), field.inv(f.lead_coeff()))
-    b = g.mul_term(_mono_div(lcm, lm_g), field.inv(g.lead_coeff()))
-    return a - b
-
-
-def _autoreduce(gens):
-    """Fully interreduce a list of monic polynomials (ideal unchanged)."""
-    gens = [g.monic() for g in gens if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        gens.sort(key=lambda g: g.lead_monomial())
-        for i, g in enumerate(gens):
-            rest = gens[:i] + gens[i + 1:]
-            r = normal_form(g, rest)
-            if r != g:
-                changed = True
-                if r.is_zero():
-                    gens = rest
-                else:
-                    gens = rest + [r.monic()]
-                break
-    gens.sort(key=lambda g: g.lead_monomial())
-    return gens
+    packing = _Packing(f.nslots)
+    heads = [_monic_head(packing.pack(g.terms), g.field) for g in gens]
+    rem = _reduce(packing.pack(f.terms), heads, f.field.characteristic,
+                  packing.guard)
+    return packing.unpack(f.field, rem)
 
 
 def _unit_basis(template: Polynomial) -> IdealBasis:
@@ -128,64 +206,63 @@ def buchberger(gens) -> IdealBasis:
     if not gens:
         return IdealBasis((), True)
     for g in gens:
+        gens[0]._check(g)
+    for g in gens:
         if g.is_constant():
             return _unit_basis(g)
-    G = _autoreduce(gens)
-    if len(G) == 1 and G[0].is_constant():
-        return _unit_basis(G[0])
+    field = gens[0].field
+    p = field.characteristic
+    packing = _Packing(gens[0].nslots)
+    guard = packing.guard
+    G = [_monic_head(packing.pack(g.terms), field)
+         for g in dict.fromkeys(g.monic() for g in gens)]
+    heads = sorted(G, key=_lead_key)  # G in increasing lead order, for division
 
     # pair queue keyed by (lcm, i, j): smallest lcm first (normal strategy)
     pairs = []
     treated = set()
     for j in range(len(G)):
         for i in range(j):
-            lcm = _mono_lcm(G[i].lead_monomial(), G[j].lead_monomial())
-            heapq.heappush(pairs, (lcm, i, j))
+            heapq.heappush(pairs, (_lcm(G[i][0], G[j][0], guard), i, j))
     while pairs:
         lcm, i, j = heapq.heappop(pairs)
         if (i, j) in treated:
             continue
         treated.add((i, j))
-        lm_i = G[i].lead_monomial()
-        lm_j = G[j].lead_monomial()
-        if _mono_mul(lm_i, lm_j) == lcm:
+        (lead_i, tail_i), (lead_j, tail_j) = G[i], G[j]
+        if lead_i + lead_j == lcm:
             continue  # coprime leading monomials: S-polynomial reduces to 0
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if not _mono_divides(G[k].lead_monomial(), lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in treated and b in treated:
-                skip = True  # chain criterion
-                break
-        if skip:
+        lg = lcm | guard
+        if any(k != i and k != j and (lg - G[k][0]) & guard == guard
+               and (min(i, k), max(i, k)) in treated
+               and (min(j, k), max(j, k)) in treated
+               for k in range(len(G))):
+            continue  # chain criterion
+        # S-polynomial of two monic elements: the leads cancel
+        work = {}
+        _subtract(work, [], tail_i, lcm - lead_i, -1, p, guard)
+        _subtract(work, [], tail_j, lcm - lead_j, 1, p, guard)
+        h = _reduce(work, heads, p, guard)
+        if not h:
             continue
-        h = normal_form(_spoly(G[i], G[j]), G)
-        if h.is_zero():
-            continue
-        if h.is_constant():
-            return _unit_basis(h)
-        h = h.monic()
-        G.append(h)
-        new = len(G) - 1
-        for k in range(new):
-            lcm = _mono_lcm(G[k].lead_monomial(), h.lead_monomial())
-            heapq.heappush(pairs, (lcm, k, new))
+        new = _monic_head(h, field)
+        if new[0] == 0:
+            return _unit_basis(gens[0])
+        G.append(new)
+        insort(heads, new, key=_lead_key)
+        for k in range(len(G) - 1):
+            heapq.heappush(pairs, (_lcm(G[k][0], new[0], guard), k, len(G) - 1))
 
-    # minimalize, then fully reduce
-    G.sort(key=lambda g: g.lead_monomial())
-    minimal = []
-    for g in G:
-        lm = g.lead_monomial()
-        if not any(_mono_divides(m.lead_monomial(), lm) for m in minimal):
-            minimal.append(g)
-    reduced = _autoreduce(minimal)
-    if len(reduced) == 1 and reduced[0].is_constant():
-        return _unit_basis(reduced[0])
-    return IdealBasis(tuple(reduced), True)
+    # minimalize, then reduce each element by the reduced smaller ones
+    reduced = []
+    for lead, tail in heads:
+        lg = lead | guard
+        if not any((lg - r[0]) & guard == guard for r in reduced):
+            reduced.append((lead, list(_reduce(dict(tail), reduced, p, guard).items())))
+    one = field.one()
+    return IdealBasis(tuple(
+        packing.unpack(field, {lead: one, **dict(tail)}) for lead, tail in reduced),
+        True)
 
 
 def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:

@@ -138,6 +138,15 @@ def test_run_max_nodes_exit(example_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_run_exponent_overflow_exit(tmp_path, capsys):
+    path = tmp_path / "overflow.txt"
+    path.write_text("char 5\nn 1\nform x\nideal:\nx_1^32768-1\n")
+    assert run(RunOptions(str(path))) == 2
+    captured = capsys.readouterr()
+    assert "exponent reached 32768" in captured.err
+    assert captured.out == ""
+
+
 def test_main_argv(example_file, capsys):
     assert main([example_file, "--format", "json", "--leaves"]) == 0
     payload = json.loads(capsys.readouterr().out)

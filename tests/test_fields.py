@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from p1parts.fields import (
     GF, QQ, Coefficient, Field, FieldError, field_arith, prime_field_inv,
 )
+from p1parts.poly import Polynomial
 
 
 def brute_inverse(a, p):
@@ -80,6 +81,22 @@ def test_canonical_forms():
     assert Coefficient(GF(5), -1).value == 4
     # equal values are identical after normalization
     assert Coefficient(QQ, Fraction(2, 4)) == Coefficient(QQ, Fraction(1, 2))
+
+
+def test_inexact_coefficients_rejected():
+    # a float must not round to zero over F_5 ...
+    with pytest.raises(FieldError):
+        Polynomial(GF(5), 1, {(1,): 0.5})
+    # ... nor become a 55-bit binary fraction over QQ
+    with pytest.raises(FieldError):
+        Polynomial(QQ, 1, {(1,): 0.1})
+    for bad in (1.0, "1", complex(1, 0)):
+        with pytest.raises(FieldError):
+            QQ.coerce(bad)
+        with pytest.raises(FieldError):
+            Coefficient(GF(7), bad)
+    assert Polynomial(QQ, 1, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
+    assert Polynomial(GF(5), 1, {(1,): Fraction(1, 2)}).terms == {(1,): 3}
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from p1parts.fields import GF, QQ
+from p1parts.fields import GF, QQ, FieldError
 from p1parts.groebner import (
-    IdealBasis, buchberger, elimination_subbasis, heuristic_radical,
-    ideal_saturate, normal_form, principal_saturate, radical_membership,
+    ExponentOverflowError, IdealBasis, buchberger, elimination_subbasis,
+    heuristic_radical, ideal_saturate, normal_form, principal_saturate,
+    radical_membership,
 )
 from p1parts.poly import Layout, Polynomial, ProjLayout
 from p1parts.parser import parse_polynomial
@@ -90,6 +91,38 @@ def test_buchberger_inconsistent():
 def test_buchberger_degenerate():
     assert buchberger([]).generators == ()
     assert buchberger([Polynomial.zero(QQ, 12)]).generators == ()
+
+
+def test_mixed_generators_rejected():
+    with pytest.raises(FieldError):
+        buchberger([A("x_1"), A("x_2", GF(5))])
+    with pytest.raises(FieldError):
+        normal_form(A("x_2"), [A("x_1", GF(5))])
+    with pytest.raises(ValueError):
+        buchberger([A("x_1"), P("y_1")])
+    with pytest.raises(ValueError):
+        normal_form(A("x_2"), [P("y_1")])
+
+
+def test_exponent_overflow_raises():
+    import p1parts
+    assert p1parts.ExponentOverflowError is ExponentOverflowError
+    assert issubclass(ExponentOverflowError, ValueError)
+    y = Polynomial.var(QQ, 1, 0)
+    # the largest exponent a slot holds still works
+    assert buchberger([y ** 32767]).generators == (y ** 32767,)
+    for e in (32768, 70000):  # on input, below and above 2^16
+        with pytest.raises(ExponentOverflowError):
+            buchberger([y ** e])
+        with pytest.raises(ExponentOverflowError):
+            normal_form(y ** e, [y ** 2])
+    # while reducing: x_2*x_1^20000 reduces to x_1^40000
+    with pytest.raises(ExponentOverflowError):
+        normal_form(A("x_2*x_1^20000"), [A("x_2-x_1^20000")])
+    with pytest.raises(ExponentOverflowError):
+        buchberger([A("x_2^2-1"), A("x_2-x_1^20000")])
+    assert normal_form(A("x_2*x_1^10000"), [A("x_2-x_1^10000")]) \
+        == A("x_1^20000")
 
 
 def random_ideal(rng, layout, field, ngens=3, max_terms=3, max_deg=3):
