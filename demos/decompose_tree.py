@@ -31,11 +31,12 @@ def main():
 
     print("how to read a leaf, taking the last one above:")
     leaf = leaf_parts(tree)[-1]
-    layout = tree.layout
+    eq_layout = tree.layout.at_level(leaf.frozen_level)
+    neq_layout = tree.layout.at_level(tree.layout.nslots)
     print("   equalities:  ",
-          ", ".join(to_canonical_text(g, layout) for g in leaf.eq.generators))
+          ", ".join(to_canonical_text(g, eq_layout) for g in leaf.eq.generators))
     print("   inequalities:",
-          ", ".join(to_canonical_text(q, layout) for q in leaf.neq) or "(none)")
+          ", ".join(to_canonical_text(q, neq_layout) for q in leaf.neq) or "(none)")
     print("   z_k is the already-chosen value of slot k; a pair "
           "(y_2j : y_2j-1) is one projective coordinate,")
     print("   pinned to the representative (1:0) or (a:1) by the canonical "

@@ -16,7 +16,7 @@ Run from the repository root:
 import time
 
 from p1parts import (
-    check_extension, check_partition, leaf_parts, multihomogenize,
+    check_extension, check_partition, homogenized_generators, leaf_parts,
     parse_problem, partition_variety,
 )
 
@@ -32,7 +32,7 @@ def main():
             problem = parse_problem(handle.read())
         t0 = time.perf_counter()
         tree = partition_variety(problem)
-        gens = [multihomogenize(b, tree.layout) for b in problem.generators]
+        gens = homogenized_generators(problem)
         report = check_partition(tree, gens, p, problem.n)
         leaves = leaf_parts(tree)
         counterexamples = [c for part in leaves

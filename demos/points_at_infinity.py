@@ -13,7 +13,7 @@ Run from the repository root:
 """
 
 from p1parts import (
-    check_partition, leaf_parts, multihomogenize, parse_problem,
+    check_partition, homogenized_generators, leaf_parts, parse_problem,
     part_members, partition_variety,
 )
 from p1parts.cli import render_tree
@@ -25,7 +25,7 @@ def show(path, p):
     tree = partition_variety(problem)
     print(f"== {path} (over F_{p})")
     print(render_tree(tree, "text", leaves_only=True))
-    gens = [multihomogenize(b, tree.layout) for b in problem.generators]
+    gens = homogenized_generators(problem)
     report = check_partition(tree, gens, p, problem.n)
     print(report.summary())
     print(f"variety has {report.variety_size} rational points; "

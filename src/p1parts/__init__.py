@@ -2,10 +2,10 @@
 coordinates: lex Groebner bases, saturation, leading-coefficient case
 splits, and brute-force finite-field verification."""
 
-from .fields import GF, QQ, Coefficient, Field, FieldError, field_arith, prime_field_inv
+from .fields import GF, QQ, Field, FieldError
 from .poly import (
-    Layout, Polynomial, ProjLayout, compare_monomials, derivative, exact_div,
-    lead_split, poly_gcd, squarefree_part, to_canonical_text,
+    Layout, Polynomial, ProjLayout, derivative, exact_div, lead_split, poly_gcd,
+    squarefree_part, to_canonical_text,
 )
 from .parser import ParseError, ProblemError, ProblemSpec, parse_polynomial, parse_problem
 from .groebner import (
@@ -15,8 +15,9 @@ from .groebner import (
 )
 from .multiproj import (
     MaxNodesExceeded, Part, PartTree, SplitFinding, canonical_constraints,
-    freeze_below, leaf_parts, multihomogenize, normalize_neq, partition_variety,
-    reduced_lead_coefficient, root_part, split_scan, unfreeze_all,
+    homogenized_generators, leaf_parts, multihomogenize, normalize_neq,
+    partition_variety, reduced_lead_coefficient, root_part, split_scan,
+    support_level,
 )
 from .oracle import (
     EnumerationCapExceeded, PartitionReport, ProjTuple, check_extension,

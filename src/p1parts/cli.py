@@ -19,10 +19,10 @@ from typing import Optional
 
 from .groebner import ExponentOverflowError
 from .multiproj import (
-    MaxNodesExceeded, PartTree, multihomogenize, partition_variety,
+    MaxNodesExceeded, PartTree, homogenized_generators, partition_variety,
 )
 from .oracle import EnumerationCapExceeded, check_partition
-from .parser import ParseError, ProblemError, ProblemSpec, parse_problem
+from .parser import ParseError, ProblemError, parse_problem
 from .poly import to_canonical_text
 
 
@@ -36,15 +36,24 @@ class RunOptions:
     oracle_check: Optional[int] = None
 
 
-def _node_record(tree: PartTree, part):
+def _constraint_texts(tree: PartTree, part):
+    """Equalities named for the part's frozen level, inequalities all in z."""
     layout = tree.layout
+    eq_layout = layout.at_level(part.frozen_level)
+    neq_layout = layout.at_level(layout.nslots)
+    return ([to_canonical_text(g, eq_layout) for g in part.eq.generators],
+            [to_canonical_text(q, neq_layout) for q in part.neq])
+
+
+def _node_record(tree: PartTree, part):
+    eqs, neqs = _constraint_texts(tree, part)
     return {
         "id": part.id,
         "prev": part.prev,
         "path": list(tree.path(part.id)),
         "frozenLevel": part.frozen_level,
-        "eq": [to_canonical_text(g, layout) for g in part.eq.generators],
-        "neq": [to_canonical_text(q, layout) for q in part.neq],
+        "eq": eqs,
+        "neq": neqs,
         "leaf": part.id in set(tree.leaf_ids()),
     }
 
@@ -62,15 +71,13 @@ def render_tree(tree: PartTree, format: str = "text",
         nodes = [p for p in tree.nodes if p.id in leaf_ids]
     else:
         nodes = list(tree.nodes)
-    layout = tree.layout
 
     if format == "text":
         lines = []
         for part in nodes:
             path = ", ".join(str(i) for i in tree.path(part.id))
-            eqs = ",".join(to_canonical_text(g, layout) for g in part.eq.generators)
-            neqs = ", ".join(to_canonical_text(q, layout) for q in part.neq)
-            lines.append(f"({path}, ideal({eqs}), {{{neqs}}})")
+            eqs, neqs = _constraint_texts(tree, part)
+            lines.append(f"({path}, ideal({','.join(eqs)}), {{{', '.join(neqs)}}})")
         return "\n".join(lines) + ("\n" if lines else "")
 
     if format == "json":
@@ -80,9 +87,8 @@ def render_tree(tree: PartTree, format: str = "text",
     if format == "dot":
         lines = ["digraph parts {"]
         for part in nodes:
-            eqs = ",".join(to_canonical_text(g, layout) for g in part.eq.generators)
-            neqs = ",".join(to_canonical_text(q, layout) for q in part.neq)
-            label = f"{part.id}: eq=[{eqs}] neq={{{neqs}}}"
+            eqs, neqs = _constraint_texts(tree, part)
+            label = f"{part.id}: eq=[{','.join(eqs)}] neq={{{','.join(neqs)}}}"
             label = label.replace("\\", "\\\\").replace('"', '\\"')
             shape = " shape=box" if part.id in leaf_ids else ""
             lines.append(f'  n{part.id} [label="{label}"{shape}];')
@@ -93,13 +99,6 @@ def render_tree(tree: PartTree, format: str = "text",
         return "\n".join(lines) + "\n"
 
     raise ValueError(f"unknown format {format!r}")
-
-
-def _homogenized_generators(problem: ProblemSpec, tree: PartTree):
-    if problem.form == "x":
-        return [multihomogenize(b, tree.layout)
-                for b in problem.generators if not b.is_zero()]
-    return [b for b in problem.generators if not b.is_zero()]
 
 
 def run(options: RunOptions) -> int:
@@ -140,7 +139,7 @@ def run(options: RunOptions) -> int:
     sys.stdout.write(render_tree(tree, options.format, options.leaves_only))
 
     if options.oracle_check is not None:
-        gens = _homogenized_generators(problem, tree)
+        gens = homogenized_generators(problem)
         try:
             report = check_partition(tree, gens, options.oracle_check, problem.n)
         except EnumerationCapExceeded as exc:

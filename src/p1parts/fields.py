@@ -8,7 +8,6 @@ arithmetic; it never rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 MAX_CHARACTERISTIC = 2**31  # residue products must fit 64-bit intermediates
@@ -129,51 +128,3 @@ def GF(p: int) -> Field:
     if p == 0:
         raise FieldError("GF(0) is not a field; use QQ for characteristic 0")
     return Field(p)
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """A single field element tagged with its field.
-
-    The tag makes mixed-field mistakes loud at the scalar API level;
-    polynomial internals store raw values and carry one field reference.
-    """
-
-    field: Field
-    value: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.field.coerce(self.value))
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def __str__(self):
-        return str(self.value)
-
-
-def field_arith(a: Coefficient, b: Coefficient, op: str) -> Coefficient:
-    """Exact field arithmetic: op is one of 'add', 'sub', 'mul', 'div'."""
-    if a.field != b.field:
-        raise FieldError(f"mixed-field operands: {a.field} vs {b.field}")
-    f = a.field
-    if op == "add":
-        v = f.add(a.value, b.value)
-    elif op == "sub":
-        v = f.sub(a.value, b.value)
-    elif op == "mul":
-        v = f.mul(a.value, b.value)
-    elif op == "div":
-        v = f.div(a.value, b.value)
-    else:
-        raise ValueError(f"unknown field operation {op!r}")
-    return Coefficient(f, v)
-
-
-def prime_field_inv(a: Coefficient, p: int) -> Coefficient:
-    """Multiplicative inverse in F_p: returns b with a*b = 1 (mod p)."""
-    if a.field.characteristic != p:
-        raise FieldError(f"operand lives in {a.field}, not GF({p})")
-    if a.is_zero():
-        raise ZeroDivisionError("zero has no inverse")
-    return Coefficient(a.field, a.field.inv(a.value))

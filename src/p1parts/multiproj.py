@@ -3,14 +3,17 @@
 Coordinates live on the projective line: coordinate j is a ratio pair
 (y_{2j} : y_{2j-1}), pinned to the canonical representative (1:0) or
 (a:1) by the constraints y_{2j-1}(y_{2j-1}-1) = 0 and
-(y_{2j}-1)(y_{2j-1}-1) = 0.  A *part* is a node of the decomposition
-tree: equality generators (a reduced basis, possibly written with frozen
-z slots for the already-chosen low coordinates), inequality constraints
-in z slots, and the freezing level that created it.
+(y_{2j}-1)(y_{2j-1}-1) = 0.  Every polynomial has the 2n slots
+y_{2n} > ... > y_1.  A *part* is a node of the decomposition tree:
+equality generators (a reduced basis), inequality constraints in the
+already-chosen low slots, and the freezing level that created it.  The
+level only decides names: slots at or below it print as z_k.
 
-Splitting rule, applied bottom coordinate first: freeze the slots below
-a level, look at each generator's leading coefficient in the frozen
-slots, and saturate it by the part's inequality constraints.  If what
+Splitting rule, applied bottom coordinate first: freeze the slots at or
+below a level, look at each generator's leading coefficient in the
+frozen slots, and saturate it by the part's inequality constraints.
+Freezing is no substitution: the frozen slots are already the lex-least
+ones, so only the split position of ``lead_split`` moves.  If what
 remains could still be zero or nonzero on the part, the part does not
 extend uniformly and is split in two: one child adjoins the squarefree
 reduced coefficient J as an equality, the other saturates it away and
@@ -45,9 +48,10 @@ class MaxNodesExceeded(RuntimeError):
 class Part:
     """One node of the decomposition.
 
-    ``eq`` generators may use z slots below ``frozen_level``; ``neq``
-    polynomials are monic, squarefree, pairwise distinct z-slot
-    constraints that must stay nonzero on the part.
+    ``eq`` is a reduced basis, printed with the slots at or below
+    ``frozen_level`` named z_k; ``neq`` holds monic, squarefree, pairwise
+    distinct constraints in frozen slots (printed all in z names) that
+    must stay nonzero on the part.
     """
 
     id: int
@@ -103,80 +107,35 @@ def multihomogenize(b: Polynomial, layout: ProjLayout) -> Polynomial:
     degs = [b.degree_in(pos) for pos in range(n)]  # pos i holds x_{n-i}
     out = {}
     for mono, c in b.terms.items():
-        new = [0] * (4 * n)
+        new = [0] * layout.nslots
         for i, e in enumerate(mono):
             j = n - i
             new[layout.y_pos(2 * j)] = e
             new[layout.y_pos(2 * j - 1)] = degs[i] - e
         out[tuple(new)] = c
-    return Polynomial(b.field, 4 * n, out)
+    return Polynomial(b.field, layout.nslots, out)
 
 
 def canonical_constraints(layout: ProjLayout, field: Field) -> list:
     """The 2n constraints pinning each pair to (1:0) or (a:1)."""
     out = []
-    n = layout.n
-    for j in range(1, n + 1):
-        h = Polynomial.var(field, 4 * n, layout.y_pos(2 * j - 1))
-        g = Polynomial.var(field, 4 * n, layout.y_pos(2 * j))
-        one = Polynomial.const(field, 4 * n, 1)
+    nslots = layout.nslots
+    for j in range(1, layout.n + 1):
+        h = Polynomial.var(field, nslots, layout.y_pos(2 * j - 1))
+        g = Polynomial.var(field, nslots, layout.y_pos(2 * j))
+        one = Polynomial.const(field, nslots, 1)
         out.append(h * h - h)
         out.append((g - one) * (h - one))
     return out
 
 
-def _half(f: Polynomial) -> int:
-    if f.nslots % 4:
-        raise ValueError("not a projective layout polynomial")
-    return f.nslots // 2
-
-
-def freeze_below(f: Polynomial, j: int) -> Polynomial:
-    """Substitute y_k -> z_k for all k <= j (input must be in y form)."""
-    half = _half(f)
-    if not 0 <= j <= half:
-        raise ValueError(f"freeze level {j} out of range")
-    lo = half - j  # y positions [lo, half) hold y_j .. y_1
-    out = {}
-    field = f.field
-    for mono, c in f.terms.items():
-        new = list(mono)
-        for pos in range(lo, half):
-            if new[pos]:
-                new[pos + half] += new[pos]
-                new[pos] = 0
-        key = tuple(new)
-        if key in out:
-            v = field.add(out[key], c)
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        else:
-            out[key] = c
-    return Polynomial._raw(field, f.nslots, out)
-
-
-def unfreeze_all(f: Polynomial) -> Polynomial:
-    """Substitute z_k -> y_k for all k; inverse of freezing on z images."""
-    half = _half(f)
-    out = {}
-    field = f.field
-    for mono, c in f.terms.items():
-        new = list(mono[:half])
-        for pos in range(half, f.nslots):
-            if mono[pos]:
-                new[pos - half] += mono[pos]
-        key = tuple(new) + (0,) * half
-        if key in out:
-            v = field.add(out[key], c)
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        else:
-            out[key] = c
-    return Polynomial._raw(field, f.nslots, out)
+def homogenized_generators(problem: ProblemSpec) -> list:
+    """The problem's nonzero generators written in the pair slots."""
+    gens = [b for b in problem.generators if not b.is_zero()]
+    if problem.form == "x":
+        layout = ProjLayout(problem.n)
+        gens = [multihomogenize(b, layout) for b in gens]
+    return gens
 
 
 def reduced_lead_coefficient(lc: Polynomial, neq) -> Polynomial:
@@ -199,25 +158,23 @@ def _scan_key(g: Polynomial):
     return (g.lead_monomial(), sorted(g.terms.items()))
 
 
-def _support_level(g_y: Polynomial, half: int) -> int:
-    """Highest slot level occurring in an unfrozen polynomial."""
-    slots = g_y.occurring_slots()
-    if not slots:
-        return 0
-    return max(half - pos for pos in slots)
+def support_level(f: Polynomial) -> int:
+    """Highest slot index occurring in f, 0 for a constant."""
+    slots = f.occurring_slots()
+    return f.nslots - min(slots) if slots else 0
 
 
-def _low_constraints(eq_y, level: int, half: int):
+def _low_constraints(eq, level: int):
     """Equality generators whose whole support sits at or below a level."""
-    return tuple(g for g in eq_y if _support_level(g, half) <= level)
+    return tuple(g for g in eq if support_level(g) <= level)
 
 
 def split_scan(part: Part) -> Optional[SplitFinding]:
     """Find the first freezing level whose lead coefficients force a split.
 
-    Levels are tried bottom-up; within a level the (re)frozen generators
-    are scanned in increasing lex order of leading monomial, skipping the
-    fully frozen ones.  A coefficient counts as certified nonzero when
+    Levels are tried bottom-up; within a level the generators are scanned
+    in increasing lex order of leading monomial, skipping the fully
+    frozen ones.  A coefficient counts as certified nonzero when
     saturating by the inequality constraints at or below the level leaves
     a constant, or when it is invertible modulo the equality generators
     supported at or below the level.  Only level-local information may
@@ -226,25 +183,24 @@ def split_scan(part: Part) -> Optional[SplitFinding]:
     when every coefficient at every level is certified, which makes the
     part a leaf.
     """
-    if not part.eq.generators:
+    gens = part.eq.generators
+    if not gens:
         return None
-    eq_y = tuple(unfreeze_all(g) for g in part.eq.generators)
-    half = _half(eq_y[0])
-    neq_levels = [(q, _support_level(unfreeze_all(q), half)) for q in part.neq]
-    for level in range(1, half):
-        frozen = sorted(
-            (freeze_below(g, level) for g in eq_y), key=_scan_key)
+    nslots = gens[0].nslots
+    scan = sorted(gens, key=_scan_key)
+    neq_levels = [(q, support_level(q)) for q in part.neq]
+    for level in range(1, nslots):
         low_neq = [q for q, lvl in neq_levels if lvl <= level]
-        low_eq = _low_constraints(eq_y, level, half)
-        for g in frozen:
-            mono, lc = lead_split(g, half)
+        low_eq = _low_constraints(gens, level)
+        for g in scan:
+            mono, lc = lead_split(g, nslots - level)
             if not any(mono):
                 continue  # fully frozen generator
             m = reduced_lead_coefficient(lc, low_neq)
             if m.is_constant():
                 continue
             J = squarefree_part(m)
-            if buchberger(low_eq + (unfreeze_all(J),)).is_unit():
+            if buchberger(low_eq + (J,)).is_unit():
                 continue  # J vanishes nowhere on the low-level solution set
             return SplitFinding(level, g, J)
     return None
@@ -258,21 +214,17 @@ def normalize_neq(neq, eq: IdealBasis):
     equality generators supported at or below its own top level already
     keep it from vanishing; redundancy against higher-level generators
     does not count, since the constraint still carries information for
-    the extension steps below them.  Membership tests run on fully
-    unfrozen images, a z slot and its y twin naming the same coordinate.
+    the extension steps below them.
     """
-    eq_y = tuple(unfreeze_all(g) for g in eq.generators)
-    half = _half(eq_y[0]) if eq_y else (_half(neq[0]) if neq else 0)
+    gens = eq.generators
     out = []
     for q in neq:
         s = squarefree_part(q)
         if s.is_constant():
             continue  # a nonzero constant is never zero: redundant
-        q_y = unfreeze_all(s)
-        if radical_membership(q_y, eq_y):
+        if radical_membership(s, gens):
             return None
-        low_eq = _low_constraints(eq_y, _support_level(q_y, half), half)
-        if buchberger(low_eq + (q_y,)).is_unit():
+        if buchberger(_low_constraints(gens, support_level(s)) + (s,)).is_unit():
             continue
         if s not in out:
             out.append(s)
@@ -286,13 +238,8 @@ def _closed(basis: IdealBasis, radical: bool) -> IdealBasis:
 
 def root_part(problem: ProblemSpec, radical: bool = True) -> Part:
     """Node 0: homogenized generators plus the canonical constraints."""
-    layout = ProjLayout(problem.n)
-    if problem.form == "x":
-        gens = [multihomogenize(b, layout)
-                for b in problem.generators if not b.is_zero()]
-    else:
-        gens = [b for b in problem.generators if not b.is_zero()]
-    gens += canonical_constraints(layout, problem.field)
+    gens = homogenized_generators(problem)
+    gens += canonical_constraints(ProjLayout(problem.n), problem.field)
     eq = _closed(buchberger(gens), radical)
     return Part(0, -1, eq, (), 0)
 
@@ -335,12 +282,10 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
         part = tree.nodes[current]
         finding = split_scan(part)
         if finding is not None:
-            level, J = finding.level, finding.J
-            frozen = tuple(
-                freeze_below(unfreeze_all(g), level) for g in part.eq.generators)
-            eq_a = _closed(buchberger(frozen + (J,)), radical)
+            level, J, gens = finding.level, finding.J, part.eq.generators
+            eq_a = _closed(buchberger(gens + (J,)), radical)
             append_child(part, eq_a, part.neq, level, "equality")
-            eq_b = _closed(ideal_saturate(frozen, J), radical)
+            eq_b = _closed(ideal_saturate(gens, J), radical)
             append_child(part, eq_b, part.neq + (J,), level, "inequality")
         current += 1
     return tree

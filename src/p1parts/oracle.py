@@ -3,9 +3,8 @@
 Enumerates every canonical point of the n-fold product of projective
 lines over F_p, computes variety points by direct evaluation, and
 cross-checks a part tree for disjointness, soundness and coverage.
-When a part's generators are evaluated, a z slot and its y twin are both
-bound to the same coordinate value: frozen slots are simply coordinates
-that have already been chosen.
+A part's frozen slots are evaluated like any other: freezing only
+renames the coordinates that have already been chosen.
 """
 
 from __future__ import annotations
@@ -13,8 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
-from .multiproj import Part, PartTree, leaf_parts, unfreeze_all
-from .poly import Polynomial
+from .groebner import principal_saturate
+from .multiproj import Part, PartTree, leaf_parts, support_level
+from .poly import Polynomial, poly_gcd
 
 DEFAULT_CAP = 10**7
 
@@ -41,15 +41,8 @@ class ProjTuple:
         return len(self.coords)
 
     def slot_values(self):
-        """Values for the 4n slots, z twins mirroring the y slots."""
-        n = self.n
-        vals = [0] * (4 * n)
-        for j in range(1, n + 1):
-            g, h = self.coords[n - j]
-            vals[2 * n - 2 * j] = g          # y_{2j}
-            vals[2 * n - (2 * j - 1)] = h    # y_{2j-1}
-        vals[2 * n:] = vals[:2 * n]
-        return vals
+        """Values for the 2n slots y_{2n}, ..., y_1."""
+        return [v for pair in self.coords for v in pair]
 
 
 def proj_line_points(p: int):
@@ -70,9 +63,6 @@ def enumerate_proj_space(p: int, n: int, cap: int = DEFAULT_CAP) -> list:
 def _check_pair_homogeneous(g: Polynomial, n: int):
     if g.is_zero():
         return
-    for pos in g.occurring_slots():
-        if pos >= 2 * n:
-            raise ValueError("variety generators must be written in y slots only")
     for j in range(1, n + 1):
         a = 2 * n - 2 * j
         b = a + 1
@@ -165,28 +155,17 @@ def check_partition(tree: PartTree, gens, p: int, n: int,
 
 
 def _constraints_by_level(part: Part):
-    """Unfreeze the part and bucket constraints by their top slot level."""
-    eq_y = [unfreeze_all(g) for g in part.eq.generators]
-    neq_y = [unfreeze_all(q) for q in part.neq]
-    half = part.eq.generators[0].nslots // 2 if part.eq.generators else \
-        (part.neq[0].nslots // 2 if part.neq else 0)
-
-    def level_of(g):
-        slots = g.occurring_slots()
-        if not slots:
-            return 0
-        return max(half - pos for pos in slots)  # pos half-k holds y_k
-
+    """Bucket the part's constraints by their top slot level."""
     eq_by = {}
     neq_by = {}
-    for g in eq_y:
-        eq_by.setdefault(level_of(g), []).append(g)
-    for q in neq_y:
-        neq_by.setdefault(level_of(q), []).append(q)
-    return eq_by, neq_by, half
+    for g in part.eq.generators:
+        eq_by.setdefault(support_level(g), []).append(g)
+    for q in part.neq:
+        neq_by.setdefault(support_level(q), []).append(q)
+    return eq_by, neq_by
 
 
-def _substitute_prefix(g: Polynomial, t, level: int, half: int):
+def _substitute_prefix(g: Polynomial, t, level: int):
     """Plug a partial slot assignment in, leaving slot ``level`` symbolic.
 
     Constraints are bucketed by their top slot, so everything occurring
@@ -196,7 +175,7 @@ def _substitute_prefix(g: Polynomial, t, level: int, half: int):
     nslots = g.nslots
     images = {}
     for pos in g.occurring_slots():
-        k = half - pos  # slot level held at this y position
+        k = nslots - pos  # slot index held at this position
         if k == level:
             images[pos] = Polynomial.var(field, nslots, pos)
         else:
@@ -216,16 +195,11 @@ def check_extension(part: Part, p: int, n: int) -> list:
     nonconstant) since closure points cannot be enumerated.  Prefixes
     that extend only into the closure leave the rational search frontier.
     """
-    from .groebner import principal_saturate
-    from .poly import poly_gcd
-
-    eq_by, neq_by, half = _constraints_by_level(part)
-    if half == 0:
-        return []
-    nslots = 2 * half
+    eq_by, neq_by = _constraints_by_level(part)
+    nslots = 2 * n
     counterexamples = []
     prefixes = [()]
-    for level in range(1, half + 1):
+    for level in range(1, nslots + 1):
         eqs = eq_by.get(level, [])
         neqs = neq_by.get(level, [])
         new = []
@@ -234,25 +208,23 @@ def check_extension(part: Part, p: int, n: int) -> list:
             for a in range(p):
                 vals = [0] * nslots
                 for k, v in enumerate((*t, a), start=1):
-                    vals[half - k] = v
-                    vals[2 * half - k] = v
+                    vals[nslots - k] = v
                 if all(g.evaluate(vals) == 0 for g in eqs) and \
                         all(q.evaluate(vals) != 0 for q in neqs):
                     rational.append(a)
             new.extend(t + (a,) for a in rational)
             if rational:
                 continue
-            if not _extends_into_closure(eqs, neqs, t, level, half,
-                                         poly_gcd, principal_saturate):
+            if not _extends_into_closure(eqs, neqs, t, level):
                 counterexamples.append((level, t))
         prefixes = new
     return counterexamples
 
 
-def _extends_into_closure(eqs, neqs, t, level, half, poly_gcd, principal_saturate):
+def _extends_into_closure(eqs, neqs, t, level):
     equations = []
     for g in eqs:
-        e = _substitute_prefix(g, t, level, half)
+        e = _substitute_prefix(g, t, level)
         if e.is_zero():
             continue
         if e.is_constant():
@@ -260,7 +232,7 @@ def _extends_into_closure(eqs, neqs, t, level, half, poly_gcd, principal_saturat
         equations.append(e)
     exclusions = []
     for q in neqs:
-        s = _substitute_prefix(q, t, level, half)
+        s = _substitute_prefix(q, t, level)
         if s.is_zero():
             return False  # the inequality fails for every value
         if not s.is_constant():

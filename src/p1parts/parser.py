@@ -173,7 +173,11 @@ class _Parser:
             try:
                 pos = self.layout.pos(text)
             except KeyError:
-                raise ParseError(f"unknown variable {text!r}", offset) from None
+                letter = text.split("_")[0]
+                hint = "" if any(name.startswith(letter + "_")
+                                 for name in self.layout.names) \
+                    else f", there are no {letter} variables here"
+                raise ParseError(f"unknown variable {text!r}{hint}", offset) from None
             return Polynomial.var(self.field, nslots, pos)
         if kind == "(":
             f = self.expr()
@@ -268,11 +272,5 @@ def parse_problem(text: str) -> ProblemSpec:
             g = parse_polynomial(piece, layout, field)
         except ParseError as exc:
             raise ProblemError(f"bad generator {piece!r}: {exc}", lineno) from None
-        if form == "y":
-            for pos in g.occurring_slots():
-                if pos >= 2 * n:
-                    raise ProblemError(
-                        f"generator {piece!r} uses a z variable; "
-                        "y-form generators may only use y_1..y_{2n}", lineno)
         gens.append(g)
     return ProblemSpec(field, n, form, tuple(gens), layout)

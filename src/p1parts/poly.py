@@ -50,50 +50,42 @@ class Layout:
 
 
 class ProjLayout(Layout):
-    """Slots for n projective-line coordinates plus their frozen twins.
+    """Slots for n projective-line coordinates, y_{2n} > ... > y_1.
 
-    Point coordinate j is the pair (y_{2j} : y_{2j-1}); already-chosen
-    coordinate values are written z_k.  Order: y_{2n} > ... > y_1 >
-    z_{2n} > ... > z_1, so the y block dominates and a polynomial's
-    z-part behaves like a coefficient.
+    Point coordinate j is the pair (y_{2j} : y_{2j-1}); slot k sits at
+    position 2n - k.  At a frozen level the slots k <= level, whose
+    coordinates are already chosen, are named z_k instead.  They are the
+    lex-least slots, so freezing renames them without changing the
+    order; their factors print first, as the scalar part of a term.
     """
 
-    __slots__ = ("n",)
+    __slots__ = ("n", "level")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, level: int = 0):
         if n < 0:
             raise ValueError("coordinate count must be nonnegative")
-        names = [f"y_{2 * n - i}" for i in range(2 * n)]
-        names += [f"z_{2 * n - i}" for i in range(2 * n)]
-        super().__init__(names)
+        if not 0 <= level <= 2 * n:
+            raise ValueError(f"freeze level {level} out of range")
+        super().__init__(
+            f"{'z' if k <= level else 'y'}_{k}" for k in range(2 * n, 0, -1))
         self.n = n
+        self.level = level
+
+    def at_level(self, level: int) -> "ProjLayout":
+        """The same slots, named for the given frozen level."""
+        return ProjLayout(self.n, level)
 
     def y_pos(self, k: int) -> int:
         if not 1 <= k <= 2 * self.n:
             raise ValueError(f"y index {k} out of range")
         return 2 * self.n - k
 
-    def z_pos(self, k: int) -> int:
-        if not 1 <= k <= 2 * self.n:
-            raise ValueError(f"z index {k} out of range")
-        return 4 * self.n - k
-
     def term_factor_positions(self, mono):
-        # z factors print first (they are the scalar part of a term),
-        # each block by decreasing variable index.
-        half = 2 * self.n
-        zs = [i for i, e in enumerate(mono) if e and i >= half]
-        ys = [i for i, e in enumerate(mono) if e and i < half]
+        # frozen factors print first, each group by decreasing slot index
+        first_frozen = 2 * self.n - self.level
+        zs = [i for i, e in enumerate(mono) if e and i >= first_frozen]
+        ys = [i for i, e in enumerate(mono) if e and i < first_frozen]
         return zs + ys
-
-
-def compare_monomials(a, b, layout: Layout) -> int:
-    """Lex comparison scanning slots from greatest to least: -1, 0 or 1."""
-    if len(a) != layout.nslots or len(b) != layout.nslots:
-        raise ValueError("monomial slot count does not match layout")
-    if a == b:
-        return 0
-    return 1 if a > b else -1
 
 
 def _mono_mul(a, b):
@@ -372,11 +364,11 @@ class Polynomial:
 def lead_split(f: Polynomial, first_frozen_pos: int):
     """Leading data with respect to an unfrozen/frozen slot split.
 
-    Slots before ``first_frozen_pos`` are the live (y) block, the rest the
-    frozen (z) block.  Terms are grouped by their live monomial part; the
-    result is the lex-greatest live monomial together with its full frozen
-    coefficient polynomial.  A polynomial lying entirely in the frozen
-    block yields the trivial monomial and itself as coefficient.
+    Slots before ``first_frozen_pos`` are live, the rest frozen.  Terms
+    are grouped by their live monomial part; the result is the
+    lex-greatest live monomial together with its full frozen coefficient
+    polynomial.  A polynomial lying entirely in the frozen slots yields
+    the trivial monomial and itself as coefficient.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no leading data")

@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdicts.
 
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from p1parts.fields import GF, QQ
 from p1parts.groebner import buchberger, elimination_subbasis, normal_form
 from p1parts.multiproj import (
-    leaf_parts, multihomogenize, partition_variety, unfreeze_all,
+    homogenized_generators, leaf_parts, partition_variety,
 )
 from p1parts.oracle import check_extension, check_partition, part_members
 from p1parts.parser import ProblemSpec, parse_polynomial, parse_problem
@@ -45,12 +46,6 @@ def verdict(num, ok, message):
     assert ok, f"criterion {num} failed: {message}"
 
 
-def homogenized(problem, layout):
-    if problem.form == "x":
-        return [multihomogenize(b, layout) for b in problem.generators]
-    return list(problem.generators)
-
-
 @pytest.fixture(scope="module")
 def example_tree_q():
     t0 = time.perf_counter()
@@ -73,14 +68,14 @@ def finite_fixtures():
         t0 = time.perf_counter()
         tree = partition_variety(prob)
         elapsed = time.perf_counter() - t0
-        out.append((name, prob, tree, homogenized(prob, tree.layout), p,
+        out.append((name, prob, tree, homogenized_generators(prob), p,
                     prob.n, elapsed))
     return out
 
 
 def ideals_semantically_equal(gens_a, gens_b):
-    a = buchberger([unfreeze_all(g) for g in gens_a])
-    b = buchberger([unfreeze_all(g) for g in gens_b])
+    a = buchberger(gens_a)
+    b = buchberger(gens_b)
     return (all(normal_form(g, b).is_zero() for g in a.generators)
             and all(normal_form(g, a).is_zero() for g in b.generators))
 
@@ -89,9 +84,15 @@ def test_criterion_1_example_reproduction(example_tree_q):
     tree, elapsed = example_tree_q
     leaves = leaf_parts(tree)
     layout = ProjLayout(3)
+
+    def parse_frozen(texts):
+        # the published text names every slot up to its highest z as z
+        level = max((int(k) for s in texts for k in re.findall(r"z_(\d+)", s)),
+                    default=0)
+        return [parse_polynomial(s, layout.at_level(level), QQ) for s in texts]
+
     published = {
-        node: ([parse_polynomial(s, layout, QQ) for s in eq],
-               frozenset(parse_polynomial(s, layout, QQ).monic() for s in neq))
+        node: (parse_frozen(eq), frozenset(q.monic() for q in parse_frozen(neq)))
         for node, (eq, neq) in PUBLISHED_LEAVES.items()}
 
     matched = {}
@@ -105,8 +106,8 @@ def test_criterion_1_example_reproduction(example_tree_q):
                 matched[part.id] = node
                 break
 
-    special = tuple(parse_polynomial(s, layout, QQ) for s in
-                    ("z_1-1", "z_2", "z_3-1", "z_4", "z_5-1", "y_6^2+y_6"))
+    special = tuple(parse_frozen(
+        ("z_1-1", "z_2", "z_3-1", "z_4", "z_5-1", "y_6^2+y_6")))
     has_special = any(p.eq.generators == special and p.neq == ()
                       for p in leaves)
 

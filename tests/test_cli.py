@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from p1parts.parser import parse_polynomial, parse_problem
 EXAMPLE = ("char 0\nn 3\nform x\nideal:\n"
            "x_1*(x_3^2*x_2+x_3+1)\nx_3*(x_3^2*x_2+x_3+1)\n")
 EXAMPLE5 = EXAMPLE.replace("char 0", "char 5")
+DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
 
 @pytest.fixture(scope="module")
@@ -75,11 +78,13 @@ def test_json_rendering_round_trips(example_tree):
     assert [list(rec) for rec in payload["nodes"][:1]] == \
         [["id", "prev", "path", "frozenLevel", "eq", "neq", "leaf"]]
     layout = example_tree.layout
+    neq_layout = layout.at_level(layout.nslots)  # inequalities: all z names
     for rec, part in zip(payload["nodes"], example_tree.nodes):
         assert rec["id"] == part.id and rec["prev"] == part.prev
-        parsed = tuple(parse_polynomial(s, layout, QQ) for s in rec["eq"])
+        eq_layout = layout.at_level(rec["frozenLevel"])
+        parsed = tuple(parse_polynomial(s, eq_layout, QQ) for s in rec["eq"])
         assert parsed == part.eq.generators
-        parsed_neq = tuple(parse_polynomial(s, layout, QQ) for s in rec["neq"])
+        parsed_neq = tuple(parse_polynomial(s, neq_layout, QQ) for s in rec["neq"])
         assert parsed_neq == part.neq
     leaf_flags = [rec["leaf"] for rec in payload["nodes"]]
     assert sum(leaf_flags) == 10
@@ -179,3 +184,55 @@ def test_run_oracle_failure_exit_code(example5_file, capsys, monkeypatch):
 def test_no_radical_flag(example5_file, capsys):
     assert main([example5_file, "--no-radical", "--oracle", "5"]) == 0
     assert "partition valid" in capsys.readouterr().out
+
+
+# sha256 of render_tree(tree, format) for every demo problem, full tree,
+# with the radical closure on and off; pinned so that any change to the
+# trees or to how they print shows up here.
+GOLDEN_DIGESTS = {
+    ("coordinate_axes_f3.txt", True, "text"): "4c7ae561ec78f1717f318ed834955a23ba04ea06a6db5d48fe92add8e1b2031f",
+    ("coordinate_axes_f3.txt", True, "json"): "7a84bb6cdd494a602d860b9338ab05f92456b9bdb6ca87b2093f10b76b2acab8",
+    ("coordinate_axes_f3.txt", True, "dot"): "e1fc0228968b43d4fca75ea977e19731ecc4a329a3f0d421a30cd921d5024997",
+    ("coordinate_axes_f3.txt", False, "text"): "4c7ae561ec78f1717f318ed834955a23ba04ea06a6db5d48fe92add8e1b2031f",
+    ("coordinate_axes_f3.txt", False, "json"): "7a84bb6cdd494a602d860b9338ab05f92456b9bdb6ca87b2093f10b76b2acab8",
+    ("coordinate_axes_f3.txt", False, "dot"): "e1fc0228968b43d4fca75ea977e19731ecc4a329a3f0d421a30cd921d5024997",
+    ("cusp_line.txt", True, "text"): "ea73ad015fabe97a46e247a21dc0519364206bf7dc7bbb3e4f25756955f13761",
+    ("cusp_line.txt", True, "json"): "ea77c9b6d446b6b3b68be7eed807fa8300681987015ec2f129546f433e70b04f",
+    ("cusp_line.txt", True, "dot"): "59acc33236bb34a7e08acba2a9d566eb3c15ec4b0f02285dd70f15f13452ca5c",
+    ("cusp_line.txt", False, "text"): "24982ba127c9d61ebf418b3aa90b8987292bdc825a4c1847f7fd9d4462da7cfc",
+    ("cusp_line.txt", False, "json"): "8c350071570e211762739a08164af9c154797f68faa1ce46f78874e4a1c0d914",
+    ("cusp_line.txt", False, "dot"): "5fad7f2bd835a44181c0294973839f4aab35d3a6b344a1bb0caf58372260c217",
+    ("cusp_line_f5.txt", True, "text"): "db58530ab2ac3df8a2eb4f3d7e63c5163085e20e5a393b828167e74f5484c638",
+    ("cusp_line_f5.txt", True, "json"): "89627d9f4d01006f519060631feca21568a42d28727b2af949cdb2bf3a2e5b96",
+    ("cusp_line_f5.txt", True, "dot"): "2af0a767d3233f6cfa78a338e045b80673849e3d289d6ce1a32d63ce10fd02fa",
+    ("cusp_line_f5.txt", False, "text"): "2add3092c509f425a8981c697a1012658b99caf8e123bb999510362293faceee",
+    ("cusp_line_f5.txt", False, "json"): "f2dce70a8bd04c8bdf38d4fa4d543c3c1ad1b829995cda8779c947921552d0cc",
+    ("cusp_line_f5.txt", False, "dot"): "20e5b0567ad0e6e1ea22d0d3ea57e21ef3b0adbc7e37b66fbf9b48c66c877426",
+    ("hyperbola_f5.txt", True, "text"): "d3e90b9be10717786550926c51be6f13f13b3f89c3b703078aaeb41be1d094fb",
+    ("hyperbola_f5.txt", True, "json"): "bfa1acb13639ff059871fb487ae69cbef43ec790c8ff516178992f31e12282fc",
+    ("hyperbola_f5.txt", True, "dot"): "1b2e83dcea4a5434c0df836ba0ac834484bd584d51d98a263ea0810b4cb961e9",
+    ("hyperbola_f5.txt", False, "text"): "d3e90b9be10717786550926c51be6f13f13b3f89c3b703078aaeb41be1d094fb",
+    ("hyperbola_f5.txt", False, "json"): "bfa1acb13639ff059871fb487ae69cbef43ec790c8ff516178992f31e12282fc",
+    ("hyperbola_f5.txt", False, "dot"): "1b2e83dcea4a5434c0df836ba0ac834484bd584d51d98a263ea0810b4cb961e9",
+    ("whitney_umbrella_f5.txt", True, "text"): "c7a4fea05c968fecb001ea1fc2f6eeb40caed24fd0ec51354a876b6d0b999400",
+    ("whitney_umbrella_f5.txt", True, "json"): "4e0eacb1dff6169935c43231e630fe7a586f4a745b31c8eac475097836aa10b0",
+    ("whitney_umbrella_f5.txt", True, "dot"): "07b7aa1871a874ce2742dddf19bce8356f1fc3c352b5099e1b17a7e67e2c5ec3",
+    ("whitney_umbrella_f5.txt", False, "text"): "c7a4fea05c968fecb001ea1fc2f6eeb40caed24fd0ec51354a876b6d0b999400",
+    ("whitney_umbrella_f5.txt", False, "json"): "4e0eacb1dff6169935c43231e630fe7a586f4a745b31c8eac475097836aa10b0",
+    ("whitney_umbrella_f5.txt", False, "dot"): "07b7aa1871a874ce2742dddf19bce8356f1fc3c352b5099e1b17a7e67e2c5ec3",
+}
+
+
+@pytest.mark.parametrize("name,radical,fmt", sorted(GOLDEN_DIGESTS))
+def test_demo_renderings_golden(name, radical, fmt):
+    with open(DEMO_PROBLEMS / name, encoding="utf-8") as handle:
+        tree = partition_variety(parse_problem(handle.read()), radical=radical)
+    rendered = render_tree(tree, fmt)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == \
+        GOLDEN_DIGESTS[name, radical, fmt]
+
+
+def test_golden_digests_cover_every_demo():
+    names = {path.name for path in DEMO_PROBLEMS.glob("*.txt")}
+    assert {name for name, _, _ in GOLDEN_DIGESTS} == names
+    assert len(GOLDEN_DIGESTS) == 6 * len(names)

@@ -3,9 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from p1parts.fields import (
-    GF, QQ, Coefficient, Field, FieldError, field_arith, prime_field_inv,
-)
+from p1parts.fields import GF, QQ, Field, FieldError
 from p1parts.poly import Polynomial
 
 
@@ -32,55 +30,53 @@ def test_field_construction():
 
 
 def test_field_arith_rationals():
-    a = Coefficient(QQ, Fraction(1, 2))
-    b = Coefficient(QQ, Fraction(1, 3))
-    assert field_arith(a, b, "add").value == Fraction(5, 6)
-    assert field_arith(a, b, "sub").value == Fraction(1, 6)
-    assert field_arith(a, b, "mul").value == Fraction(1, 6)
-    assert field_arith(a, b, "div").value == Fraction(3, 2)
+    a, b = Fraction(1, 2), Fraction(1, 3)
+    assert QQ.add(a, b) == Fraction(5, 6)
+    assert QQ.sub(a, b) == Fraction(1, 6)
+    assert QQ.mul(a, b) == Fraction(1, 6)
+    assert QQ.div(a, b) == Fraction(3, 2)
 
 
 def test_field_arith_prime_field():
     F5 = GF(5)
-    a = Coefficient(F5, 3)
-    b = Coefficient(F5, 4)
-    assert field_arith(a, b, "mul").value == 2  # 12 mod 5
+    assert F5.mul(3, 4) == 2  # 12 mod 5
+    assert F5.add(3, 4) == 2 and F5.sub(3, 4) == 4
 
     F7 = GF(7)
     # derived by exhaustive inverse search: inv(3) mod 7
     assert brute_inverse(3, 7) == 5
-    two_thirds = field_arith(Coefficient(F7, 2), Coefficient(F7, 3), "div")
-    assert two_thirds.value == 2 * brute_inverse(3, 7) % 7 == 3
+    assert F7.div(2, 3) == 2 * brute_inverse(3, 7) % 7 == 3
 
 
 def test_field_arith_errors():
-    a = Coefficient(QQ, 1)
-    b = Coefficient(GF(5), 1)
-    with pytest.raises(FieldError):
-        field_arith(a, b, "add")
     with pytest.raises(ZeroDivisionError):
-        field_arith(a, Coefficient(QQ, 0), "div")
-    with pytest.raises(ValueError):
-        field_arith(a, a, "pow")
+        QQ.div(Fraction(1), Fraction(0))
+    with pytest.raises(ZeroDivisionError):
+        GF(7).div(1, 0)
+    # mixing fields is caught where values carry their field: polynomials
+    with pytest.raises(FieldError):
+        Polynomial.const(QQ, 1, 1) + Polynomial.const(GF(5), 1, 1)
 
 
 def test_prime_field_inv():
     F7 = GF(7)
-    assert prime_field_inv(Coefficient(F7, 1), 7).value == 1
-    assert prime_field_inv(Coefficient(F7, 3), 7).value == brute_inverse(3, 7)
-    assert prime_field_inv(Coefficient(GF(5), 4), 5).value == brute_inverse(4, 5) == 4
+    assert F7.inv(1) == 1
+    assert F7.inv(3) == brute_inverse(3, 7)
+    assert GF(5).inv(4) == brute_inverse(4, 5) == 4
+    for p in (2, 3, 5, 7, 11, 13):
+        assert all(GF(p).inv(a) == brute_inverse(a, p) for a in range(1, p))
     with pytest.raises(ZeroDivisionError):
-        prime_field_inv(Coefficient(F7, 0), 7)
-    with pytest.raises(FieldError):
-        prime_field_inv(Coefficient(F7, 3), 5)
+        F7.inv(0)
 
 
 def test_canonical_forms():
-    assert Coefficient(QQ, Fraction(6, 4)).value == Fraction(3, 2)
-    assert Coefficient(GF(5), 12).value == 2
-    assert Coefficient(GF(5), -1).value == 4
+    assert QQ.coerce(Fraction(6, 4)) == Fraction(3, 2)
+    assert type(QQ.coerce(3)) is Fraction
+    assert GF(5).coerce(12) == 2
+    assert GF(5).coerce(-1) == 4
+    assert GF(5).coerce(Fraction(1, 2)) == brute_inverse(2, 5) == 3
     # equal values are identical after normalization
-    assert Coefficient(QQ, Fraction(2, 4)) == Coefficient(QQ, Fraction(1, 2))
+    assert QQ.coerce(Fraction(2, 4)) == QQ.coerce(Fraction(1, 2))
 
 
 def test_inexact_coefficients_rejected():
@@ -94,7 +90,7 @@ def test_inexact_coefficients_rejected():
         with pytest.raises(FieldError):
             QQ.coerce(bad)
         with pytest.raises(FieldError):
-            Coefficient(GF(7), bad)
+            GF(7).coerce(bad)
     assert Polynomial(QQ, 1, {(1,): Fraction(1, 10)}).terms == {(1,): Fraction(1, 10)}
     assert Polynomial(GF(5), 1, {(1,): Fraction(1, 2)}).terms == {(1,): 3}
 

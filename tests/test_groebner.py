@@ -17,8 +17,9 @@ PL3 = ProjLayout(3)
 PL1 = ProjLayout(1)
 
 
-def P(text, layout=PL3, field=QQ):
-    return parse_polynomial(text, layout, field)
+def P(text, level=0, field=QQ):
+    """Parse in PL3 with the slots at or below ``level`` named z_k."""
+    return parse_polynomial(text, PL3.at_level(level), field)
 
 
 def A(text, field=QQ):
@@ -90,7 +91,7 @@ def test_buchberger_inconsistent():
 
 def test_buchberger_degenerate():
     assert buchberger([]).generators == ()
-    assert buchberger([Polynomial.zero(QQ, 12)]).generators == ()
+    assert buchberger([Polynomial.zero(QQ, 6)]).generators == ()
 
 
 def test_mixed_generators_rejected():
@@ -223,7 +224,7 @@ def test_ideal_saturate():
     assert sat.generators == (p2("y_2-1"),)
 
     with pytest.raises(ValueError):
-        ideal_saturate([p2("y_1")], Polynomial.zero(QQ, 8))
+        ideal_saturate([p2("y_1")], Polynomial.zero(QQ, 4))
 
 
 def test_ideal_saturate_brute_force_f5():
@@ -242,22 +243,22 @@ def test_ideal_saturate_brute_force_f5():
     def affine_points(polys):
         pts = set()
         for a2, a1 in grid:
-            vals = [0, 0, a2, a1] + [0] * 4  # y_2, y_1 slots
+            vals = [0, 0, a2, a1]  # y_2, y_1 slots
             if all(g.evaluate(vals) == 0 for g in polys):
                 pts.add((a2, a1))
         return pts
 
     expected = {pt for pt in affine_points(gens)
-                if f.evaluate([0, 0, pt[0], pt[1]] + [0] * 4) != 0}
+                if f.evaluate([0, 0, pt[0], pt[1]]) != 0}
     assert affine_points(sat.generators) == expected == {(0, 1)}
 
 
 def test_principal_saturate():
-    assert principal_saturate(P("z_2*z_4"), P("z_2")) == P("z_4")
-    assert principal_saturate(P("z_2^2"), P("z_2")) == P("1")
-    assert principal_saturate(P("z_4"), P("z_2")) == P("z_4")
+    assert principal_saturate(P("z_2*z_4", 4), P("z_2", 4)) == P("z_4", 4)
+    assert principal_saturate(P("z_2^2", 4), P("z_2", 4)) == P("1")
+    assert principal_saturate(P("z_4", 4), P("z_2", 4)) == P("z_4", 4)
     with pytest.raises(ValueError):
-        principal_saturate(Polynomial.zero(QQ, 12), P("z_2"))
+        principal_saturate(Polynomial.zero(QQ, 6), P("z_2", 4))
 
 
 # -- radical membership ---------------------------------------------------------------
@@ -266,7 +267,7 @@ def test_radical_membership():
     assert radical_membership(P("y_1"), [P("y_1^2")])
     assert not radical_membership(P("y_1-1"), [P("y_1^2")])
     # z_2^2 = z_2*z_4 + z_2*(z_2-z_4)
-    assert radical_membership(P("z_2"), [P("z_2*z_4"), P("z_2-z_4")])
+    assert radical_membership(P("z_2", 4), [P("z_2*z_4", 4), P("z_2-z_4", 4)])
 
 
 def test_radical_membership_agrees_with_brute_force():
@@ -285,7 +286,7 @@ def test_radical_membership_agrees_with_brute_force():
     for f, gens in cases:
         if radical_membership(f, gens):
             for vals in itertools.product(range(5), repeat=2):
-                full = list(vals) + [0] * 6
+                full = [0, 0] + list(vals)  # y_2, y_1 slots
                 if all(g.evaluate(full) == 0 for g in gens):
                     assert f.evaluate(full) == 0
 

@@ -127,8 +127,8 @@ def ref_buchberger(gens):
 # -- strategies ----------------------------------------------------------------
 
 FIELDS = (GF(2), GF(3), GF(5), QQ)
-# affine widths 2..8 and the projective widths 4 and 8
-WIDTHS = tuple(range(2, 9)) + (ProjLayout(1).nslots, ProjLayout(2).nslots)
+# affine widths 2..8 and the projective widths 4 and 8 (n = 2 and 4)
+WIDTHS = tuple(range(2, 9)) + (ProjLayout(2).nslots, ProjLayout(4).nslots)
 
 
 def coefficients(field):

@@ -1,14 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from p1parts.fields import GF, QQ
 from p1parts.groebner import IdealBasis, buchberger
 from p1parts.multiproj import (
-    MaxNodesExceeded, Part, canonical_constraints, freeze_below, leaf_parts,
-    multihomogenize, normalize_neq, partition_variety, reduced_lead_coefficient,
-    root_part, split_scan, unfreeze_all,
+    MaxNodesExceeded, Part, canonical_constraints, homogenized_generators,
+    leaf_parts, multihomogenize, normalize_neq, partition_variety,
+    reduced_lead_coefficient, root_part, split_scan, support_level,
 )
 from p1parts.parser import parse_polynomial, parse_problem
 from p1parts.poly import Layout, Polynomial, ProjLayout, to_canonical_text
@@ -24,8 +25,9 @@ HYPERBOLA = "char 5\nn 2\nform x\nideal:\nx_2*x_1-1\n"
 AXES = "char 3\nn 2\nform x\nideal:\nx_2*x_1\n"
 
 
-def P(text, layout=PL3, field=QQ):
-    return parse_polynomial(text, layout, field)
+def P(text, level=0, layout=PL3, field=QQ):
+    """Parse with the slots at or below ``level`` named z_k."""
+    return parse_polynomial(text, layout.at_level(level), field)
 
 
 # -- homogenization -----------------------------------------------------------
@@ -43,7 +45,7 @@ def test_multihomogenize_hyperbola():
 
 def test_multihomogenize_constant():
     c = Polynomial.const(QQ, 3, 7)
-    assert multihomogenize(c, PL3) == Polynomial.const(QQ, 12, 7)
+    assert multihomogenize(c, PL3) == Polynomial.const(QQ, 6, 7)
     with pytest.raises(ValueError):
         multihomogenize(Polynomial.zero(QQ, 3), PL3)
 
@@ -71,18 +73,17 @@ def test_multihomogenize_is_pair_homogeneous_and_dehomogenizes():
             degrees = {m[a] + m[bb] for m in h.terms}
             assert degrees == {b.degree_in(3 - j)}
         # substituting y_{2j} -> x_j, y_{2j-1} -> 1 recovers b
-        images = {pos: Polynomial.var(QQ, 12, pos) for pos in range(12)}
+        images = {pos: Polynomial.var(QQ, 6, pos) for pos in range(6)}
         for j in (1, 2, 3):
-            images[PL3.y_pos(2 * j)] = Polynomial.var(QQ, 12, PL3.y_pos(2 * j))
-            images[PL3.y_pos(2 * j - 1)] = Polynomial.const(QQ, 12, 1)
+            images[PL3.y_pos(2 * j - 1)] = Polynomial.const(QQ, 6, 1)
         dehom = h.substitute(images)
         lifted = {}
         for mono, c in b.terms.items():
-            new = [0] * 12
+            new = [0] * 6
             for i, e in enumerate(mono):
                 new[PL3.y_pos(2 * (3 - i))] = e
             lifted[tuple(new)] = c
-        assert dehom == Polynomial(QQ, 12, lifted)
+        assert dehom == Polynomial(QQ, 6, lifted)
 
 
 def test_canonical_constraints():
@@ -99,53 +100,56 @@ def test_canonical_constraints_cut_out_projective_line():
     one = ProjLayout(1)
     cons = canonical_constraints(one, GF(3))
     sols = [(g, h) for g in range(3) for h in range(3)
-            if all(c.evaluate([g, h, 0, 0]) == 0 for c in cons)]
+            if all(c.evaluate([g, h]) == 0 for c in cons)]
     assert sorted(sols) == [(0, 1), (1, 0), (1, 1), (2, 1)]
 
 
 # -- freezing -----------------------------------------------------------------
 
 def test_freeze_below():
+    # freezing the slots at or below a level renames them, nothing else
     f = parse_polynomial("y_4*y_2-y_3*y_1", PL2, QQ)
-    assert freeze_below(f, 2) == parse_polynomial("y_4*z_2-y_3*z_1", PL2, QQ)
-    assert freeze_below(f, 0) == f
+    assert P("z_2*y_4-z_1*y_3", 2, PL2) == f
+    assert to_canonical_text(f, PL2.at_level(2)) == "z_2*y_4-z_1*y_3"
+    assert to_canonical_text(f, PL2.at_level(0)) == "y_4*y_2-y_3*y_1"
     g = P("y_1^2-y_1")
-    assert freeze_below(g, 1) == P("z_1^2-z_1")
+    assert to_canonical_text(g, PL3.at_level(1)) == "z_1^2-z_1"
+    for bad in (-1, 5):
+        with pytest.raises(ValueError):
+            PL2.at_level(bad)
 
 
-def test_unfreeze_all():
-    assert unfreeze_all(P("z_4*y_6^2+y_6+1")) == P("y_4*y_6^2+y_6+1")
-    f = parse_polynomial("y_4*z_2-y_3*z_1", PL2, QQ)
-    assert unfreeze_all(f) == parse_polynomial("y_4*y_2-y_3*y_1", PL2, QQ)
-
-
-def test_freeze_round_trip():
+def test_level_layout_round_trip():
+    # at every level, canonical text parses back to the same polynomial
     rng = random.Random(43)
     for _ in range(20):
         b = random_affine_poly(rng, 3)
         if b.is_zero():
             continue
         f = multihomogenize(b, PL3)
-        for j in range(0, 7):
-            assert unfreeze_all(freeze_below(f, j)) == f
+        for level in range(0, 7):
+            layout = PL3.at_level(level)
+            text = to_canonical_text(f, layout)
+            assert parse_polynomial(text, layout, QQ) == f
+            for letter, k in re.findall(r"([yz])_(\d+)", text):
+                assert (letter == "z") == (int(k) <= level)
 
 
-def test_freeze_matches_substitution_maps():
-    f = P("(y_2-1)*(y_1-1)")
-    images = {pos: Polynomial.var(QQ, 12, pos) for pos in range(12)}
-    for k in (1, 2):
-        images[PL3.y_pos(k)] = Polynomial.var(QQ, 12, PL3.z_pos(k))
-    assert freeze_below(f, 2) == f.substitute(images)
+def test_support_level():
+    assert support_level(P("7")) == 0
+    assert support_level(P("z_2*z_1-1", 2)) == 2
+    assert support_level(P("z_1*y_4+y_3", 1)) == 4
+    assert support_level(P("y_6")) == 6
 
 
 # -- the splitting rule ----------------------------------------------------------
 
 def test_reduced_lead_coefficient():
-    assert reduced_lead_coefficient(P("z_2*z_4"), [P("z_2")]) == P("z_4")
-    assert reduced_lead_coefficient(P("z_4"), []) == P("z_4")
-    assert reduced_lead_coefficient(P("z_2^2"), [P("z_2")]) == P("1")
+    assert reduced_lead_coefficient(P("z_2*z_4", 6), [P("z_2", 6)]) == P("z_4", 6)
+    assert reduced_lead_coefficient(P("z_4", 6), []) == P("z_4", 6)
+    assert reduced_lead_coefficient(P("z_2^2", 6), [P("z_2", 6)]) == P("1")
     with pytest.raises(ValueError):
-        reduced_lead_coefficient(Polynomial.zero(QQ, 12), [])
+        reduced_lead_coefficient(Polynomial.zero(QQ, 6), [])
 
 
 def test_split_scan_example_root():
@@ -153,27 +157,27 @@ def test_split_scan_example_root():
     finding = split_scan(root)
     assert finding is not None
     assert finding.level == 1
-    assert finding.J == P("z_1-1")
+    assert finding.J == P("z_1-1", 1)
 
 
 def test_split_scan_leaf():
     # all lead coefficients constant: a leaf
-    eq = buchberger([P("z_1-1"), P("y_2-1")])
+    eq = buchberger([P("z_1-1", 1), P("y_2-1", 1)])
     part = Part(0, -1, eq, (), 1)
     assert split_scan(part) is None
 
 
 def test_split_scan_certified_by_neq():
     # sole nonconstant lead coefficient z_2^2 is certified by neq {z_2}
-    eq = IdealBasis((P("z_2^2*y_3-1"),), True)
-    part = Part(0, -1, eq, (P("z_2"),), 2)
+    eq = IdealBasis((P("z_2^2*y_3-1", 2),), True)
+    part = Part(0, -1, eq, (P("z_2", 2),), 2)
     assert split_scan(part) is None
 
 
 def test_split_scan_certified_by_equalities():
     # z_2*y_4 = 1 on the part, so z_2 vanishes nowhere: no split
-    eq = buchberger([P("z_1-1"), P("y_3-1"), P("z_2*y_4-1")])
-    part = Part(0, -1, eq, (P("z_2"),), 2)
+    eq = buchberger([P("z_1-1", 2), P("y_3-1", 2), P("z_2*y_4-1", 2)])
+    part = Part(0, -1, eq, (P("z_2", 2),), 2)
     assert split_scan(part) is None
 
 
@@ -181,34 +185,37 @@ def test_split_scan_certified_by_equalities():
 
 def test_normalize_neq_drops_redundant():
     eq = buchberger([P("y_1"), P("y_2-1")])
-    assert normalize_neq((P("z_1-1"),), eq) == ()
+    assert normalize_neq((P("z_1-1", 1),), eq) == ()
 
 
 def test_normalize_neq_empty_part():
     eq = buchberger([P("y_2"), P("y_1-1")])
-    assert normalize_neq((P("z_2"),), eq) is None
+    assert normalize_neq((P("z_2", 2),), eq) is None
 
 
 def test_normalize_neq_squarefree_and_sorted():
     eq = IdealBasis((), True)
-    got = normalize_neq((P("z_2^2*z_4"), P("z_2")), eq)
-    assert got == (P("z_2"), P("z_2*z_4"))
+    got = normalize_neq((P("z_2^2*z_4", 6), P("z_2", 6)), eq)
+    assert got == (P("z_2", 6), P("z_2*z_4", 6))
 
 
 def test_normalize_neq_keeps_level_relevant_entry():
     # z_2*y_4 = 1 implies z_2 != 0, but only via a level-4 generator;
     # at level 2 the inequality still carries information, so it stays
-    eq = buchberger([P("z_1-1"), P("y_3-1"), P("z_2*y_4-1")])
-    assert normalize_neq((P("z_2"),), eq) == (P("z_2"),)
+    eq = buchberger([P("z_1-1", 2), P("y_3-1", 2), P("z_2*y_4-1", 2)])
+    assert normalize_neq((P("z_2", 2),), eq) == (P("z_2", 2),)
 
 
 # -- whole decompositions -----------------------------------------------------------
 
 def leaf_texts(tree):
     out = []
+    layout = tree.layout
+    neq_layout = layout.at_level(layout.nslots)
     for part in leaf_parts(tree):
-        eq = ",".join(to_canonical_text(g, tree.layout) for g in part.eq.generators)
-        neq = ",".join(to_canonical_text(q, tree.layout) for q in part.neq)
+        eq_layout = layout.at_level(part.frozen_level)
+        eq = ",".join(to_canonical_text(g, eq_layout) for g in part.eq.generators)
+        neq = ",".join(to_canonical_text(q, neq_layout) for q in part.neq)
         out.append((eq, neq))
     return out
 
@@ -227,8 +234,7 @@ def test_partition_axes():
     leaves = leaf_parts(tree)
     assert len(leaves) == 4
     from p1parts.oracle import part_members, variety_points
-    gens = [multihomogenize(b, tree.layout) for b in
-            parse_problem(AXES).generators]
+    gens = homogenized_generators(parse_problem(AXES))
     variety = set(variety_points(gens, 3, 2))
     assert len(variety) == 7
     member_sets = [set(part_members(p, 3, 2)) for p in leaves]
@@ -284,7 +290,7 @@ def test_partition_no_radical_mode():
     from p1parts.oracle import check_partition
     prob5 = parse_problem(EXAMPLE.replace("char 0", "char 5"))
     tree5 = partition_variety(prob5, radical=False)
-    gens = [multihomogenize(b, tree5.layout) for b in prob5.generators]
+    gens = homogenized_generators(prob5)
     assert check_partition(tree5, gens, 5, 3).valid
 
 
@@ -309,11 +315,11 @@ def test_parts_contain_canonical_constraint_consequences():
     from p1parts.groebner import buchberger as gb, normal_form as nf
     tree = partition_variety(parse_problem(EXAMPLE))
     for part in tree.nodes:
-        eq_y = gb([unfreeze_all(g) for g in part.eq.generators])
+        eq = gb(part.eq.generators)
         for k in (1, 3, 5):
-            h = Polynomial.var(QQ, 12, PL3.y_pos(k))
-            one = Polynomial.const(QQ, 12, 1)
-            assert nf(h * (h - one), eq_y).is_zero()
+            h = Polynomial.var(QQ, 6, PL3.y_pos(k))
+            one = Polynomial.const(QQ, 6, 1)
+            assert nf(h * (h - one), eq).is_zero()
 
 
 def test_cli_oracle_rejects_inhomogeneous_y_form(tmp_path, capsys):
@@ -332,12 +338,12 @@ def test_theorem3_reduction_property():
     p, n = 5, 3
     from p1parts.oracle import part_members
     for part in leaf_parts(tree):
-        gens_y = [unfreeze_all(g) for g in part.eq.generators]
+        gens = part.eq.generators
         for t in part_members(part, p, n):
             vals = t.slot_values()
             for level in range(1, 7):
-                pos = 6 - level  # y position of the slot at this level
-                univ = [g for g in gens_y
+                pos = 6 - level  # position of the slot at this level
+                univ = [g for g in gens
                         if g.occurring_slots() <= set(range(pos, 6))
                         and pos in g.occurring_slots()]
                 if not univ:
@@ -347,6 +353,5 @@ def test_theorem3_reduction_property():
                 for r in range(p):
                     probe = list(vals)
                     probe[pos] = r
-                    probe[pos + 6] = r
                     if b1.evaluate(probe) == 0:
                         assert all(g.evaluate(probe) == 0 for g in univ)

@@ -5,7 +5,7 @@ import pytest
 from p1parts.fields import GF
 from p1parts.groebner import IdealBasis
 from p1parts.multiproj import (
-    Part, leaf_parts, multihomogenize, partition_variety,
+    Part, homogenized_generators, leaf_parts, partition_variety,
 )
 from p1parts.oracle import (
     EnumerationCapExceeded, ProjTuple, check_extension, check_partition,
@@ -38,8 +38,8 @@ def test_enumerate_proj_space():
 
 def test_slot_values_binding():
     t = ProjTuple(((2, 1), (1, 0)))  # x_2 = 2, x_1 = inf
-    # slots: y_4 y_3 y_2 y_1 z_4 z_3 z_2 z_1
-    assert t.slot_values() == [2, 1, 1, 0, 2, 1, 1, 0]
+    # slots: y_4 y_3 y_2 y_1
+    assert t.slot_values() == [2, 1, 1, 0]
 
 
 def test_variety_points_hyperbola_f3():
@@ -63,9 +63,6 @@ def test_variety_points_requires_pair_homogeneous():
     bad = P("y_4-1", PL2, F3)
     with pytest.raises(ValueError, match="homogeneous"):
         variety_points([bad], 3, 2)
-    zbad = P("z_1", PL2, F3)
-    with pytest.raises(ValueError, match="y slots"):
-        variety_points([zbad], 3, 2)
 
 
 def test_variety_points_wrong_characteristic():
@@ -87,16 +84,19 @@ def test_representative_independence():
             assert g.evaluate(scaled) == 0
 
 
-def part_from_texts(eq_texts, neq_texts, layout, field):
-    eq = IdealBasis(tuple(P(t, layout, field) for t in eq_texts), True)
-    neq = tuple(P(t, layout, field) for t in neq_texts)
-    return Part(0, -1, eq, neq, 0)
+def part_from_texts(eq_texts, neq_texts, layout, field, level):
+    """A part frozen at ``level``; inequalities name every slot z_k."""
+    eq_layout = layout.at_level(level)
+    neq_layout = layout.at_level(layout.nslots)
+    eq = IdealBasis(tuple(P(t, eq_layout, field) for t in eq_texts), True)
+    neq = tuple(P(t, neq_layout, field) for t in neq_texts)
+    return Part(0, -1, eq, neq, level)
 
 
 def test_part_members_published_parts():
     # the part where everything is affine and x_3^2 + x_3 = 0
     node17 = part_from_texts(
-        ["z_1-1", "z_2", "z_3-1", "z_4", "z_5-1", "y_6^2+y_6"], [], PL3, F5)
+        ["z_1-1", "z_2", "z_3-1", "z_4", "z_5-1", "y_6^2+y_6"], [], PL3, F5, 5)
     members = part_members(node17, 5, 3)
     assert {t.coords for t in members} == {
         ((0, 1), (0, 1), (0, 1)),
@@ -104,19 +104,19 @@ def test_part_members_published_parts():
     }
 
     node18 = part_from_texts(
-        ["z_1-1", "z_2", "z_3-1", "z_4", "z_5", "y_6-1"], [], PL3, F5)
+        ["z_1-1", "z_2", "z_3-1", "z_4", "z_5", "y_6-1"], [], PL3, F5, 5)
     assert {t.coords for t in part_members(node18, 5, 3)} == {
         ((1, 0), (0, 1), (0, 1)),  # x_3 = inf
     }
 
-    unit = part_from_texts(["1"], [], PL3, F5)
+    unit = part_from_texts(["1"], [], PL3, F5, 0)
     assert part_members(unit, 5, 3) == []
 
 
 def test_check_partition_valid_and_induced_failures():
     prob = parse_problem(EXAMPLE5)
     tree = partition_variety(prob)
-    gens = [multihomogenize(b, tree.layout) for b in prob.generators]
+    gens = homogenized_generators(prob)
     report = check_partition(tree, gens, 5, 3)
     assert report.valid
     assert report.variety_size == 41
@@ -145,7 +145,7 @@ def test_check_partition_valid_and_induced_failures():
 def test_check_partition_rejects_cross_characteristic():
     prob = parse_problem(EXAMPLE5)
     tree = partition_variety(prob)
-    gens = [multihomogenize(b, tree.layout) for b in prob.generators]
+    gens = homogenized_generators(prob)
     with pytest.raises(ValueError, match="characteristic"):
         check_partition(tree, gens, 7, 3)
 
@@ -158,9 +158,9 @@ def test_check_extension_clean_fixture():
 
 
 def test_check_extension_flags_truncated_part():
-    # y_1 = 0 and y_2*y_1 = 1 cannot both hold: the y_1 = 0 start never
+    # z_1 = 0 and y_2*z_1 = 1 cannot both hold: the z_1 = 0 start never
     # extends to slot 2, rationally or in the closure
-    bad = part_from_texts(["z_1", "y_2*y_1-1"], [], PL2, F5)
+    bad = part_from_texts(["z_1", "y_2*z_1-1"], [], PL2, F5, 1)
     cex = check_extension(bad, 5, 2)
     assert cex
     assert cex[0][0] == 2  # fails when extending to slot 2

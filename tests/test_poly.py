@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from p1parts.fields import GF, QQ, FieldError
 from p1parts.poly import (
-    Layout, Polynomial, ProjLayout, compare_monomials, derivative, exact_div,
-    lead_split, poly_gcd, squarefree_part, to_canonical_text,
+    Layout, Polynomial, ProjLayout, derivative, exact_div, lead_split, poly_gcd,
+    squarefree_part, to_canonical_text,
 )
 from p1parts.parser import parse_polynomial
 
@@ -14,43 +14,30 @@ L3 = ProjLayout(3)
 L1 = ProjLayout(1)
 
 
-def P(text, layout=L3, field=QQ):
-    return parse_polynomial(text, layout, field)
+def P(text, level=0, field=QQ):
+    """Parse in L3 with the slots at or below ``level`` named z_k."""
+    return parse_polynomial(text, L3.at_level(level), field)
 
 
 # -- layout and monomial order ------------------------------------------------
 
 def test_projective_layout_slots():
-    assert L3.nslots == 12
-    assert L3.names[0] == "y_6"
-    assert L3.names[5] == "y_1"
-    assert L3.names[6] == "z_6"
-    assert L3.names[11] == "z_1"
+    assert L3.nslots == 6
+    assert L3.names == ("y_6", "y_5", "y_4", "y_3", "y_2", "y_1")
     assert L3.y_pos(6) == 0 and L3.y_pos(1) == 5
-    assert L3.z_pos(6) == 6 and L3.z_pos(1) == 11
-
-
-def test_compare_monomials():
-    L = ProjLayout(1)  # y_2 > y_1 > z_2 > z_1
-    y2 = (1, 0, 0, 0)
-    y1 = (0, 1, 0, 0)
-    z2 = (0, 0, 1, 0)
-    assert compare_monomials(y2, y1, L) == 1
-    assert compare_monomials(y1, z2, L) == 1  # y block dominates z block
-    # tie on the top slot, decided on the next one
-    a = (1, 2, 0, 0)
-    b = (1, 3, 0, 0)
-    assert compare_monomials(a, b, L) == -1
-    assert compare_monomials(a, a, L) == 0
+    # freezing renames the lowest slots in place; positions do not move
+    assert L3.at_level(2).names == ("y_6", "y_5", "y_4", "y_3", "z_2", "z_1")
+    assert L3.at_level(6).names[0] == "z_6"
+    assert L3.at_level(2).pos("z_2") == L3.pos("y_2") == L3.y_pos(2)
     with pytest.raises(ValueError):
-        compare_monomials((1, 0), y1, L)
+        ProjLayout(3, 7)
 
 
 # -- arithmetic ---------------------------------------------------------------
 
 def test_mul():
     assert P("y_1+1") * P("y_1-1") == P("y_1^2-1")
-    assert P("y_1+1") * Polynomial.zero(QQ, 12) == Polynomial.zero(QQ, 12)
+    assert P("y_1+1") * Polynomial.zero(QQ, 6) == Polynomial.zero(QQ, 6)
     two = ProjLayout(1)
     f = parse_polynomial("y_2+y_1", two, GF(2))
     assert f * f == parse_polynomial("y_2^2+y_1^2", two, GF(2))  # cross terms cancel
@@ -63,28 +50,24 @@ def test_mul_field_mismatch():
 
 def test_substitute():
     f = P("y_4*y_2-y_3*y_1")
-    images = {pos: Polynomial.var(QQ, 12, pos) for pos in range(12)}
-    images[L3.y_pos(2)] = Polynomial.var(QQ, 12, L3.z_pos(2))
-    images[L3.y_pos(1)] = Polynomial.var(QQ, 12, L3.z_pos(1))
-    assert f.substitute(images) == P("y_4*z_2-y_3*z_1")
-
-    g = P("y_4*z_2-y_3*z_1")
-    unfreeze = {pos: Polynomial.var(QQ, 12, pos) for pos in range(12)}
-    for k in range(1, 7):
-        unfreeze[L3.z_pos(k)] = Polynomial.var(QQ, 12, L3.y_pos(k))
-    assert g.substitute(unfreeze) == f
+    swap = {pos: Polynomial.var(QQ, 6, pos) for pos in range(6)}
+    swap[L3.y_pos(2)] = Polynomial.var(QQ, 6, L3.y_pos(1))
+    swap[L3.y_pos(1)] = Polynomial.var(QQ, 6, L3.y_pos(2))
+    g = f.substitute(swap)
+    assert g == P("y_4*y_1-y_3*y_2")
+    assert g.substitute(swap) == f
 
 
 def test_substitute_point_evaluation():
     f = parse_polynomial("y_6^2+y_6", L3, GF(5))
-    images = {pos: Polynomial.var(GF(5), 12, pos) for pos in range(12)}
-    images[L3.y_pos(6)] = Polynomial.const(GF(5), 12, 4)
+    images = {pos: Polynomial.var(GF(5), 6, pos) for pos in range(6)}
+    images[L3.y_pos(6)] = Polynomial.const(GF(5), 6, 4)
     assert f.substitute(images).is_zero()  # 16 + 4 = 20 = 0 mod 5
 
 
 def test_substitute_identity_is_identity():
     rng = random.Random(7)
-    images = {pos: Polynomial.var(QQ, 12, pos) for pos in range(12)}
+    images = {pos: Polynomial.var(QQ, 6, pos) for pos in range(6)}
     for _ in range(10):
         f = random_poly(rng, L3)
         assert f.substitute(images) == f
@@ -110,32 +93,33 @@ def test_degree_in():
 # -- lead split ---------------------------------------------------------------
 
 def test_lead_split():
-    boundary = 6
-    mono, coeff = lead_split(P("z_4*y_6^2+y_6+1"), boundary)
-    assert mono == tuple([2] + [0] * 11)
-    assert coeff == P("z_4")
+    level = 4
+    boundary = L3.nslots - level  # first frozen position
+    mono, coeff = lead_split(P("z_4*y_6^2+y_6+1", level), boundary)
+    assert mono == (2, 0, 0, 0, 0, 0)
+    assert coeff == P("z_4", level)
 
     mono, coeff = lead_split(P("y_6-1"), boundary)
-    assert mono == tuple([1] + [0] * 11)
+    assert mono == (1, 0, 0, 0, 0, 0)
     assert coeff == P("1")
 
-    mono, coeff = lead_split(P("z_2-1"), boundary)
-    assert mono == (0,) * 12  # fully frozen generator
-    assert coeff == P("z_2-1")
+    mono, coeff = lead_split(P("z_2-1", level), boundary)
+    assert mono == (0,) * 6  # fully frozen generator
+    assert coeff == P("z_2-1", level)
 
     with pytest.raises(ValueError):
-        lead_split(Polynomial.zero(QQ, 12), boundary)
+        lead_split(Polynomial.zero(QQ, 6), boundary)
 
 
 def test_lead_split_level_zero_is_ordinary_lead():
     rng = random.Random(3)
     for _ in range(20):
-        f = random_poly(rng, L3, yonly=True)
+        f = random_poly(rng, L3)
         if f.is_zero():
             continue
-        mono, coeff = lead_split(f, 12)
+        mono, coeff = lead_split(f, 6)
         assert mono == f.lead_monomial()
-        assert coeff == Polynomial.const(QQ, 12, f.lead_coeff())
+        assert coeff == Polynomial.const(QQ, 6, f.lead_coeff())
 
 
 # -- gcd and squarefree parts ---------------------------------------------------
@@ -160,9 +144,9 @@ def test_gcd_univariate_matches_euclid():
 
 
 def test_gcd_fixtures():
-    assert poly_gcd(P("z_2*z_4"), P("z_2")) == P("z_2")
+    assert poly_gcd(P("z_2*z_4", 6), P("z_2", 6)) == P("z_2", 6)
     assert poly_gcd(P("y_2+1"), P("y_1+1")) == P("1")
-    assert poly_gcd(P("y_1^2-1"), Polynomial.zero(QQ, 12)) == P("y_1^2-1")
+    assert poly_gcd(P("y_1^2-1"), Polynomial.zero(QQ, 6)) == P("y_1^2-1")
 
 
 def test_gcd_divides_both():
@@ -193,7 +177,7 @@ def test_gcd_common_factor():
 
 
 def test_squarefree_part():
-    assert squarefree_part(P("z_2^2")) == P("z_2")
+    assert squarefree_part(P("z_2^2", 2)) == P("z_2", 2)
     # derived: gcd(y_1^2-2y_1+1, 2y_1-2) = y_1-1
     f = P("y_1^2-2*y_1+1")
     assert euclid_gcd_univariate(f, derivative(f, L3.y_pos(1))) == P("y_1-1")
@@ -203,7 +187,7 @@ def test_squarefree_part():
 
 def test_squarefree_multivariate():
     assert squarefree_part(P("y_2^2*y_1")) == P("y_2*y_1")
-    assert squarefree_part(P("z_2^2*z_4")) == P("z_2*z_4")
+    assert squarefree_part(P("z_2^2*z_4", 4)) == P("z_2*z_4", 4)
 
 
 def test_squarefree_char_p():
@@ -241,23 +225,24 @@ def test_squarefree_properties():
 
 def test_to_canonical_text():
     assert to_canonical_text(P("y_6^2+y_6"), L3) == "y_6^2+y_6"
-    assert to_canonical_text(P("z_4*y_6^2+y_6+1"), L3) == "z_4*y_6^2+y_6+1"
-    assert to_canonical_text(Polynomial.const(QQ, 12, -1), L3) == "-1"
-    assert to_canonical_text(Polynomial.zero(QQ, 12), L3) == "0"
+    f = P("z_4*y_6^2+y_6+1", 4)
+    assert to_canonical_text(f, L3.at_level(4)) == "z_4*y_6^2+y_6+1"
+    assert to_canonical_text(f, L3) == "y_6^2*y_4+y_6+1"
+    assert to_canonical_text(Polynomial.const(QQ, 6, -1), L3) == "-1"
+    assert to_canonical_text(Polynomial.zero(QQ, 6), L3) == "0"
     assert to_canonical_text(P("y_6+2*y_5-1"), L3) == "y_6+2*y_5-1"
     assert to_canonical_text(P("-y_6+1/2"), L3) == "-y_6+1/2"
     f5 = parse_polynomial("y_6+4", L3, GF(5))
     assert to_canonical_text(f5, L3) == "y_6+4"
 
 
-def random_poly(rng, layout, yonly=False, field=QQ):
+def random_poly(rng, layout, field=QQ):
     nslots = layout.nslots
-    top = nslots // 2 if yonly else nslots
     terms = {}
     for _ in range(rng.randint(1, 4)):
         mono = [0] * nslots
         for _ in range(rng.randint(0, 3)):
-            mono[rng.randrange(top)] += 1
+            mono[rng.randrange(nslots)] += 1
         terms[tuple(mono)] = rng.randint(-4, 4)
     return Polynomial(field, nslots, terms)
 
@@ -267,7 +252,8 @@ def random_poly(rng, layout, yonly=False, field=QQ):
 def test_text_round_trip(seed):
     rng = random.Random(seed)
     f = random_poly(rng, L3)
-    assert parse_polynomial(to_canonical_text(f, L3), L3, QQ) == f
+    layout = L3.at_level(rng.randint(0, 6))
+    assert parse_polynomial(to_canonical_text(f, layout), layout, QQ) == f
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,4 +261,5 @@ def test_text_round_trip(seed):
 def test_text_round_trip_char_p(seed):
     rng = random.Random(seed)
     f = random_poly(rng, L1, field=GF(7))
-    assert parse_polynomial(to_canonical_text(f, L1), L1, GF(7)) == f
+    layout = L1.at_level(rng.randint(0, 2))
+    assert parse_polynomial(to_canonical_text(f, layout), layout, GF(7)) == f

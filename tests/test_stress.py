@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from p1parts.fields import GF
 from p1parts.multiproj import (
-    MaxNodesExceeded, leaf_parts, multihomogenize, partition_variety,
+    MaxNodesExceeded, homogenized_generators, leaf_parts, multihomogenize,
+    partition_variety,
 )
 from p1parts.oracle import check_extension, check_partition
 from p1parts.parser import (
@@ -50,7 +51,7 @@ def test_random_ideals_partition_cleanly():
         tree = partition_variety(prob, max_nodes=500)
         if not tree.nodes:
             continue  # the ideal contained a unit after homogenization
-        hom = [multihomogenize(b, tree.layout) for b in prob.generators]
+        hom = homogenized_generators(prob)
         report = check_partition(tree, hom, p, n)
         assert report.valid, report.summary()
         for part in leaf_parts(tree):
@@ -118,8 +119,7 @@ EDGE_PROBLEMS = [
 def test_edge_problems_partition_cleanly(text, p, variety_size):
     prob = parse_problem(text)
     tree = partition_variety(prob)
-    gens = [multihomogenize(b, tree.layout)
-            for b in prob.generators if not b.is_zero()]
+    gens = homogenized_generators(prob)
     report = check_partition(tree, gens, p, prob.n)
     assert report.valid, report.summary()
     assert report.variety_size == variety_size
