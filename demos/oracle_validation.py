@@ -1,12 +1,12 @@
 """Brute-force validation of a decomposition over a small prime field.
 
 Every claim the symbolic decomposition makes can be checked exhaustively
-over F_p: enumerate all (p+1)^n canonical tuples, keep those where the
-homogenized generators vanish, and confirm that the leaves cover them
-exactly once and never reach outside.  The stepwise extension property
-is checked as well: every partial solution of a leaf's low constraints
-grows by one slot, rationally or (certified symbolically) in the
-algebraic closure.
+over F_p: search all (p+1)^n canonical tuples, coordinate by coordinate,
+for those where the homogenized generators vanish, and confirm that the
+leaves cover them exactly once and never reach outside.  The stepwise
+extension property is checked as well: every partial solution of a
+leaf's low constraints grows by one slot, rationally or (certified
+symbolically) in the algebraic closure.
 
 Run from the repository root:
 

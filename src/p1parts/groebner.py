@@ -341,27 +341,30 @@ def _permuted(g: Polynomial, order) -> Polynomial:
     return Polynomial._raw(g.field, g.nslots, terms)
 
 
-def _univariate_member(basis_gens, pos):
-    """The unique basis element supported on one slot, if present."""
-    for g in basis_gens:
-        if g.occurring_slots() <= {pos}:
+def _univariate_member(gens, slot_sets, pos):
+    """The unique basis element supported on one slot, if present.
+
+    ``slot_sets[i]`` is ``gens[i].occurring_slots()``.
+    """
+    for g, used in zip(gens, slot_sets):
+        if used <= {pos}:
             return g
     return None
 
 
-def _eliminant(basis: IdealBasis, pos: int):
+def _eliminant(basis: IdealBasis, slot_sets, pos: int):
     """Smallest univariate polynomial in the slot inside the ideal, if any.
 
     Read directly off the basis when a univariate generator is present
     (in a reduced basis it must then generate the elimination ideal);
     otherwise recompute the lex basis with this slot moved to the bottom.
+    ``slot_sets`` lists the occurring slots of each basis generator.
     """
-    g = _univariate_member(basis.generators, pos)
+    g = _univariate_member(basis.generators, slot_sets, pos)
     if g is not None:
         return g
     nslots = basis.generators[0].nslots
-    lowest_occurring = max(
-        max(p.occurring_slots()) for p in basis.generators if not p.is_constant())
+    lowest_occurring = max(max(used) for used in slot_sets if used)
     if pos == lowest_occurring:
         return None  # for the bottom slot the basis already tells the truth
     order = [p for p in range(nslots) if p != pos] + [pos]
@@ -369,7 +372,9 @@ def _eliminant(basis: IdealBasis, pos: int):
     for new, old in enumerate(order):
         inverse[old] = new
     permuted = buchberger([_permuted(g, order) for g in basis.generators])
-    m = _univariate_member(permuted.generators, nslots - 1)
+    gens = permuted.generators
+    m = _univariate_member(gens, [g.occurring_slots() for g in gens],
+                           nslots - 1)
     if m is None:
         return None
     return _permuted(m, inverse)
@@ -389,17 +394,18 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
         return basis
     while True:
         changed = False
-        slots = sorted(
-            {p for g in basis.generators for p in g.occurring_slots()},
-            reverse=True)  # scan lowest-precedence slots first
+        slot_sets = [g.occurring_slots() for g in basis.generators]
+        # scan lowest-precedence slots first
+        slots = sorted(set().union(*slot_sets), reverse=True)
         for pos in slots:
-            m = _eliminant(basis, pos)
+            m = _eliminant(basis, slot_sets, pos)
             if m is None or m.is_constant():
                 continue
             s = squarefree_part(m)
             if normal_form(s, basis).is_zero():
                 continue
             basis = buchberger(list(basis.generators) + [s])
+            slot_sets = [g.occurring_slots() for g in basis.generators]
             changed = True
             if basis.is_unit():
                 return basis

@@ -1,10 +1,14 @@
 """Brute-force finite-field ground truth for the partition machinery.
 
-Enumerates every canonical point of the n-fold product of projective
-lines over F_p, computes variety points by direct evaluation, and
-cross-checks a part tree for disjointness, soundness and coverage.
-A part's frozen slots are evaluated like any other: freezing only
-renames the coordinates that have already been chosen.
+Finds every canonical point of the n-fold product of projective lines
+over F_p that satisfies a set of constraints by one prefix walk: the
+coordinates are assigned from x_1 up to x_n, and each constraint is
+evaluated directly as soon as its top slot is set, so a prefix that
+fails one is dropped with every tuple that extends it.  On this walk it
+computes variety points and part members, and cross-checks a part tree
+for disjointness, soundness and coverage.  A part's frozen slots are
+evaluated like any other: freezing only renames the coordinates that
+have already been chosen.
 """
 
 from __future__ import annotations
@@ -50,12 +54,16 @@ def proj_line_points(p: int):
     return [(1, 0)] + [(a, 1) for a in range(p)]
 
 
-def enumerate_proj_space(p: int, n: int, cap: int = DEFAULT_CAP) -> list:
-    """All canonical tuples, deterministic order, (p+1)^n of them."""
+def _check_cap(p: int, n: int, cap: int):
     total = (p + 1) ** n
     if total > cap:
         raise EnumerationCapExceeded(
             f"(p+1)^n = {total} exceeds the enumeration cap {cap}")
+
+
+def enumerate_proj_space(p: int, n: int, cap: int = DEFAULT_CAP) -> list:
+    """All canonical tuples, deterministic order, (p+1)^n of them."""
+    _check_cap(p, n, cap)
     pts = proj_line_points(p)
     return [ProjTuple(coords) for coords in itertools.product(pts, repeat=n)]
 
@@ -73,33 +81,72 @@ def _check_pair_homogeneous(g: Polynomial, n: int):
                 "would depend on the representative")
 
 
+def _check_characteristic(polys, p: int, what: str):
+    for f in polys:
+        if f.field.characteristic != p:
+            raise ValueError(f"{what} over {f.field}, expected F_{p}")
+
+
 def variety_points(gens, p: int, n: int, cap: int = DEFAULT_CAP) -> list:
     """Tuples on which every (pair-homogeneous) generator vanishes."""
     gens = list(gens)
+    _check_characteristic(gens, p, "generators are")
     for g in gens:
-        if g.field.characteristic != p:
-            raise ValueError(
-                f"generators are over {g.field}, expected F_{p}")
         _check_pair_homogeneous(g, n)
-    out = []
-    for t in enumerate_proj_space(p, n, cap):
-        vals = t.slot_values()
-        if all(g.evaluate(vals) == 0 for g in gens):
-            out.append(t)
-    return out
+    return _walk(gens, (), p, n, cap)
 
 
 def part_members(part: Part, p: int, n: int, cap: int = DEFAULT_CAP) -> list:
     """Tuples where every equality vanishes and every inequality does not."""
-    eq = part.eq.generators
-    neq = part.neq
-    out = []
-    for t in enumerate_proj_space(p, n, cap):
-        vals = t.slot_values()
-        if all(g.evaluate(vals) == 0 for g in eq) and \
-                all(q.evaluate(vals) != 0 for q in neq):
-            out.append(t)
-    return out
+    _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
+    return _walk(part.eq.generators, part.neq, p, n, cap)
+
+
+def _walk(eq, neq, p: int, n: int, cap: int) -> list:
+    """Tuples where every ``eq`` vanishes and every ``neq`` does not.
+
+    Assigns the canonical pairs one coordinate at a time, from x_1 up to
+    x_n, and tests each constraint as soon as its top slot is set, so a
+    prefix that already fails one is never extended.  The members come
+    back in ``enumerate_proj_space`` order.
+    """
+    _check_cap(p, n, cap)
+    nslots = 2 * n
+    for f in (*eq, *neq):
+        if f.nslots != nslots:
+            raise ValueError(
+                f"constraint has {f.nslots} slots, expected {nslots}")
+    eq_by, neq_by = _constraints_by_level(eq, neq)
+    vals = [0] * nslots
+
+    def holds(eqs, neqs):
+        return all(g.evaluate(vals) == 0 for g in eqs) and \
+            all(q.evaluate(vals) != 0 for q in neqs)
+
+    if not holds(eq_by.get(0, ()), neq_by.get(0, ())):
+        return []
+    # per coordinate j: the constraints whose top slot is y_{2j-1} or y_{2j}
+    tests = [(eq_by.get(2 * j - 1, []) + eq_by.get(2 * j, []),
+              neq_by.get(2 * j - 1, []) + neq_by.get(2 * j, []))
+             for j in range(1, n + 1)]
+    pts = proj_line_points(p)
+    found = []
+
+    def extend(j, prefix):  # prefix: point indices for x_{j-1}, ..., x_1
+        if j > n:
+            found.append(prefix)
+            return
+        pos = nslots - 2 * j
+        eqs, neqs = tests[j - 1]
+        for i, (g, h) in enumerate(pts):
+            vals[pos] = g
+            vals[pos + 1] = h
+            if holds(eqs, neqs):
+                extend(j + 1, (i,) + prefix)
+
+    extend(1, ())
+    found.sort()  # x_n varies slowest, as in enumerate_proj_space
+    return [ProjTuple(tuple(pts[i] for i in idx)) for idx in found]
 
 
 @dataclass
@@ -154,13 +201,13 @@ def check_partition(tree: PartTree, gens, p: int, n: int,
     )
 
 
-def _constraints_by_level(part: Part):
-    """Bucket the part's constraints by their top slot level."""
+def _constraints_by_level(eq, neq):
+    """Bucket equalities and inequalities by their top slot level."""
     eq_by = {}
     neq_by = {}
-    for g in part.eq.generators:
+    for g in eq:
         eq_by.setdefault(support_level(g), []).append(g)
-    for q in part.neq:
+    for q in neq:
         neq_by.setdefault(support_level(q), []).append(q)
     return eq_by, neq_by
 
@@ -195,7 +242,8 @@ def check_extension(part: Part, p: int, n: int) -> list:
     nonconstant) since closure points cannot be enumerated.  Prefixes
     that extend only into the closure leave the rational search frontier.
     """
-    eq_by, neq_by = _constraints_by_level(part)
+    _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
+    eq_by, neq_by = _constraints_by_level(part.eq.generators, part.neq)
     nslots = 2 * n
     counterexamples = []
     prefixes = [()]

@@ -12,7 +12,7 @@ from p1parts.oracle import (
     enumerate_proj_space, part_members, variety_points,
 )
 from p1parts.parser import parse_polynomial, parse_problem
-from p1parts.poly import ProjLayout
+from p1parts.poly import Polynomial, ProjLayout
 
 PL2 = ProjLayout(2)
 PL3 = ProjLayout(3)
@@ -122,6 +122,7 @@ def test_check_partition_valid_and_induced_failures():
     assert report.variety_size == 41
     assert report.tuples_scanned == 216
     assert "partition valid: 216 tuples scanned" == report.summary()
+    assert check_partition(tree, gens, 5, 3, cap=216) == report
 
     # delete one leaf: coverage breaks
     broken = type(tree)(list(tree.nodes), tree.layout, tree.field)
@@ -148,6 +149,57 @@ def test_check_partition_rejects_cross_characteristic():
     gens = homogenized_generators(prob)
     with pytest.raises(ValueError, match="characteristic"):
         check_partition(tree, gens, 7, 3)
+
+
+def test_part_members_rejects_wrong_prime():
+    part = part_from_texts(["y_4*y_2-y_3*y_1"], ["z_1"], PL2, F5, 0)
+    with pytest.raises(ValueError, match="F_7"):
+        part_members(part, 7, 2)
+    neq_only = part_from_texts([], ["z_2"], PL2, F5, 0)
+    with pytest.raises(ValueError, match="F_7"):
+        part_members(neq_only, 7, 2)
+
+
+def test_part_members_rejects_slot_count_mismatch():
+    part = part_from_texts(["y_6*y_4"], [], PL3, F5, 0)
+    with pytest.raises(ValueError, match="slot"):
+        part_members(part, 5, 2)
+
+
+def test_check_extension_rejects_wrong_prime():
+    part = part_from_texts(["y_4*y_2-y_3*y_1"], ["z_1"], PL2, F5, 0)
+    with pytest.raises(ValueError, match="F_7"):
+        check_extension(part, 7, 2)
+
+
+@pytest.fixture
+def no_evaluation(monkeypatch):
+    def evaluate(self, values):
+        raise AssertionError("evaluated before the cap check")
+    monkeypatch.setattr(Polynomial, "evaluate", evaluate)
+
+
+def test_variety_points_cap(no_evaluation):
+    g = P("y_4*y_2-y_3*y_1", PL2, F5)
+    with pytest.raises(EnumerationCapExceeded, match="36"):
+        variety_points([g], 5, 2, cap=35)
+
+
+def test_part_members_cap(no_evaluation):
+    part = part_from_texts(["y_6*y_4"], ["z_1"], PL3, F5, 0)
+    with pytest.raises(EnumerationCapExceeded, match="216"):
+        part_members(part, 5, 3, cap=215)
+    unit = part_from_texts(["1"], [], PL3, F5, 0)
+    with pytest.raises(EnumerationCapExceeded):
+        part_members(unit, 5, 3, cap=215)
+
+
+def test_check_partition_cap(no_evaluation):
+    prob = parse_problem(EXAMPLE5)
+    tree = partition_variety(prob)
+    gens = homogenized_generators(prob)
+    with pytest.raises(EnumerationCapExceeded, match="216"):
+        check_partition(tree, gens, 5, 3, cap=215)
 
 
 def test_check_extension_clean_fixture():

@@ -125,3 +125,27 @@ def test_edge_problems_partition_cleanly(text, p, variety_size):
     assert report.variety_size == variety_size
     for part in leaf_parts(tree):
         assert check_extension(part, p, prob.n) == []
+
+
+# Larger oracle runs: every leaf's members come from one pruned prefix
+# walk, so the (p+1)^n tuples are no longer enumerated once per leaf.
+LARGE_PROBLEMS = [
+    # text, radical, tuples, leaves
+    ("char 11\nn 4\nform x\nideal:\nx_1*x_4-x_2*x_3\n", True, 20736, 28),
+    # the closure costs about 9 s here and changes no leaf count
+    ("char 5\nn 6\nform x\nideal:\nx_1*x_2-x_3*x_4+x_5*x_6\n", False,
+     46656, 130),
+]
+
+
+@pytest.mark.parametrize("text,radical,tuples,leaves", LARGE_PROBLEMS)
+def test_large_oracle_runs(text, radical, tuples, leaves):
+    prob = parse_problem(text)
+    p = prob.field.characteristic
+    tree = partition_variety(prob, radical=radical)
+    assert len(tree.leaf_ids()) == leaves
+    report = check_partition(tree, homogenized_generators(prob), p, prob.n)
+    assert report.valid, report.summary()
+    assert report.tuples_scanned == tuples
+    for part in leaf_parts(tree):
+        assert check_extension(part, p, prob.n) == []
