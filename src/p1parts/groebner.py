@@ -273,12 +273,8 @@ def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
     """
     if not basis.is_reduced_gb:
         raise ValueError("elimination requires a reduced Groebner basis")
-    kept = []
-    for g in basis.generators:
-        nslots = g.nslots
-        if all(all(e == 0 for e in m[:nslots - j]) for m in g.terms):
-            kept.append(g)
-    return IdealBasis(tuple(kept), True)
+    return IdealBasis(tuple(g for g in basis.generators
+                            if not any(any(m[:g.nslots - j]) for m in g.terms)), True)
 
 
 def _extend_top(g: Polynomial) -> Polynomial:
@@ -341,73 +337,53 @@ def _permuted(g: Polynomial, order) -> Polynomial:
     return Polynomial._raw(g.field, g.nslots, terms)
 
 
-def _univariate_member(gens, slot_sets, pos):
-    """The unique basis element supported on one slot, if present.
+def _eliminant(basis: IdealBasis, pos: int):
+    """Monic generator of the ideal's intersection with k[slot pos], or None.
 
-    ``slot_sets[i]`` is ``gens[i].occurring_slots()``.
+    A nonzero univariate member has a pure power of the slot as leading
+    monomial in every order, so the reduced lex basis has such a leading
+    monomial whenever the intersection is nonzero (Cox, Little & O'Shea,
+    ch. 3 section 1).  When the element carrying it is univariate it is
+    the generator; otherwise the lex basis is recomputed with the slot
+    moved to the bottom, where the generator, if any, comes first.
     """
-    for g, used in zip(gens, slot_sets):
-        if used <= {pos}:
-            return g
-    return None
-
-
-def _eliminant(basis: IdealBasis, slot_sets, pos: int):
-    """Smallest univariate polynomial in the slot inside the ideal, if any.
-
-    Read directly off the basis when a univariate generator is present
-    (in a reduced basis it must then generate the elimination ideal);
-    otherwise recompute the lex basis with this slot moved to the bottom.
-    ``slot_sets`` lists the occurring slots of each basis generator.
-    """
-    g = _univariate_member(basis.generators, slot_sets, pos)
-    if g is not None:
-        return g
-    nslots = basis.generators[0].nslots
-    lowest_occurring = max(max(used) for used in slot_sets if used)
-    if pos == lowest_occurring:
-        return None  # for the bottom slot the basis already tells the truth
-    order = [p for p in range(nslots) if p != pos] + [pos]
-    inverse = [0] * nslots
-    for new, old in enumerate(order):
-        inverse[old] = new
-    permuted = buchberger([_permuted(g, order) for g in basis.generators])
-    gens = permuted.generators
-    m = _univariate_member(gens, [g.occurring_slots() for g in gens],
-                           nslots - 1)
-    if m is None:
+    for g in basis.generators:
+        lead = g.lead_monomial()
+        if 0 < lead[pos] == sum(lead):
+            break
+    else:
         return None
-    return _permuted(m, inverse)
+    if g.occurring_slots() <= {pos}:
+        return g
+    nslots = g.nslots
+    order = [p for p in range(nslots) if p != pos] + [pos]
+    first = buchberger([_permuted(b, order) for b in basis.generators]).generators[0]
+    if not first.occurring_slots() <= {nslots - 1}:
+        return None
+    return _permuted(first, [order.index(p) for p in range(nslots)])
 
 
 def heuristic_radical(basis: IdealBasis) -> IdealBasis:
-    """Iterated closure towards the radical via univariate eliminants.
+    """Least fixpoint of adjoining squarefree parts of univariate eliminants.
 
-    For each slot with a univariate eliminant m in the ideal, adjoin the
-    squarefree part of m and recompute the basis, until nothing changes.
-    Slots with no univariate eliminant are skipped, so the result J only
-    satisfies I <= J <= sqrt(I); that is all the callers rely on.
+    Scanning the slots lowest-precedence first, adjoin the squarefree
+    part s of the first eliminant m with s != m, recompute the basis and
+    scan again, until every slot's eliminant is squarefree.  The result
+    is the least ideal J containing I with that property, whatever the
+    scan order; slots with no eliminant are skipped, so J only satisfies
+    I <= J <= sqrt(I), which is all the callers rely on.
     """
     if not basis.is_reduced_gb:
         basis = buchberger(basis.generators)
-    if basis.is_zero_ideal() or basis.is_unit():
-        return basis
-    while True:
-        changed = False
-        slot_sets = [g.occurring_slots() for g in basis.generators]
-        # scan lowest-precedence slots first
-        slots = sorted(set().union(*slot_sets), reverse=True)
-        for pos in slots:
-            m = _eliminant(basis, slot_sets, pos)
-            if m is None or m.is_constant():
+    while not (basis.is_zero_ideal() or basis.is_unit()):
+        for pos in reversed(range(basis.generators[0].nslots)):
+            m = _eliminant(basis, pos)
+            if m is None:
                 continue
             s = squarefree_part(m)
-            if normal_form(s, basis).is_zero():
-                continue
-            basis = buchberger(list(basis.generators) + [s])
-            slot_sets = [g.occurring_slots() for g in basis.generators]
-            changed = True
-            if basis.is_unit():
-                return basis
-        if not changed:
-            return basis
+            if s != m:
+                basis = buchberger(basis.generators + (s,))
+                break
+        else:
+            break
+    return basis

@@ -29,8 +29,8 @@ from typing import Optional
 
 from .fields import Field
 from .groebner import (
-    IdealBasis, buchberger, heuristic_radical, ideal_saturate,
-    principal_saturate, radical_membership,
+    IdealBasis, buchberger, elimination_subbasis, heuristic_radical,
+    ideal_saturate, principal_saturate, radical_membership,
 )
 from .parser import ProblemSpec
 from .poly import Polynomial, ProjLayout, lead_split, squarefree_part
@@ -164,11 +164,6 @@ def support_level(f: Polynomial) -> int:
     return f.nslots - min(slots) if slots else 0
 
 
-def _low_constraints(eq, level: int):
-    """Equality generators whose whole support sits at or below a level."""
-    return tuple(g for g in eq if support_level(g) <= level)
-
-
 def split_scan(part: Part) -> Optional[SplitFinding]:
     """Find the first freezing level whose lead coefficients force a split.
 
@@ -191,7 +186,7 @@ def split_scan(part: Part) -> Optional[SplitFinding]:
     neq_levels = [(q, support_level(q)) for q in part.neq]
     for level in range(1, nslots):
         low_neq = [q for q, lvl in neq_levels if lvl <= level]
-        low_eq = _low_constraints(gens, level)
+        low_eq = elimination_subbasis(part.eq, level).generators
         for g in scan:
             mono, lc = lead_split(g, nslots - level)
             if not any(mono):
@@ -216,15 +211,15 @@ def normalize_neq(neq, eq: IdealBasis):
     does not count, since the constraint still carries information for
     the extension steps below them.
     """
-    gens = eq.generators
     out = []
     for q in neq:
         s = squarefree_part(q)
         if s.is_constant():
             continue  # a nonzero constant is never zero: redundant
-        if radical_membership(s, gens):
+        if radical_membership(s, eq):
             return None
-        if buchberger(_low_constraints(gens, support_level(s)) + (s,)).is_unit():
+        low_eq = elimination_subbasis(eq, support_level(s)).generators
+        if buchberger(low_eq + (s,)).is_unit():
             continue
         if s not in out:
             out.append(s)

@@ -12,7 +12,11 @@ Variables are subscripted names like ``x_1``, ``y_6``, ``z_4`` (the
 underscore is mandatory); which letters are legal depends on the layout.
 ``a/b`` is a rational literal, accepted only in characteristic 0.
 Implicit multiplication is not allowed.  Every malformed input yields a
-positioned diagnostic, never an unexplained crash.
+positioned diagnostic, never an unexplained crash.  Products and powers
+are expanded as they are parsed, so each ``*`` and ``^`` whose result
+could have more than MAX_EXPANSION_TERMS terms is rejected at the
+operator, before any expansion work; so is a rational ``^`` whose
+coefficients could grow past MAX_COEFFICIENT_BITS bits.
 
 Problem files are line oriented::
 
@@ -30,6 +34,7 @@ one per line (``;`` also separates generators on a single line).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +61,22 @@ class ProblemError(ValueError):
 
 
 _OPS = set("+-*^()/")
+
+MAX_EXPANSION_TERMS = 500
+MAX_COEFFICIENT_BITS = 1 << 16
+
+
+def _check_expansion(bound: int, offset: int):
+    """Reject an operator whose result could exceed the term budget."""
+    if bound > MAX_EXPANSION_TERMS:
+        raise ParseError(
+            f"expansion could exceed {MAX_EXPANSION_TERMS} terms", offset)
+
+
+def _coefficient_bits(f: Polynomial) -> int:
+    """Bits of the largest numerator or denominator, 0 for coefficients +-1."""
+    return max((max(abs(c.numerator), c.denominator).bit_length() - 1
+                for c in f.terms.values()), default=0)
 
 
 def _tokenize(text: str):
@@ -135,8 +156,10 @@ class _Parser:
     def term(self):
         f = self.unary()
         while self.peek()[0] == "*":
-            self.take()
-            f = f * self.unary()
+            star = self.take()
+            g = self.unary()
+            _check_expansion(len(f.terms) * len(g.terms), star[2])
+            f = f * g
         return f
 
     def unary(self):
@@ -148,9 +171,18 @@ class _Parser:
     def power(self):
         f = self.atom()
         if self.peek()[0] == "^":
-            self.take()
-            tok = self.expect("int")
-            f = f ** int(tok[1])
+            caret = self.take()
+            k = int(self.expect("int")[1])
+            t = len(f.terms)
+            if t > 1:
+                # a product of k of the t terms: at most C(t+k-1, k) monomials
+                _check_expansion(math.comb(t + k - 1, k), caret[2])
+            if self.field.characteristic == 0 \
+                    and k * _coefficient_bits(f) > MAX_COEFFICIENT_BITS:
+                raise ParseError(
+                    f"power could exceed {MAX_COEFFICIENT_BITS}-bit coefficients",
+                    caret[2])
+            f = f ** k
         return f
 
     def atom(self):

@@ -100,10 +100,6 @@ def _mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 class Polynomial:
     """Immutable sparse polynomial: a term map exponent-tuple -> coefficient.
 
@@ -264,16 +260,6 @@ class Polynomial:
             return Polynomial.zero(field, self.nslots)
         return Polynomial._raw(
             field, self.nslots, {m: field.mul(v, c) for m, v in self.terms.items()})
-
-    def mul_term(self, mono, c):
-        """Multiply by a single term (used heavily by division loops)."""
-        field = self.field
-        c = field.coerce(c)
-        if not c:
-            return Polynomial.zero(field, self.nslots)
-        return Polynomial._raw(
-            field, self.nslots,
-            {_mono_mul(m, mono): field.mul(v, c) for m, v in self.terms.items()})
 
     def monic(self):
         if self.is_zero():

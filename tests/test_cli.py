@@ -152,6 +152,15 @@ def test_run_exponent_overflow_exit(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_run_expansion_budget_exit(tmp_path, capsys):
+    path = tmp_path / "expansion.txt"
+    path.write_text("char 0\nn 3\nform x\nideal:\n(x_1+x_2+x_3)^300\n")
+    assert run(RunOptions(str(path))) == 1
+    captured = capsys.readouterr()
+    assert "expansion could exceed" in captured.err
+    assert captured.out == ""
+
+
 def test_main_argv(example_file, capsys):
     assert main([example_file, "--format", "json", "--leaves"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -27,11 +27,13 @@ def A(text, field=QQ):
 
 
 def spoly(f, g):
-    from p1parts.poly import _mono_div, _mono_lcm
-    lcm = _mono_lcm(f.lead_monomial(), g.lead_monomial())
-    a = f.mul_term(_mono_div(lcm, f.lead_monomial()), f.field.inv(f.lead_coeff()))
-    b = g.mul_term(_mono_div(lcm, g.lead_monomial()), g.field.inv(g.lead_coeff()))
-    return a - b
+    from p1parts.poly import _mono_div
+    lcm = tuple(map(max, f.lead_monomial(), g.lead_monomial()))
+    a = Polynomial(f.field, f.nslots,
+                   {_mono_div(lcm, f.lead_monomial()): f.field.inv(f.lead_coeff())})
+    b = Polynomial(g.field, g.nslots,
+                   {_mono_div(lcm, g.lead_monomial()): g.field.inv(g.lead_coeff())})
+    return a * f - b * g
 
 
 def assert_is_reduced_gb(basis):
@@ -305,9 +307,21 @@ def test_heuristic_radical_fixtures():
 
 
 def test_heuristic_radical_high_slot():
-    # the eliminant lives in the lex-greatest slot: needs the permuted basis
+    # the eliminant of the lex-greatest slot, y_6^2, is a basis element
     B = heuristic_radical(buchberger([P("y_6^2*y_4"), P("y_4-1")]))
     assert B.generators == (P("y_4-1"), P("y_6"))
+
+
+def test_heuristic_radical_permuted_basis():
+    # y_2^2-2*y_2*y_1+y_1 leads with a pure power of y_2 but is not
+    # univariate; only the basis with y_2 at the bottom shows the
+    # eliminant y_2^2*(y_2-1)^2, whose squarefree part closes the ideal
+    B = heuristic_radical(buchberger([P("(y_2-y_1)^2"), P("y_1^2-y_1")]))
+    assert B.generators == (P("y_1^2-y_1"), P("y_2-y_1"))
+
+    # a pure-power leading monomial, but no univariate member in y_2
+    B = buchberger([P("y_2^2-y_1")])
+    assert heuristic_radical(B).generators == B.generators == (P("y_2^2-y_1"),)
 
 
 def test_heuristic_radical_contract():

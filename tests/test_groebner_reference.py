@@ -8,6 +8,14 @@ basis.  ``normal_form`` keeps the reference's divisor choice (the first
 generator, in increasing leading-monomial order, whose leading monomial
 divides the term), so it must return the identical remainder even for
 generator lists that are not Groebner bases.
+
+The radical closure has a reference too: the earlier closure, which
+computes a univariate eliminant for every occurring slot on every pass
+(a permuted-order basis unless a univariate generator is present) and
+adjoins a squarefree part whenever ``normal_form`` says it is not yet in
+the ideal.  Both closures reach the least ideal containing the input in
+which every slot's eliminant is squarefree, so their reduced bases must
+be identical.
 """
 
 import heapq
@@ -15,9 +23,11 @@ import heapq
 from hypothesis import given, settings, strategies as st
 
 from p1parts.fields import GF, QQ
-from p1parts.groebner import IdealBasis, buchberger, normal_form
+from p1parts.groebner import (
+    IdealBasis, buchberger, heuristic_radical, normal_form,
+)
 from p1parts.poly import (
-    Polynomial, ProjLayout, _mono_div, _mono_divides, _mono_lcm, _mono_mul,
+    Polynomial, ProjLayout, _mono_div, _mono_divides, _mono_mul, squarefree_part,
 )
 
 
@@ -53,13 +63,17 @@ def ref_normal_form(f, gens):
     return Polynomial._raw(field, f.nslots, out)
 
 
+def ref_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
 def ref_spoly(f, g):
     field = f.field
     lm_f, lm_g = f.lead_monomial(), g.lead_monomial()
-    lcm = _mono_lcm(lm_f, lm_g)
-    a = f.mul_term(_mono_div(lcm, lm_f), field.inv(f.lead_coeff()))
-    b = g.mul_term(_mono_div(lcm, lm_g), field.inv(g.lead_coeff()))
-    return a - b
+    lcm = ref_lcm(lm_f, lm_g)
+    a = Polynomial(field, f.nslots, {_mono_div(lcm, lm_f): field.inv(f.lead_coeff())})
+    b = Polynomial(field, g.nslots, {_mono_div(lcm, lm_g): field.inv(g.lead_coeff())})
+    return a * f - b * g
 
 
 def ref_autoreduce(gens):
@@ -92,7 +106,7 @@ def ref_buchberger(gens):
     treated = set()
     for j in range(len(G)):
         for i in range(j):
-            lcm = _mono_lcm(G[i].lead_monomial(), G[j].lead_monomial())
+            lcm = ref_lcm(G[i].lead_monomial(), G[j].lead_monomial())
             heapq.heappush(pairs, (lcm, i, j))
     while pairs:
         lcm, i, j = heapq.heappop(pairs)
@@ -114,7 +128,7 @@ def ref_buchberger(gens):
         G.append(h.monic())
         new = len(G) - 1
         for k in range(new):
-            lcm = _mono_lcm(G[k].lead_monomial(), G[new].lead_monomial())
+            lcm = ref_lcm(G[k].lead_monomial(), G[new].lead_monomial())
             heapq.heappush(pairs, (lcm, k, new))
     G.sort(key=lambda g: g.lead_monomial())
     minimal = []
@@ -122,6 +136,85 @@ def ref_buchberger(gens):
         if not any(_mono_divides(m.lead_monomial(), g.lead_monomial()) for m in minimal):
             minimal.append(g)
     return tuple(ref_autoreduce(minimal))
+
+
+# The earlier radical closure, verbatim apart from the ref_ prefixes.
+
+def ref_permuted(g: Polynomial, order) -> Polynomial:
+    terms = {tuple(m[p] for p in order): c for m, c in g.terms.items()}
+    return Polynomial._raw(g.field, g.nslots, terms)
+
+
+def ref_univariate_member(gens, slot_sets, pos):
+    """The unique basis element supported on one slot, if present.
+
+    ``slot_sets[i]`` is ``gens[i].occurring_slots()``.
+    """
+    for g, used in zip(gens, slot_sets):
+        if used <= {pos}:
+            return g
+    return None
+
+
+def ref_eliminant(basis: IdealBasis, slot_sets, pos: int):
+    """Smallest univariate polynomial in the slot inside the ideal, if any.
+
+    Read directly off the basis when a univariate generator is present
+    (in a reduced basis it must then generate the elimination ideal);
+    otherwise recompute the lex basis with this slot moved to the bottom.
+    ``slot_sets`` lists the occurring slots of each basis generator.
+    """
+    g = ref_univariate_member(basis.generators, slot_sets, pos)
+    if g is not None:
+        return g
+    nslots = basis.generators[0].nslots
+    lowest_occurring = max(max(used) for used in slot_sets if used)
+    if pos == lowest_occurring:
+        return None  # for the bottom slot the basis already tells the truth
+    order = [p for p in range(nslots) if p != pos] + [pos]
+    inverse = [0] * nslots
+    for new, old in enumerate(order):
+        inverse[old] = new
+    permuted = buchberger([ref_permuted(g, order) for g in basis.generators])
+    gens = permuted.generators
+    m = ref_univariate_member(gens, [g.occurring_slots() for g in gens],
+                              nslots - 1)
+    if m is None:
+        return None
+    return ref_permuted(m, inverse)
+
+
+def ref_heuristic_radical(basis: IdealBasis) -> IdealBasis:
+    """Iterated closure towards the radical via univariate eliminants.
+
+    For each slot with a univariate eliminant m in the ideal, adjoin the
+    squarefree part of m and recompute the basis, until nothing changes.
+    Slots with no univariate eliminant are skipped, so the result J only
+    satisfies I <= J <= sqrt(I); that is all the callers rely on.
+    """
+    if not basis.is_reduced_gb:
+        basis = buchberger(basis.generators)
+    if basis.is_zero_ideal() or basis.is_unit():
+        return basis
+    while True:
+        changed = False
+        slot_sets = [g.occurring_slots() for g in basis.generators]
+        # scan lowest-precedence slots first
+        slots = sorted(set().union(*slot_sets), reverse=True)
+        for pos in slots:
+            m = ref_eliminant(basis, slot_sets, pos)
+            if m is None or m.is_constant():
+                continue
+            s = squarefree_part(m)
+            if normal_form(s, basis).is_zero():
+                continue
+            basis = buchberger(list(basis.generators) + [s])
+            slot_sets = [g.occurring_slots() for g in basis.generators]
+            changed = True
+            if basis.is_unit():
+                return basis
+        if not changed:
+            return basis
 
 
 # -- strategies ----------------------------------------------------------------
@@ -158,6 +251,23 @@ def ideals(draw):
     return field, nslots, gens
 
 
+@st.composite
+def closure_ideals(draw):
+    """Up to three generators of degree at most 2, each maybe squared.
+
+    One to four slots over F_2, F_3 and F_5, one to three over QQ: the
+    reference closure can run for minutes on some random ideals with
+    more slots.
+    """
+    field = draw(st.sampled_from(FIELDS))
+    nslots = draw(st.integers(1, 4 if field.characteristic else 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(polynomials(field, nslots, max_degree=2))
+        gens.append(g * g if draw(st.booleans()) else g)
+    return gens
+
+
 # -- properties ----------------------------------------------------------------
 
 def test_reference_agrees_on_a_known_basis():
@@ -184,3 +294,13 @@ def test_normal_form_matches_reference(data):
     expected = ref_normal_form(f, gens)
     assert normal_form(f, gens) == expected
     assert normal_form(f, IdealBasis(tuple(gens))) == expected
+
+
+# Derandomized: a rare random ideal makes both closures' permuted-order
+# bases run for minutes, which has nothing to do with their agreement.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(closure_ideals())
+def test_heuristic_radical_matches_reference(gens):
+    expected = ref_heuristic_radical(buchberger(gens)).generators
+    assert heuristic_radical(buchberger(gens)).generators == expected
+    assert heuristic_radical(IdealBasis(tuple(gens))).generators == expected

@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from p1parts.fields import GF, QQ
 from p1parts.parser import (
-    ParseError, ProblemError, parse_polynomial, parse_problem,
+    MAX_EXPANSION_TERMS, ParseError, ProblemError, parse_polynomial, parse_problem,
 )
 from p1parts.poly import Layout, Polynomial, ProjLayout, to_canonical_text
 
@@ -62,6 +64,49 @@ def test_parse_errors_are_positioned():
         parse_polynomial("y_1 @ 2", PL3, QQ)
     with pytest.raises(ParseError):
         parse_polynomial("", PL3, QQ)
+
+
+def test_expansion_budget():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("(y_1+y_2+y_3)^300", PL3, QQ)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.offset == 13  # the '^'
+    assert "expansion" in err.value.message
+
+    # a binomial power at the budget expands, one step more does not
+    k = MAX_EXPANSION_TERMS - 1
+    assert len(parse_polynomial(f"(y_1+1)^{k}", PL3, GF(2)).terms) == 128  # Lucas
+    with pytest.raises(ParseError):
+        parse_polynomial(f"(y_1+1)^{k + 1}", PL3, GF(2))
+
+    # a product is bounded by the product of its operands' term counts
+    assert len(parse_polynomial("(y_1+y_2)^21*(y_3+y_4)^21", PL3, QQ).terms) == 484
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("(y_1+y_2)^21*(y_3+y_4)^22", PL3, QQ)
+    assert err.value.offset == 12  # the '*'
+
+    # monomial powers need no expansion
+    assert parse_polynomial("(2*y_1*y_2)^1000", PL3, GF(5)).terms == \
+        {(0, 0, 0, 0, 1000, 1000): 1}
+
+    # rational coefficients are bounded by size, residues mod p never grow
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("y_1*9^99999999", PL3, QQ)
+    assert time.perf_counter() - start < 0.5
+    assert err.value.offset == 5  # the '^'
+    assert parse_polynomial("y_1*9^99999999", PL3, GF(5)) == \
+        parse_polynomial("4*y_1", PL3, GF(5))
+    assert parse_polynomial("(1/2*y_1)^30000", PL3, QQ).terms == \
+        {(0, 0, 0, 0, 0, 30000): Fraction(1, 2 ** 30000)}
+
+
+def test_every_demo_problem_parses():
+    paths = sorted((Path(__file__).parent.parent / "demos" / "problems").glob("*.txt"))
+    assert paths
+    for path in paths:
+        assert parse_problem(path.read_text(encoding="utf-8")).generators
 
 
 def test_parse_whitespace_insensitive():

@@ -130,7 +130,8 @@ def euclid_gcd_univariate(f, g):
         lm, lc = g.lead_monomial(), g.lead_coeff()
         while not f.is_zero() and all(a >= b for a, b in zip(f.lead_monomial(), lm)):
             shift = tuple(a - b for a, b in zip(f.lead_monomial(), lm))
-            f = f - g.mul_term(shift, f.field.div(f.lead_coeff(), lc))
+            f = f - Polynomial(f.field, f.nslots,
+                               {shift: f.field.div(f.lead_coeff(), lc)}) * g
         f, g = g, f
     return f.monic()
 
