@@ -5,7 +5,7 @@ splits, and brute-force finite-field verification."""
 from .fields import GF, QQ, Field, FieldError
 from .poly import (
     Layout, Polynomial, ProjLayout, derivative, exact_div, lead_split, poly_gcd,
-    squarefree_part, to_canonical_text,
+    squarefree_part, support_level, to_canonical_text,
 )
 from .parser import ParseError, ProblemError, ProblemSpec, parse_polynomial, parse_problem
 from .groebner import (
@@ -17,7 +17,6 @@ from .multiproj import (
     MaxNodesExceeded, Part, PartTree, SplitFinding, canonical_constraints,
     homogenized_generators, leaf_parts, multihomogenize, normalize_neq,
     partition_variety, reduced_lead_coefficient, root_part, split_scan,
-    support_level,
 )
 from .oracle import (
     EnumerationCapExceeded, PartitionReport, ProjTuple, check_extension,

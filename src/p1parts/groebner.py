@@ -32,7 +32,9 @@ import struct
 from bisect import insort
 from dataclasses import dataclass
 
-from .poly import Polynomial, exact_div, poly_gcd, squarefree_part
+from .poly import (
+    Polynomial, exact_div, poly_gcd, squarefree_part, support_level,
+)
 
 _EXPONENT_LIMIT = 1 << 15  # the top bit of each 16-bit slot is the guard
 
@@ -64,12 +66,6 @@ class IdealBasis:
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
-
-
-def _as_gens(basis_or_gens):
-    if isinstance(basis_or_gens, IdealBasis):
-        return list(basis_or_gens.generators)
-    return list(basis_or_gens)
 
 
 class _Packing:
@@ -178,7 +174,7 @@ def normal_form(f: Polynomial, basis_or_gens) -> Polynomial:
     reduced Groebner basis; for arbitrary generator lists it is only some
     valid remainder.
     """
-    gens = [g for g in _as_gens(basis_or_gens) if not g.is_zero()]
+    gens = [g for g in basis_or_gens if not g.is_zero()]
     if f.is_zero() or not gens:
         return f
     for g in gens:
@@ -202,7 +198,7 @@ def buchberger(gens) -> IdealBasis:
     The zero ideal normalizes to an empty basis and the unit ideal to the
     single generator 1.  The output is independent of the input order.
     """
-    gens = [g for g in _as_gens(gens) if not g.is_zero()]
+    gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return IdealBasis((), True)
     for g in gens:
@@ -274,7 +270,7 @@ def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
     if not basis.is_reduced_gb:
         raise ValueError("elimination requires a reduced Groebner basis")
     return IdealBasis(tuple(g for g in basis.generators
-                            if not any(any(m[:g.nslots - j]) for m in g.terms)), True)
+                            if support_level(g) <= j), True)
 
 
 def _extend_top(g: Polynomial) -> Polynomial:
@@ -305,7 +301,7 @@ def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
     """
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
-    gens = [g for g in _as_gens(basis_or_gens) if not g.is_zero()]
+    gens = [g for g in basis_or_gens if not g.is_zero()]
     ext = _rabinowitsch_basis(gens, f)
     kept = tuple(_strip_top(g) for g in ext.generators if g.degree_in(0) == 0)
     return IdealBasis(kept, True)
@@ -325,7 +321,7 @@ def principal_saturate(f: Polynomial, q: Polynomial) -> Polynomial:
 
 def radical_membership(f: Polynomial, basis_or_gens) -> bool:
     """True when some power of f lies in the ideal (1 in I + <1 - t*f>)."""
-    gens = [g for g in _as_gens(basis_or_gens) if not g.is_zero()]
+    gens = [g for g in basis_or_gens if not g.is_zero()]
     if f.is_zero():
         return True
     ext = _rabinowitsch_basis(gens, f)

@@ -33,7 +33,9 @@ from .groebner import (
     ideal_saturate, principal_saturate, radical_membership,
 )
 from .parser import ProblemSpec
-from .poly import Polynomial, ProjLayout, lead_split, squarefree_part
+from .poly import (
+    Polynomial, ProjLayout, lead_split, squarefree_part, support_level,
+)
 
 
 class MaxNodesExceeded(RuntimeError):
@@ -158,12 +160,6 @@ def _scan_key(g: Polynomial):
     return (g.lead_monomial(), sorted(g.terms.items()))
 
 
-def support_level(f: Polynomial) -> int:
-    """Highest slot index occurring in f, 0 for a constant."""
-    slots = f.occurring_slots()
-    return f.nslots - min(slots) if slots else 0
-
-
 def split_scan(part: Part) -> Optional[SplitFinding]:
     """Find the first freezing level whose lead coefficients force a split.
 
@@ -216,10 +212,12 @@ def normalize_neq(neq, eq: IdealBasis):
         s = squarefree_part(q)
         if s.is_constant():
             continue  # a nonzero constant is never zero: redundant
-        if radical_membership(s, eq):
+        # exact: a power of s lies in eq iff it lies in the generators
+        # supported at or below the level of s
+        low_eq = elimination_subbasis(eq, support_level(s))
+        if radical_membership(s, low_eq):
             return None
-        low_eq = elimination_subbasis(eq, support_level(s)).generators
-        if buchberger(low_eq + (s,)).is_unit():
+        if buchberger((*low_eq, s)).is_unit():
             continue
         if s not in out:
             out.append(s)

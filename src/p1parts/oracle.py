@@ -1,14 +1,15 @@
 """Brute-force finite-field ground truth for the partition machinery.
 
-Finds every canonical point of the n-fold product of projective lines
-over F_p that satisfies a set of constraints by one prefix walk: the
-coordinates are assigned from x_1 up to x_n, and each constraint is
-evaluated directly as soon as its top slot is set, so a prefix that
-fails one is dropped with every tuple that extends it.  On this walk it
-computes variety points and part members, and cross-checks a part tree
-for disjointness, soundness and coverage.  A part's frozen slots are
-evaluated like any other: freezing only renames the coordinates that
-have already been chosen.
+Every question is answered by one depth-first walk over the slots, from
+y_1 up to y_{2n}: each constraint is evaluated as soon as its top slot
+is set, so a prefix that fails one is dropped with every assignment that
+extends it.  Variety points and part members walk the canonical
+representatives (y_{2j-1} in {0, 1}, and y_{2j} = 1 after a 0); the
+stepwise extension check walks all of F_p at every slot and examines
+each prefix that no value extends.  On these walks the oracle also
+cross-checks a part tree for disjointness, soundness and coverage.  A
+part's frozen slots are evaluated like any other: freezing only renames
+the slots that have already been chosen.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .groebner import principal_saturate
-from .multiproj import Part, PartTree, leaf_parts, support_level
-from .poly import Polynomial, poly_gcd
+from .multiproj import Part, PartTree, leaf_parts
+from .poly import Polynomial, poly_gcd, support_level
 
 DEFAULT_CAP = 10**7
 
@@ -43,10 +44,6 @@ class ProjTuple:
     @property
     def n(self):
         return len(self.coords)
-
-    def slot_values(self):
-        """Values for the 2n slots y_{2n}, ..., y_1."""
-        return [v for pair in self.coords for v in pair]
 
 
 def proj_line_points(p: int):
@@ -93,60 +90,85 @@ def variety_points(gens, p: int, n: int, cap: int = DEFAULT_CAP) -> list:
     _check_characteristic(gens, p, "generators are")
     for g in gens:
         _check_pair_homogeneous(g, n)
-    return _walk(gens, (), p, n, cap)
+    return _members(gens, (), p, n, cap)
 
 
 def part_members(part: Part, p: int, n: int, cap: int = DEFAULT_CAP) -> list:
     """Tuples where every equality vanishes and every inequality does not."""
     _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
-    return _walk(part.eq.generators, part.neq, p, n, cap)
+    return _members(part.eq.generators, part.neq, p, n, cap)
 
 
-def _walk(eq, neq, p: int, n: int, cap: int) -> list:
-    """Tuples where every ``eq`` vanishes and every ``neq`` does not.
+def _members(eq, neq, p: int, n: int, cap: int) -> list:
+    """The canonical tuples satisfying the constraints, in
+    ``enumerate_proj_space`` order."""
+    def canonical(k, vals):
+        if k % 2:
+            return (0, 1)  # y_{2j-1}
+        return range(p) if vals[2 * n - k + 1] else (1,)  # y_{2j}
 
-    Assigns the canonical pairs one coordinate at a time, from x_1 up to
-    x_n, and tests each constraint as soon as its top slot is set, so a
-    prefix that already fails one is never extended.  The members come
-    back in ``enumerate_proj_space`` order.
+    found = []
+
+    def leaf(vals):  # (y_{2j}, y_{2j-1}) = (g, h) is point h*(g+1)
+        found.append(tuple(vals[i + 1] * (vals[i] + 1)
+                           for i in range(0, 2 * n, 2)))
+
+    _walk(eq, neq, p, n, cap, canonical, leaf=leaf)
+    found.sort()  # x_n varies slowest, as in enumerate_proj_space
+    pts = proj_line_points(p)
+    return [ProjTuple(tuple(pts[i] for i in idx)) for idx in found]
+
+
+def _walk(eq, neq, p: int, n: int, cap: int, candidates, *,
+          leaf=None, dead=None):
+    """Walk the slot assignments where every ``eq`` vanishes and every
+    ``neq`` does not.
+
+    Sets y_1, ..., y_{2n} in turn, y_k to each value of
+    ``candidates(k, vals)``, and tests the constraints whose top slot is
+    y_k as soon as it is set; a failing prefix is never extended.  In
+    ``vals`` position 2n - i holds y_i.  Each full assignment goes to
+    ``leaf(vals)``.  When no candidate survives at slot k,
+    ``dead(k, eqs, neqs, vals)`` sees that slot's constraints with
+    y_1, ..., y_{k-1} still set.
     """
     _check_cap(p, n, cap)
     nslots = 2 * n
+    tests = [([], []) for _ in range(nslots + 1)]  # by support level
     for f in (*eq, *neq):
         if f.nslots != nslots:
             raise ValueError(
                 f"constraint has {f.nslots} slots, expected {nslots}")
-    eq_by, neq_by = _constraints_by_level(eq, neq)
+    for g in eq:
+        tests[support_level(g)][0].append(g)
+    for q in neq:
+        tests[support_level(q)][1].append(q)
     vals = [0] * nslots
 
     def holds(eqs, neqs):
         return all(g.evaluate(vals) == 0 for g in eqs) and \
             all(q.evaluate(vals) != 0 for q in neqs)
 
-    if not holds(eq_by.get(0, ()), neq_by.get(0, ())):
-        return []
-    # per coordinate j: the constraints whose top slot is y_{2j-1} or y_{2j}
-    tests = [(eq_by.get(2 * j - 1, []) + eq_by.get(2 * j, []),
-              neq_by.get(2 * j - 1, []) + neq_by.get(2 * j, []))
-             for j in range(1, n + 1)]
-    pts = proj_line_points(p)
-    found = []
+    if not holds(*tests[0]):
+        return
 
-    def extend(j, prefix):  # prefix: point indices for x_{j-1}, ..., x_1
-        if j > n:
-            found.append(prefix)
+    def extend(k):  # y_1, ..., y_{k-1} are set
+        if k > nslots:
+            if leaf is not None:
+                leaf(vals)
             return
-        pos = nslots - 2 * j
-        eqs, neqs = tests[j - 1]
-        for i, (g, h) in enumerate(pts):
-            vals[pos] = g
-            vals[pos + 1] = h
+        pos = nslots - k
+        eqs, neqs = tests[k]
+        alive = False
+        for a in candidates(k, vals):
+            vals[pos] = a
             if holds(eqs, neqs):
-                extend(j + 1, (i,) + prefix)
+                alive = True
+                extend(k + 1)
+        if not alive and dead is not None:
+            dead(k, eqs, neqs, vals)
 
-    extend(1, ())
-    found.sort()  # x_n varies slowest, as in enumerate_proj_space
-    return [ProjTuple(tuple(pts[i] for i in idx)) for idx in found]
+    extend(1)
 
 
 @dataclass
@@ -201,90 +223,58 @@ def check_partition(tree: PartTree, gens, p: int, n: int,
     )
 
 
-def _constraints_by_level(eq, neq):
-    """Bucket equalities and inequalities by their top slot level."""
-    eq_by = {}
-    neq_by = {}
-    for g in eq:
-        eq_by.setdefault(support_level(g), []).append(g)
-    for q in neq:
-        neq_by.setdefault(support_level(q), []).append(q)
-    return eq_by, neq_by
-
-
-def _substitute_prefix(g: Polynomial, t, level: int):
-    """Plug a partial slot assignment in, leaving slot ``level`` symbolic.
-
-    Constraints are bucketed by their top slot, so everything occurring
-    below the symbolic slot takes its value from the prefix.
-    """
-    field = g.field
-    nslots = g.nslots
-    images = {}
-    for pos in g.occurring_slots():
-        k = nslots - pos  # slot index held at this position
-        if k == level:
-            images[pos] = Polynomial.var(field, nslots, pos)
-        else:
-            images[pos] = Polynomial.const(field, nslots, t[k - 1])
-    return g.substitute(images)
-
-
 def check_extension(part: Part, p: int, n: int) -> list:
     """Counterexamples to stepwise extension inside one part, or [].
 
-    Walks slot levels bottom-up over the rational partial assignments
-    satisfying the constraints supported so far.  A prefix extends if
-    some value in F_p works, or else if the substituted next-slot
-    constraints still admit a root over the algebraic closure outside
-    the inequality exclusions; that second case is certified exactly
-    (gcd of the equalities, saturated by the inequalities, stays
-    nonconstant) since closure points cannot be enumerated.  Prefixes
-    that extend only into the closure leave the rational search frontier.
+    Walks all of F_p at every slot, bottom-up, over the partial
+    assignments satisfying the constraints supported so far.  A prefix
+    that no value in F_p extends to slot k still extends if the slot-k
+    constraints, with the prefix plugged in, admit a root over the
+    algebraic closure outside the inequality exclusions; that case is
+    certified exactly (gcd of the equalities, saturated by the
+    inequalities, stays nonconstant) since closure points cannot be
+    enumerated.  Returns the failing (k, (y_1, ..., y_{k-1})) sorted.
     """
     _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
-    eq_by, neq_by = _constraints_by_level(part.eq.generators, part.neq)
     nslots = 2 * n
     counterexamples = []
-    prefixes = [()]
-    for level in range(1, nslots + 1):
-        eqs = eq_by.get(level, [])
-        neqs = neq_by.get(level, [])
-        new = []
-        for t in prefixes:
-            rational = []
-            for a in range(p):
-                vals = [0] * nslots
-                for k, v in enumerate((*t, a), start=1):
-                    vals[nslots - k] = v
-                if all(g.evaluate(vals) == 0 for g in eqs) and \
-                        all(q.evaluate(vals) != 0 for q in neqs):
-                    rational.append(a)
-            new.extend(t + (a,) for a in rational)
-            if rational:
-                continue
-            if not _extends_into_closure(eqs, neqs, t, level):
-                counterexamples.append((level, t))
-        prefixes = new
-    return counterexamples
+
+    def dead(k, eqs, neqs, vals):
+        pos = nslots - k
+        if not _extends_into_closure([_fibre(g, vals, pos) for g in eqs],
+                                     [_fibre(q, vals, pos) for q in neqs]):
+            prefix = tuple(vals[nslots - i] for i in range(1, k))
+            counterexamples.append((k, prefix))
+
+    _walk(part.eq.generators, part.neq, p, n, DEFAULT_CAP,
+          lambda k, vals: range(p), dead=dead)
+    return sorted(counterexamples)
 
 
-def _extends_into_closure(eqs, neqs, t, level):
-    equations = []
-    for g in eqs:
-        e = _substitute_prefix(g, t, level)
-        if e.is_zero():
-            continue
-        if e.is_constant():
-            return False  # a nonzero constant has no root
-        equations.append(e)
-    exclusions = []
-    for q in neqs:
-        s = _substitute_prefix(q, t, level)
-        if s.is_zero():
-            return False  # the inequality fails for every value
-        if not s.is_constant():
-            exclusions.append(s)
+def _fibre(g: Polynomial, vals, pos: int) -> Polynomial:
+    """g as a polynomial in slot ``pos`` alone, every other slot set to
+    its value in ``vals``."""
+    field = g.field
+    p = field.characteristic
+    terms = []
+    for mono, c in g.terms.items():
+        for i, e in enumerate(mono):
+            if e and i != pos:
+                c = field.mul(c, pow(vals[i], e, p))
+        e = mono[pos]
+        terms.append(((0,) * pos + (e,) + (0,) * (g.nslots - pos - 1), c))
+    return Polynomial(field, g.nslots, terms)
+
+
+def _extends_into_closure(equations, exclusions):
+    """Whether some closure value is a common root of ``equations`` and
+    a root of no ``exclusions`` (all univariate in one slot)."""
+    equations = [e for e in equations if not e.is_zero()]
+    if any(e.is_constant() for e in equations):
+        return False  # a nonzero constant has no root
+    if any(s.is_zero() for s in exclusions):
+        return False  # the inequality fails for every value
+    exclusions = [s for s in exclusions if not s.is_constant()]
     if not equations:
         return True  # infinitely many closure values, finitely many excluded
     g = equations[0]

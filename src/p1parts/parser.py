@@ -73,6 +73,15 @@ def _check_expansion(bound: int, offset: int):
             f"expansion could exceed {MAX_EXPANSION_TERMS} terms", offset)
 
 
+def _int_literal(digits: str, offset: int) -> int:
+    """Value of a digit string; Python refuses very long ones."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long",
+                         offset) from None
+
+
 def _coefficient_bits(f: Polynomial) -> int:
     """Bits of the largest numerator or denominator, 0 for coefficients +-1."""
     return max((max(abs(c.numerator), c.denominator).bit_length() - 1
@@ -172,7 +181,8 @@ class _Parser:
         f = self.atom()
         if self.peek()[0] == "^":
             caret = self.take()
-            k = int(self.expect("int")[1])
+            _, digits, offset = self.expect("int")
+            k = _int_literal(digits, offset)
             t = len(f.terms)
             if t > 1:
                 # a product of k of the t terms: at most C(t+k-1, k) monomials
@@ -189,17 +199,17 @@ class _Parser:
         kind, text, offset = self.take()
         nslots = self.layout.nslots
         if kind == "int":
-            value = int(text)
+            value = _int_literal(text, offset)
             if self.peek()[0] == "/":
                 slash = self.take()
                 if self.field.characteristic != 0:
                     raise ParseError(
                         "rational coefficients require characteristic 0", slash[2])
-                den = self.expect("int")
-                if int(den[1]) == 0:
-                    raise ParseError("zero denominator", den[2])
-                return Polynomial.const(self.field, nslots,
-                                        Fraction(value, int(den[1])))
+                _, digits, den_offset = self.expect("int")
+                den = _int_literal(digits, den_offset)
+                if den == 0:
+                    raise ParseError("zero denominator", den_offset)
+                return Polynomial.const(self.field, nslots, Fraction(value, den))
             return Polynomial.const(self.field, nslots, value)
         if kind == "var":
             try:

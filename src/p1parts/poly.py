@@ -278,36 +278,6 @@ class Polynomial:
             return -1
         return max(m[pos] for m in self.terms)
 
-    def substitute(self, images: dict) -> "Polynomial":
-        """Simultaneous substitution slot -> polynomial, fully expanded.
-
-        Every slot occurring in the polynomial must have an image; build
-        identity entries explicitly where a slot maps to itself.
-        """
-        field = self.field
-        nslots = self.nslots
-        for pos in self.occurring_slots():
-            if pos not in images:
-                raise ValueError(f"no image for occurring slot {pos}")
-        for img in images.values():
-            if img.field != field:
-                raise FieldError("substitution image in a different field")
-            if img.nslots != nslots:
-                raise ValueError("substitution image has different slot count")
-        acc = Polynomial.zero(field, nslots)
-        pow_cache = {}
-        for mono, c in self.terms.items():
-            term = Polynomial.const(field, nslots, c)
-            for pos, e in enumerate(mono):
-                if not e:
-                    continue
-                key = (pos, e)
-                if key not in pow_cache:
-                    pow_cache[key] = images[pos] ** e
-                term = term * pow_cache[key]
-            acc = acc + term
-        return acc
-
     def evaluate(self, values):
         """Evaluate at raw field values, one per slot; returns a raw value."""
         if len(values) != self.nslots:
@@ -345,6 +315,12 @@ class Polynomial:
             mono = "*".join(f"s{i}^{e}" for i, e in enumerate(m) if e) or "1"
             bits.append(f"{c}*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def support_level(f: Polynomial) -> int:
+    """Highest slot index occurring in f, 0 for a constant."""
+    slots = f.occurring_slots()
+    return f.nslots - min(slots) if slots else 0
 
 
 def lead_split(f: Polynomial, first_frozen_pos: int):

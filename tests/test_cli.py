@@ -161,6 +161,15 @@ def test_run_expansion_budget_exit(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_run_overlong_literal_exit(tmp_path, capsys):
+    path = tmp_path / "literal.txt"
+    path.write_text("char 5\nn 2\nform x\nideal:\nx_1^" + "9" * 4400 + "\n")
+    assert run(RunOptions(str(path))) == 1
+    captured = capsys.readouterr()
+    assert "4400 digits is too long (offset 4)" in captured.err
+    assert captured.out == ""
+
+
 def test_main_argv(example_file, capsys):
     assert main([example_file, "--format", "json", "--leaves"]) == 0
     payload = json.loads(capsys.readouterr().out)

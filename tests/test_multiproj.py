@@ -9,10 +9,13 @@ from p1parts.groebner import IdealBasis, buchberger
 from p1parts.multiproj import (
     MaxNodesExceeded, Part, canonical_constraints, homogenized_generators,
     leaf_parts, multihomogenize, normalize_neq, partition_variety,
-    reduced_lead_coefficient, root_part, split_scan, support_level,
+    reduced_lead_coefficient, root_part, split_scan,
 )
 from p1parts.parser import parse_polynomial, parse_problem
-from p1parts.poly import Layout, Polynomial, ProjLayout, to_canonical_text
+from p1parts.poly import (
+    Layout, Polynomial, ProjLayout, support_level, to_canonical_text,
+)
+from test_oracle import slot_values
 
 PL2 = ProjLayout(2)
 PL3 = ProjLayout(3)
@@ -72,11 +75,11 @@ def test_multihomogenize_is_pair_homogeneous_and_dehomogenizes():
             a, bb = PL3.y_pos(2 * j), PL3.y_pos(2 * j - 1)
             degrees = {m[a] + m[bb] for m in h.terms}
             assert degrees == {b.degree_in(3 - j)}
-        # substituting y_{2j} -> x_j, y_{2j-1} -> 1 recovers b
-        images = {pos: Polynomial.var(QQ, 6, pos) for pos in range(6)}
-        for j in (1, 2, 3):
-            images[PL3.y_pos(2 * j - 1)] = Polynomial.const(QQ, 6, 1)
-        dehom = h.substitute(images)
+        # setting every y_{2j-1} to 1 (reading y_{2j} as x_j) recovers b
+        ones = {PL3.y_pos(2 * j - 1) for j in (1, 2, 3)}
+        dehom = Polynomial(QQ, 6, [
+            (tuple(0 if pos in ones else e for pos, e in enumerate(mono)), c)
+            for mono, c in h.terms.items()])
         lifted = {}
         for mono, c in b.terms.items():
             new = [0] * 6
@@ -340,7 +343,7 @@ def test_theorem3_reduction_property():
     for part in leaf_parts(tree):
         gens = part.eq.generators
         for t in part_members(part, p, n):
-            vals = t.slot_values()
+            vals = slot_values(t)
             for level in range(1, 7):
                 pos = 6 - level  # position of the slot at this level
                 univ = [g for g in gens

@@ -36,10 +36,15 @@ def test_enumerate_proj_space():
         enumerate_proj_space(5, 3, cap=100)
 
 
+def slot_values(t):
+    """Values of a tuple's 2n slots y_{2n}, ..., y_1."""
+    return [v for pair in t.coords for v in pair]
+
+
 def test_slot_values_binding():
     t = ProjTuple(((2, 1), (1, 0)))  # x_2 = 2, x_1 = inf
     # slots: y_4 y_3 y_2 y_1
-    assert t.slot_values() == [2, 1, 1, 0]
+    assert slot_values(t) == [2, 1, 1, 0]
 
 
 def test_variety_points_hyperbola_f3():
@@ -75,7 +80,7 @@ def test_representative_independence():
     rng = random.Random(47)
     g = P("y_4*y_2-y_3*y_1", PL2, F5)
     for t in variety_points([g], 5, 2):
-        vals = t.slot_values()
+        vals = slot_values(t)
         for _ in range(3):
             lam = rng.randrange(1, 5)
             scaled = list(vals)
@@ -202,6 +207,14 @@ def test_check_partition_cap(no_evaluation):
         check_partition(tree, gens, 5, 3, cap=215)
 
 
+def test_check_extension_cap(no_evaluation):
+    # (5+1)^9 canonical tuples exceed the cap; only y_1 is constrained,
+    # so without the cap the walk would cover 5^17 prefixes
+    loose = part_from_texts(["y_1"], [], ProjLayout(9), F5, 0)
+    with pytest.raises(EnumerationCapExceeded, match=str(6 ** 9)):
+        check_extension(loose, 5, 9)
+
+
 def test_check_extension_clean_fixture():
     prob = parse_problem(EXAMPLE5)
     tree = partition_variety(prob)
@@ -216,3 +229,13 @@ def test_check_extension_flags_truncated_part():
     cex = check_extension(bad, 5, 2)
     assert cex
     assert cex[0][0] == 2  # fails when extending to slot 2
+
+
+def test_check_extension_empty_part_has_no_counterexamples():
+    # the truncated part above, emptied by a constant equality or a zero
+    # inequality: it has no members, so nothing fails to extend
+    unit = part_from_texts(["z_1", "y_2*z_1-1", "1"], [], PL2, F5, 1)
+    zero = part_from_texts(["z_1", "y_2*z_1-1"], ["0"], PL2, F5, 1)
+    for empty in (unit, zero):
+        assert part_members(empty, 5, 2) == []
+        assert check_extension(empty, 5, 2) == []

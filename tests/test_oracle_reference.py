@@ -1,10 +1,14 @@
-"""Differential checks of the oracle's prefix walk against brute force.
+"""Differential checks of the oracle's slot walk against earlier oracles.
 
-The reference below is the earlier oracle: it enumerates all (p+1)^n
-canonical tuples with ``enumerate_proj_space`` and evaluates every
-constraint on the full slot values of each.  ``variety_points`` and
-``part_members`` prune prefixes instead, so they must return exactly the
-reference lists, in the same order.
+The first references enumerate all (p+1)^n canonical tuples with
+``enumerate_proj_space`` and evaluate every constraint on the full slot
+values of each.  ``variety_points`` and ``part_members`` prune prefixes
+instead, so they must return exactly the reference lists, in the same
+order.  ``ref_check_extension`` is the earlier stepwise extension check,
+a level-by-level breadth-first search that substitutes each dead prefix
+into the next slot's constraints; ``check_extension`` must report the
+same counterexamples wherever no constraint is constant (the reference
+never tested the constant ones).
 """
 
 from pathlib import Path
@@ -12,14 +16,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from p1parts.fields import GF
-from p1parts.groebner import IdealBasis
+from p1parts.fields import GF, FieldError
+from p1parts.groebner import IdealBasis, principal_saturate
 from p1parts.multiproj import (
     Part, homogenized_generators, leaf_parts, partition_variety,
 )
-from p1parts.oracle import enumerate_proj_space, part_members, variety_points
+from p1parts.oracle import (
+    _check_characteristic, check_extension, enumerate_proj_space, part_members,
+    variety_points,
+)
 from p1parts.parser import parse_problem
-from p1parts.poly import Polynomial
+from p1parts.poly import Polynomial, poly_gcd, support_level
+from test_oracle import slot_values
 
 DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
@@ -29,7 +37,7 @@ DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 def ref_variety_points(gens, p, n):
     out = []
     for t in enumerate_proj_space(p, n):
-        vals = t.slot_values()
+        vals = slot_values(t)
         if all(g.evaluate(vals) == 0 for g in gens):
             out.append(t)
     return out
@@ -38,11 +46,138 @@ def ref_variety_points(gens, p, n):
 def ref_part_members(part, p, n):
     out = []
     for t in enumerate_proj_space(p, n):
-        vals = t.slot_values()
+        vals = slot_values(t)
         if all(g.evaluate(vals) == 0 for g in part.eq.generators) and \
                 all(q.evaluate(vals) != 0 for q in part.neq):
             out.append(t)
     return out
+
+
+def ref_substitute(self, images: dict) -> "Polynomial":
+    """Simultaneous substitution slot -> polynomial, fully expanded.
+
+    Every slot occurring in the polynomial must have an image; build
+    identity entries explicitly where a slot maps to itself.
+    """
+    field = self.field
+    nslots = self.nslots
+    for pos in self.occurring_slots():
+        if pos not in images:
+            raise ValueError(f"no image for occurring slot {pos}")
+    for img in images.values():
+        if img.field != field:
+            raise FieldError("substitution image in a different field")
+        if img.nslots != nslots:
+            raise ValueError("substitution image has different slot count")
+    acc = Polynomial.zero(field, nslots)
+    pow_cache = {}
+    for mono, c in self.terms.items():
+        term = Polynomial.const(field, nslots, c)
+        for pos, e in enumerate(mono):
+            if not e:
+                continue
+            key = (pos, e)
+            if key not in pow_cache:
+                pow_cache[key] = images[pos] ** e
+            term = term * pow_cache[key]
+        acc = acc + term
+    return acc
+
+
+def ref_constraints_by_level(eq, neq):
+    """Bucket equalities and inequalities by their top slot level."""
+    eq_by = {}
+    neq_by = {}
+    for g in eq:
+        eq_by.setdefault(support_level(g), []).append(g)
+    for q in neq:
+        neq_by.setdefault(support_level(q), []).append(q)
+    return eq_by, neq_by
+
+
+def ref_substitute_prefix(g: Polynomial, t, level: int):
+    """Plug a partial slot assignment in, leaving slot ``level`` symbolic.
+
+    Constraints are bucketed by their top slot, so everything occurring
+    below the symbolic slot takes its value from the prefix.
+    """
+    field = g.field
+    nslots = g.nslots
+    images = {}
+    for pos in g.occurring_slots():
+        k = nslots - pos  # slot index held at this position
+        if k == level:
+            images[pos] = Polynomial.var(field, nslots, pos)
+        else:
+            images[pos] = Polynomial.const(field, nslots, t[k - 1])
+    return ref_substitute(g, images)
+
+
+def ref_check_extension(part: Part, p: int, n: int) -> list:
+    """Counterexamples to stepwise extension inside one part, or [].
+
+    Walks slot levels bottom-up over the rational partial assignments
+    satisfying the constraints supported so far.  A prefix extends if
+    some value in F_p works, or else if the substituted next-slot
+    constraints still admit a root over the algebraic closure outside
+    the inequality exclusions; that second case is certified exactly
+    (gcd of the equalities, saturated by the inequalities, stays
+    nonconstant) since closure points cannot be enumerated.  Prefixes
+    that extend only into the closure leave the rational search frontier.
+    """
+    _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
+    eq_by, neq_by = ref_constraints_by_level(part.eq.generators, part.neq)
+    nslots = 2 * n
+    counterexamples = []
+    prefixes = [()]
+    for level in range(1, nslots + 1):
+        eqs = eq_by.get(level, [])
+        neqs = neq_by.get(level, [])
+        new = []
+        for t in prefixes:
+            rational = []
+            for a in range(p):
+                vals = [0] * nslots
+                for k, v in enumerate((*t, a), start=1):
+                    vals[nslots - k] = v
+                if all(g.evaluate(vals) == 0 for g in eqs) and \
+                        all(q.evaluate(vals) != 0 for q in neqs):
+                    rational.append(a)
+            new.extend(t + (a,) for a in rational)
+            if rational:
+                continue
+            if not ref_extends_into_closure(eqs, neqs, t, level):
+                counterexamples.append((level, t))
+        prefixes = new
+    return counterexamples
+
+
+def ref_extends_into_closure(eqs, neqs, t, level):
+    equations = []
+    for g in eqs:
+        e = ref_substitute_prefix(g, t, level)
+        if e.is_zero():
+            continue
+        if e.is_constant():
+            return False  # a nonzero constant has no root
+        equations.append(e)
+    exclusions = []
+    for q in neqs:
+        s = ref_substitute_prefix(q, t, level)
+        if s.is_zero():
+            return False  # the inequality fails for every value
+        if not s.is_constant():
+            exclusions.append(s)
+    if not equations:
+        return True  # infinitely many closure values, finitely many excluded
+    g = equations[0]
+    for e in equations[1:]:
+        g = poly_gcd(g, e)
+    if g.is_constant():
+        return False  # no common root at all
+    for s in exclusions:
+        g = principal_saturate(g, s)
+    return not g.is_constant()
 
 
 # -- strategies ----------------------------------------------------------------
@@ -80,13 +215,16 @@ def pair_homogeneous(draw, field, n):
 
 
 @st.composite
-def parts(draw):
+def parts(draw, nonconstant=False):
     p = draw(st.sampled_from(PRIMES))
     n = draw(st.integers(1, 3))
     field = GF(p)
     nslots = 2 * n
-    eq = draw(st.lists(constraints(field, nslots), max_size=3))
-    neq = draw(st.lists(constraints(field, nslots), max_size=3))
+    constraint = constraints(field, nslots)
+    if nonconstant:
+        constraint = constraint.filter(lambda f: not f.is_constant())
+    eq = draw(st.lists(constraint, max_size=3))
+    neq = draw(st.lists(constraint, max_size=3))
     level = draw(st.integers(0, nslots))
     return p, n, Part(0, -1, IdealBasis(tuple(eq)), tuple(neq), level)
 
@@ -98,6 +236,13 @@ def parts(draw):
 def test_part_members_matches_reference(drawn):
     p, n, part = drawn
     assert part_members(part, p, n) == ref_part_members(part, p, n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(parts(nonconstant=True))
+def test_check_extension_matches_reference(drawn):
+    p, n, part = drawn
+    assert check_extension(part, p, n) == ref_check_extension(part, p, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,3 +274,26 @@ def test_demo_leaves_match_reference(name, radical):
     assert variety_points(gens, p, n) == ref_variety_points(gens, p, n)
     for part in leaf_parts(tree):
         assert part_members(part, p, n) == ref_part_members(part, p, n)
+
+
+EXT_DEFECT_F3 = ("char 3\nn 3\nform x\nideal:\n"
+                 "x_1*x_2^2*x_3+x_1^2+2*x_2\n"
+                 "x_1*x_3+x_1*x_2*x_3+2*x_1^2*x_3\n")
+
+
+@pytest.mark.parametrize("radical", [True, False])
+@pytest.mark.parametrize("name", FP_DEMOS + ["ext-defect-f3"])
+def test_leaf_extension_matches_reference(name, radical):
+    text = EXT_DEFECT_F3 if name == "ext-defect-f3" \
+        else (DEMO_PROBLEMS / name).read_text()
+    problem = parse_problem(text)
+    p, n = problem.field.characteristic, problem.n
+    tree = partition_variety(problem, radical=radical)
+    found = {}
+    for part in leaf_parts(tree):
+        cex = check_extension(part, p, n)
+        assert cex == ref_check_extension(part, p, n)
+        if cex:
+            found[part.id] = cex
+    if name == "ext-defect-f3" and not radical:
+        assert found == {22: [(4, (1, 2, 1))]}

@@ -102,6 +102,18 @@ def test_expansion_budget():
         {(0, 0, 0, 0, 0, 30000): Fraction(1, 2 ** 30000)}
 
 
+def test_overlong_integer_literal():
+    # Python refuses to convert more than 4300 digits by default
+    nines = "9" * 4400
+    for text, field, offset in ((f"y_1^{nines}", QQ, 4),
+                                (f"{nines}*y_1", GF(5), 0),
+                                (f"y_1+1/{nines}", QQ, 6)):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, PL3, field)
+        assert err.value.offset == offset
+        assert "4400 digits" in err.value.message
+
+
 def test_every_demo_problem_parses():
     paths = sorted((Path(__file__).parent.parent / "demos" / "problems").glob("*.txt"))
     assert paths

@@ -48,37 +48,6 @@ def test_mul_field_mismatch():
         P("y_1") * parse_polynomial("y_1", L3, GF(5))
 
 
-def test_substitute():
-    f = P("y_4*y_2-y_3*y_1")
-    swap = {pos: Polynomial.var(QQ, 6, pos) for pos in range(6)}
-    swap[L3.y_pos(2)] = Polynomial.var(QQ, 6, L3.y_pos(1))
-    swap[L3.y_pos(1)] = Polynomial.var(QQ, 6, L3.y_pos(2))
-    g = f.substitute(swap)
-    assert g == P("y_4*y_1-y_3*y_2")
-    assert g.substitute(swap) == f
-
-
-def test_substitute_point_evaluation():
-    f = parse_polynomial("y_6^2+y_6", L3, GF(5))
-    images = {pos: Polynomial.var(GF(5), 6, pos) for pos in range(6)}
-    images[L3.y_pos(6)] = Polynomial.const(GF(5), 6, 4)
-    assert f.substitute(images).is_zero()  # 16 + 4 = 20 = 0 mod 5
-
-
-def test_substitute_identity_is_identity():
-    rng = random.Random(7)
-    images = {pos: Polynomial.var(QQ, 6, pos) for pos in range(6)}
-    for _ in range(10):
-        f = random_poly(rng, L3)
-        assert f.substitute(images) == f
-
-
-def test_substitute_missing_image():
-    f = P("y_1+1")
-    with pytest.raises(ValueError):
-        f.substitute({})
-
-
 def test_degree_in():
     ax = Layout.affine(3)
     f = parse_polynomial("x_3*(x_3^2*x_2+x_3+1)", ax, QQ)
