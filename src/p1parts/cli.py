@@ -45,7 +45,7 @@ def _constraint_texts(tree: PartTree, part):
             [to_canonical_text(q, neq_layout) for q in part.neq])
 
 
-def _node_record(tree: PartTree, part):
+def _node_record(tree: PartTree, part, leaf_ids):
     eqs, neqs = _constraint_texts(tree, part)
     return {
         "id": part.id,
@@ -54,7 +54,7 @@ def _node_record(tree: PartTree, part):
         "frozenLevel": part.frozen_level,
         "eq": eqs,
         "neq": neqs,
-        "leaf": part.id in set(tree.leaf_ids()),
+        "leaf": part.id in leaf_ids,
     }
 
 
@@ -81,7 +81,7 @@ def render_tree(tree: PartTree, format: str = "text",
         return "\n".join(lines) + ("\n" if lines else "")
 
     if format == "json":
-        payload = {"nodes": [_node_record(tree, p) for p in nodes]}
+        payload = {"nodes": [_node_record(tree, p, leaf_ids) for p in nodes]}
         return json.dumps(payload, indent=2) + "\n"
 
     if format == "dot":

@@ -222,8 +222,6 @@ def buchberger(gens) -> IdealBasis:
             heapq.heappush(pairs, (_lcm(G[i][0], G[j][0], guard), i, j))
     while pairs:
         lcm, i, j = heapq.heappop(pairs)
-        if (i, j) in treated:
-            continue
         treated.add((i, j))
         (lead_i, tail_i), (lead_j, tail_j) = G[i], G[j]
         if lead_i + lead_j == lcm:

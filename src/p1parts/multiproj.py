@@ -163,37 +163,36 @@ def _scan_key(g: Polynomial):
 def split_scan(part: Part) -> Optional[SplitFinding]:
     """Find the first freezing level whose lead coefficients force a split.
 
-    Levels are tried bottom-up; within a level the generators are scanned
-    in increasing lex order of leading monomial, skipping the fully
-    frozen ones.  A coefficient counts as certified nonzero when
-    saturating by the inequality constraints at or below the level leaves
-    a constant, or when it is invertible modulo the equality generators
-    supported at or below the level.  Only level-local information may
-    certify, because the extension step starts from partial solutions
-    that satisfy exactly the constraints living down there.  Returns None
-    when every coefficient at every level is certified, which makes the
-    part a leaf.
+    Levels are tried bottom-up, and within a level the generators in
+    basis order, skipping the fully frozen ones.  Saturating a coefficient
+    by the inequality constraints at or below the level certifies it
+    nonzero when a constant remains; higher ones may not certify, since
+    the extension step starts from partial solutions that meet only the
+    constraints down there.  Returns None, making the part a leaf, when
+    every coefficient at every level is certified.
+
+    The low equalities could certify nothing more.  Say g = M*r*m + (terms
+    of smaller live monomial), m the nonconstant saturated coefficient.
+    If u*m = 1 modulo I meet k[slots <= level], then u*g - M*r*(u*m - 1)
+    lies in I and leads with M*LM(r), a proper divisor of LM(g), so
+    another basis element's leading monomial divides LM(g).  A minimal
+    basis forbids that, and ``part.eq`` is a reduced basis: it comes from
+    ``buchberger``, ``ideal_saturate`` or ``heuristic_radical``.
     """
     gens = part.eq.generators
     if not gens:
         return None
     nslots = gens[0].nslots
-    scan = sorted(gens, key=_scan_key)
     neq_levels = [(q, support_level(q)) for q in part.neq]
     for level in range(1, nslots):
         low_neq = [q for q, lvl in neq_levels if lvl <= level]
-        low_eq = elimination_subbasis(part.eq, level).generators
-        for g in scan:
+        for g in gens:
             mono, lc = lead_split(g, nslots - level)
             if not any(mono):
                 continue  # fully frozen generator
             m = reduced_lead_coefficient(lc, low_neq)
-            if m.is_constant():
-                continue
-            J = squarefree_part(m)
-            if buchberger(low_eq + (J,)).is_unit():
-                continue  # J vanishes nowhere on the low-level solution set
-            return SplitFinding(level, g, J)
+            if not m.is_constant():
+                return SplitFinding(level, g, squarefree_part(m))
     return None
 
 

@@ -234,10 +234,21 @@ def check_extension(part: Part, p: int, n: int) -> list:
     certified exactly (gcd of the equalities, saturated by the
     inequalities, stays nonconstant) since closure points cannot be
     enumerated.  Returns the failing (k, (y_1, ..., y_{k-1})) sorted.
+    Raises EnumerationCapExceeded when the canonical tuples or the values
+    the walk tries pass ``DEFAULT_CAP``.
     """
     _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
     nslots = 2 * n
     counterexamples = []
+    values, tried = range(p), 0
+
+    def candidates(k, vals):  # the (p+1)^n cap does not bound p^(2n) prefixes
+        nonlocal tried
+        tried += p
+        if tried > DEFAULT_CAP:
+            raise EnumerationCapExceeded(
+                f"the extension walk tried more than {DEFAULT_CAP} values")
+        return values
 
     def dead(k, eqs, neqs, vals):
         pos = nslots - k
@@ -246,8 +257,8 @@ def check_extension(part: Part, p: int, n: int) -> list:
             prefix = tuple(vals[nslots - i] for i in range(1, k))
             counterexamples.append((k, prefix))
 
-    _walk(part.eq.generators, part.neq, p, n, DEFAULT_CAP,
-          lambda k, vals: range(p), dead=dead)
+    _walk(part.eq.generators, part.neq, p, n, DEFAULT_CAP, candidates,
+          dead=dead)
     return sorted(counterexamples)
 
 

@@ -154,9 +154,9 @@ class Polynomial:
         return cls._raw(field, nslots, {(0,) * nslots: v})
 
     @classmethod
-    def var(cls, field, nslots, pos, exp=1, coeff=1):
+    def var(cls, field, nslots, pos, exp=1):
         mono = tuple(exp if i == pos else 0 for i in range(nslots))
-        return cls(field, nslots, {mono: coeff})
+        return cls(field, nslots, {mono: 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -191,8 +191,8 @@ class Polynomial:
                     used.add(i)
         return used
 
-    def sorted_terms(self, reverse=True):
-        return [(m, self.terms[m]) for m in sorted(self.terms, reverse=reverse)]
+    def sorted_terms(self):
+        return [(m, self.terms[m]) for m in sorted(self.terms, reverse=True)]
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -178,10 +178,12 @@ def test_split_scan_certified_by_neq():
 
 
 def test_split_scan_certified_by_equalities():
-    # z_2*y_4 = 1 on the part, so z_2 vanishes nowhere: no split
+    # z_2*y_4 = 1 lives at level 4, so it cannot certify z_2 at level 2;
+    # neq {z_2} does, and without it the part splits on z_2
     eq = buchberger([P("z_1-1", 2), P("y_3-1", 2), P("z_2*y_4-1", 2)])
     part = Part(0, -1, eq, (P("z_2", 2),), 2)
     assert split_scan(part) is None
+    assert split_scan(Part(0, -1, eq, (), 2)).J == P("z_2", 2)
 
 
 # -- inequality normalization ------------------------------------------------------

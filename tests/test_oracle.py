@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from p1parts import oracle
 from p1parts.fields import GF
 from p1parts.groebner import IdealBasis
 from p1parts.multiproj import (
@@ -213,6 +214,15 @@ def test_check_extension_cap(no_evaluation):
     loose = part_from_texts(["y_1"], [], ProjLayout(9), F5, 0)
     with pytest.raises(EnumerationCapExceeded, match=str(6 ** 9)):
         check_extension(loose, 5, 9)
+
+
+def test_check_extension_walk_cap(monkeypatch):
+    # 6^4 = 1,296 canonical tuples pass a cap of 10^4, but with only y_1
+    # constrained the walk would try about 10^5 values of F_5
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 10**4)
+    loose = part_from_texts(["y_1"], [], ProjLayout(4), F5, 0)
+    with pytest.raises(EnumerationCapExceeded, match="tried more than 10000"):
+        check_extension(loose, 5, 4)
 
 
 def test_check_extension_clean_fixture():
