@@ -19,9 +19,10 @@ from typing import Optional
 
 from .groebner import ExponentOverflowError
 from .multiproj import (
-    MaxNodesExceeded, PartTree, homogenized_generators, partition_variety,
+    MaxNodesExceeded, PartTree, homogenized_generators, leaf_parts,
+    partition_variety,
 )
-from .oracle import EnumerationCapExceeded, check_partition
+from .oracle import EnumerationCapExceeded, check_extension, check_partition
 from .parser import ParseError, ProblemError, parse_problem
 from .poly import to_canonical_text
 
@@ -139,9 +140,12 @@ def run(options: RunOptions) -> int:
     sys.stdout.write(render_tree(tree, options.format, options.leaves_only))
 
     if options.oracle_check is not None:
+        p, n = options.oracle_check, problem.n
         gens = homogenized_generators(problem)
         try:
-            report = check_partition(tree, gens, options.oracle_check, problem.n)
+            report = check_partition(tree, gens, p, n)
+            stuck = [(leaf.id, k, prefix) for leaf in leaf_parts(tree)
+                     for k, prefix in check_extension(leaf, p, n)]
         except EnumerationCapExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -157,6 +161,11 @@ def run(options: RunOptions) -> int:
                 print(f"  point {t} covered by parts {ids}", file=sys.stderr)
             for t in report.missing:
                 print(f"  variety point {t} not covered", file=sys.stderr)
+        for leaf_id, k, prefix in stuck:
+            print(f"  leaf {leaf_id} fails stepwise extension: prefix "
+                  f"(y_1..y_{k - 1}) = {prefix} does not extend to level {k}",
+                  file=sys.stderr)
+        if not report.valid or stuck:
             return 3
     return 0
 

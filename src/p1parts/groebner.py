@@ -6,6 +6,15 @@ minimal reduced basis, monic, sorted by increasing leading monomial.
 Saturation and radical membership both ride on one mechanism: adjoin a
 fresh top slot t, add 1 - t*f, eliminate.
 
+Most bases the engine needs extend a reduced basis by one polynomial: a
+child's equality J, the Rabinowitsch element 1 - t*f (a reduced basis
+stays reduced with t adjoined), a squarefree eliminant of the closure.
+Every S-pair inside a reduced basis reduces to zero, so ``_extend``
+queues only the pairs that involve a new element and marks the old ones
+treated, which keeps them available to the chain criterion (the
+installation of Gebauer & Moeller 1988).  ``buchberger`` extends the
+empty basis.
+
 The core works on packed monomials (Monagan & Pearce 2007): each
 exponent tuple becomes one int with 16 bits per slot, slot 0 in the
 highest field and bit 15 of every field a guard bit that stays clear.
@@ -14,8 +23,8 @@ Divisibility is one masked subtraction: a divides b exactly when
 ``((b | guard) - a) & guard == guard``, because a field keeps its guard
 bit only where b's exponent is at least a's.  An exponent that reaches
 2^15 raises ExponentOverflowError rather than wrap.  Packing is local to
-a call: ``buchberger`` packs its input once and unpacks only the final
-basis, ``normal_form`` packs its arguments each time.
+a call: a basis computation packs its input once and unpacks only the
+final basis, ``normal_form`` packs its arguments each time.
 
 Division picks the largest remaining term off a max-heap and reduces it
 by the first generator, in increasing leading-monomial order, whose
@@ -198,7 +207,20 @@ def buchberger(gens) -> IdealBasis:
     The zero ideal normalizes to an empty basis and the unit ideal to the
     single generator 1.  The output is independent of the input order.
     """
-    gens = [g for g in gens if not g.is_zero()]
+    return _extend(IdealBasis((), True), gens)
+
+
+def _extend(basis: IdealBasis, polys) -> IdealBasis:
+    """``buchberger(basis.generators + polys)``, without redoing the basis.
+
+    Precondition: when ``basis.is_reduced_gb`` is set, its generators are
+    a reduced Groebner basis, so every S-pair among them reduces to zero
+    by them and hence by any larger set.  Those pairs are marked treated
+    instead of queued; they still feed the chain criterion.  Without the
+    flag this is the full computation.
+    """
+    closed = len(basis) if basis.is_reduced_gb else 0
+    gens = [g for g in (*basis.generators, *polys) if not g.is_zero()]
     if not gens:
         return IdealBasis((), True)
     for g in gens:
@@ -216,8 +238,8 @@ def buchberger(gens) -> IdealBasis:
 
     # pair queue keyed by (lcm, i, j): smallest lcm first (normal strategy)
     pairs = []
-    treated = set()
-    for j in range(len(G)):
+    treated = {(i, j) for j in range(closed) for i in range(j)}
+    for j in range(closed, len(G)):
         for i in range(j):
             heapq.heappush(pairs, (_lcm(G[i][0], G[j][0], guard), i, j))
     while pairs:
@@ -281,14 +303,18 @@ def _strip_top(g: Polynomial) -> Polynomial:
     return Polynomial._raw(g.field, g.nslots - 1, terms)
 
 
-def _rabinowitsch_basis(gens, f: Polynomial):
-    """Reduced basis of I + <1 - t*f> with a fresh slot t above all others."""
+def _rabinowitsch_basis(basis_or_gens, f: Polynomial):
+    """Reduced basis of I + <1 - t*f> with a fresh slot t above all others.
+
+    A reduced basis of I stays one with t adjoined (no leading monomial
+    moves), so an ``IdealBasis`` flagged reduced is only extended.
+    """
     field = f.field
-    ext = [_extend_top(g) for g in gens]
+    reduced = isinstance(basis_or_gens, IdealBasis) and basis_or_gens.is_reduced_gb
+    ext = tuple(_extend_top(g) for g in basis_or_gens if not g.is_zero())
     t = Polynomial.var(field, f.nslots + 1, 0)
     one = Polynomial.const(field, f.nslots + 1, 1)
-    ext.append(one - t * _extend_top(f))
-    return buchberger(ext)
+    return _extend(IdealBasis(ext, reduced), (one - t * _extend_top(f),))
 
 
 def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
@@ -299,8 +325,7 @@ def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
     """
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
-    gens = [g for g in basis_or_gens if not g.is_zero()]
-    ext = _rabinowitsch_basis(gens, f)
+    ext = _rabinowitsch_basis(basis_or_gens, f)
     kept = tuple(_strip_top(g) for g in ext.generators if g.degree_in(0) == 0)
     return IdealBasis(kept, True)
 
@@ -319,11 +344,9 @@ def principal_saturate(f: Polynomial, q: Polynomial) -> Polynomial:
 
 def radical_membership(f: Polynomial, basis_or_gens) -> bool:
     """True when some power of f lies in the ideal (1 in I + <1 - t*f>)."""
-    gens = [g for g in basis_or_gens if not g.is_zero()]
     if f.is_zero():
         return True
-    ext = _rabinowitsch_basis(gens, f)
-    return ext.is_unit()
+    return _rabinowitsch_basis(basis_or_gens, f).is_unit()
 
 
 def _permuted(g: Polynomial, order) -> Polynomial:
@@ -376,7 +399,7 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
                 continue
             s = squarefree_part(m)
             if s != m:
-                basis = buchberger(basis.generators + (s,))
+                basis = _extend(basis, (s,))
                 break
         else:
             break

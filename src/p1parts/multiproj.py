@@ -29,7 +29,7 @@ from typing import Optional
 
 from .fields import Field
 from .groebner import (
-    IdealBasis, buchberger, elimination_subbasis, heuristic_radical,
+    IdealBasis, _extend, buchberger, elimination_subbasis, heuristic_radical,
     ideal_saturate, principal_saturate, radical_membership,
 )
 from .parser import ProblemSpec
@@ -216,7 +216,7 @@ def normalize_neq(neq, eq: IdealBasis):
         low_eq = elimination_subbasis(eq, support_level(s))
         if radical_membership(s, low_eq):
             return None
-        if buchberger((*low_eq, s)).is_unit():
+        if _extend(low_eq, (s,)).is_unit():
             continue
         if s not in out:
             out.append(s)
@@ -274,10 +274,10 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
         part = tree.nodes[current]
         finding = split_scan(part)
         if finding is not None:
-            level, J, gens = finding.level, finding.J, part.eq.generators
-            eq_a = _closed(buchberger(gens + (J,)), radical)
+            level, J = finding.level, finding.J
+            eq_a = _closed(_extend(part.eq, (J,)), radical)
             append_child(part, eq_a, part.neq, level, "equality")
-            eq_b = _closed(ideal_saturate(gens, J), radical)
+            eq_b = _closed(ideal_saturate(part.eq, J), radical)
             append_child(part, eq_b, part.neq + (J,), level, "inequality")
         current += 1
     return tree

@@ -199,6 +199,35 @@ def test_run_oracle_failure_exit_code(example5_file, capsys, monkeypatch):
     assert "not covered" in captured.err
 
 
+# A known F_3 problem whose leaf 22 has a prefix (y_1, y_2, y_3) = (1, 2, 1)
+# with no value of y_4; its leaves still cover the variety disjointly.
+EXTENSION_DEFECT_F3 = ("char 3\nn 3\nform x\nideal:\n"
+                       "x_1*x_2^2*x_3+x_1^2+2*x_2\n"
+                       "x_1*x_3+x_1*x_2*x_3+2*x_1^2*x_3\n")
+
+
+def test_run_oracle_reports_extension_failure(tmp_path, capsys):
+    path = tmp_path / "defect.txt"
+    path.write_text(EXTENSION_DEFECT_F3)
+    assert run(RunOptions(str(path), leaves_only=True, oracle_check=3)) == 3
+    captured = capsys.readouterr()
+    assert "partition valid" in captured.out
+    failures = [line for line in captured.err.splitlines()
+                if "stepwise extension" in line]
+    assert failures == [
+        "  leaf 22 fails stepwise extension: prefix (y_1..y_3) = (1, 2, 1) "
+        "does not extend to level 4"]
+
+
+@pytest.mark.parametrize("name", sorted(
+    path.name for path in DEMO_PROBLEMS.glob("*_f[0-9]*.txt")))
+def test_run_oracle_on_demo_fixtures(name, capsys):
+    path = DEMO_PROBLEMS / name
+    p = parse_problem(path.read_text()).field.characteristic
+    assert main([str(path), "--leaves", "--oracle", str(p)]) == 0
+    assert "partition valid" in capsys.readouterr().out
+
+
 def test_no_radical_flag(example5_file, capsys):
     assert main([example5_file, "--no-radical", "--oracle", "5"]) == 0
     assert "partition valid" in capsys.readouterr().out

@@ -16,6 +16,11 @@ adjoins a squarefree part whenever ``normal_form`` says it is not yet in
 the ideal.  Both closures reach the least ideal containing the input in
 which every slot's eliminant is squarefree, so their reduced bases must
 be identical.
+
+Extending a reduced basis skips the S-pairs among its elements, so
+``_extend(buchberger(gens), extra)`` must return the reference basis of
+``gens + extra``, and saturation and radical membership must not depend
+on whether they get a reduced basis or the raw generators.
 """
 
 import heapq
@@ -23,9 +28,12 @@ import heapq
 from hypothesis import given, settings, strategies as st
 
 from p1parts.fields import GF, QQ
+from p1parts import groebner
 from p1parts.groebner import (
-    IdealBasis, buchberger, heuristic_radical, normal_form,
+    IdealBasis, _extend, buchberger, heuristic_radical, ideal_saturate,
+    normal_form, radical_membership,
 )
+from p1parts.parser import parse_polynomial
 from p1parts.poly import (
     Polynomial, ProjLayout, _mono_div, _mono_divides, _mono_mul, squarefree_part,
 )
@@ -304,3 +312,48 @@ def test_heuristic_radical_matches_reference(gens):
     expected = ref_heuristic_radical(buchberger(gens)).generators
     assert heuristic_radical(buchberger(gens)).generators == expected
     assert heuristic_radical(IdealBasis(tuple(gens))).generators == expected
+
+
+@st.composite
+def extensions(draw):
+    """An ideal and one or two polynomials to adjoin."""
+    field = draw(st.sampled_from(FIELDS))
+    nslots = draw(st.sampled_from(WIDTHS))
+    gens = draw(st.lists(polynomials(field, nslots), min_size=2, max_size=4))
+    extra = draw(st.lists(polynomials(field, nslots), min_size=1, max_size=2))
+    return tuple(gens), tuple(extra)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(extensions())
+def test_extend_matches_reference(draw):
+    gens, extra = draw
+    expected = ref_buchberger(gens + extra)
+    basis = buchberger(gens)
+    assert _extend(basis, extra).generators == expected
+    assert _extend(IdealBasis(gens), extra).generators == expected
+    f = extra[0]
+    assert ideal_saturate(basis, f) == ideal_saturate(gens, f)
+    assert radical_membership(f, basis) == radical_membership(f, gens)
+
+
+def test_extend_skips_the_closed_pairs(monkeypatch):
+    """Adjoining a basis element reduces nothing but the final tails."""
+    P = lambda text: parse_polynomial(text, ProjLayout(2), QQ)  # noqa: E731
+    basis = buchberger([P("y_4*y_1-y_2*y_3"), P("y_4^2-y_1"), P("y_3^2-y_2")])
+    assert len(basis) == 6  # leading monomials share slots: pairs to redo
+    extra = (basis.generators[-1],)
+    calls = 0
+    real_reduce = groebner._reduce
+
+    def counting_reduce(*args):
+        nonlocal calls
+        calls += 1
+        return real_reduce(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", counting_reduce)
+    assert _extend(basis, extra) == basis
+    assert calls == len(basis)
+    calls = 0
+    assert buchberger(basis.generators + extra) == basis
+    assert calls > len(basis)
