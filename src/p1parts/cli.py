@@ -103,6 +103,9 @@ def render_tree(tree: PartTree, format: str = "text",
 
 
 def run(options: RunOptions) -> int:
+    if options.max_nodes < 1:
+        print("error: --max-nodes must be at least 1", file=sys.stderr)
+        return 1
     try:
         with open(options.input_path, encoding="utf-8") as handle:
             text = handle.read()

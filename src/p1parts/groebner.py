@@ -15,6 +15,17 @@ treated, which keeps them available to the chain criterion (the
 installation of Gebauer & Moeller 1988).  ``buchberger`` extends the
 empty basis.
 
+An extension also pays only for what the new polynomials change.  The
+old elements are packed as they are (monic and distinct already); only
+the new ones are made monic and de-duplicated, and one equal to an old
+element is dropped.  The final pass leaves an old element alone when its
+lead survives minimalization and no surviving new leading monomial
+divides a term of its tail: the old leads never divide old tails, and a
+new lead larger than the element's own cannot divide anything below it.
+Such an element is already in the reduced basis and is returned as the
+same object; only the old elements a new lead touches, and the new
+elements, are reduced and unpacked.
+
 The core works on packed monomials (Monagan & Pearce 2007): each
 exponent tuple becomes one int with 16 bits per slot, slot 0 in the
 highest field and bit 15 of every field a guard bit that stays clear.
@@ -217,13 +228,20 @@ def _extend(basis: IdealBasis, polys) -> IdealBasis:
     a reduced Groebner basis, so every S-pair among them reduces to zero
     by them and hence by any larger set.  Those pairs are marked treated
     instead of queued; they still feed the chain criterion.  Without the
-    flag this is the full computation.
+    flag this is the full computation.  Old elements that no new leading
+    monomial touches come back as the same objects, and when nothing new
+    remains after de-duplication the basis itself is returned.
     """
-    closed = len(basis) if basis.is_reduced_gb else 0
-    gens = [g for g in (*basis.generators, *polys) if not g.is_zero()]
-    if not gens:
-        return IdealBasis((), True)
-    for g in gens:
+    if basis.is_reduced_gb:
+        old = basis.generators  # nonzero, monic and distinct already
+    else:
+        old, polys = (), (*basis.generators, *polys)
+    added = [g for g in dict.fromkeys(g.monic() for g in polys if not g.is_zero())
+             if g not in old]
+    if not added:
+        return basis if old else IdealBasis((), True)
+    gens = [*old, *added]
+    for g in added:
         gens[0]._check(g)
     for g in gens:
         if g.is_constant():
@@ -232,9 +250,11 @@ def _extend(basis: IdealBasis, polys) -> IdealBasis:
     p = field.characteristic
     packing = _Packing(gens[0].nslots)
     guard = packing.guard
-    G = [_monic_head(packing.pack(g.terms), field)
-         for g in dict.fromkeys(g.monic() for g in gens)]
-    heads = sorted(G, key=_lead_key)  # G in increasing lead order, for division
+    G = [_monic_head(packing.pack(g.terms), field) for g in gens]
+    closed = len(old)
+    # G in increasing lead order, for division; the sort is stable, so an
+    # old element precedes a new input with the same lead
+    heads = sorted(G, key=_lead_key)
 
     # pair queue keyed by (lcm, i, j): smallest lcm first (normal strategy)
     pairs = []
@@ -269,16 +289,28 @@ def _extend(basis: IdealBasis, polys) -> IdealBasis:
         for k in range(len(G) - 1):
             heapq.heappush(pairs, (_lcm(G[k][0], new[0], guard), k, len(G) - 1))
 
-    # minimalize, then reduce each element by the reduced smaller ones
-    reduced = []
+    # Minimalize, then reduce each element by the reduced smaller ones.  An
+    # old tail is reduced by the old leads already, and a lead larger than
+    # an element's own cannot divide its tail, so an old element needs the
+    # work only when a smaller surviving new lead divides a tail term.
+    old_at = dict(zip((lead for lead, _ in G), old))  # old lead -> element
+    one = field.one()
+    reduced, new_leads, out = [], [], []
     for lead, tail in heads:
         lg = lead | guard
-        if not any((lg - r[0]) & guard == guard for r in reduced):
-            reduced.append((lead, list(_reduce(dict(tail), reduced, p, guard).items())))
-    one = field.one()
-    return IdealBasis(tuple(
-        packing.unpack(field, {lead: one, **dict(tail)}) for lead, tail in reduced),
-        True)
+        if any((lg - r[0]) & guard == guard for r in reduced):
+            continue
+        g = old_at.get(lead)
+        if g is None or any(((m | guard) - n) & guard == guard
+                            for m, _ in tail for n in new_leads):
+            rem = _reduce(dict(tail), reduced, p, guard)
+            tail = list(rem.items())
+            g = packing.unpack(field, {lead: one, **rem})
+            if lead not in old_at:
+                new_leads.append(lead)
+        reduced.append((lead, tail))
+        out.append(g)
+    return IdealBasis(tuple(out), True)
 
 
 def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:

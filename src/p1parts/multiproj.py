@@ -243,8 +243,11 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
     Nodes are processed first-in first-out; each split appends the
     equality child before the inequality child, so node numbering is
     deterministic.  Children that collapse to the unit ideal or whose
-    inequality set is unsatisfiable are discarded and counted.
+    inequality set is unsatisfiable are discarded and counted.  The root
+    counts against ``max_nodes``, which must be at least 1.
     """
+    if max_nodes < 1:
+        raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
     layout = ProjLayout(problem.n)
     tree = PartTree([], layout, problem.field)
     root = root_part(problem, radical)

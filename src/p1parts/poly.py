@@ -471,13 +471,49 @@ def _pth_root(f: Polynomial, p: int) -> Polynomial:
     return Polynomial._raw(f.field, f.nslots, terms)
 
 
+def _dense_rem(a: list, b: list, p: int) -> list:
+    """Remainder of dense coefficient lists, lowest degree first.
+
+    ``b`` has a nonzero last entry; ``p`` is the characteristic, 0 for
+    the rationals.  Trailing zeros are stripped from the result.
+    """
+    a = a[:]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p) if p else 1 / b[-1]
+    while len(a) > db:
+        q = a.pop() * inv
+        shift = len(a) - db
+        for i in range(db):
+            v = a[shift + i] - q * b[i]
+            a[shift + i] = v % p if p else v
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _coprime_to_derivative(f: Polynomial, pos: int) -> bool:
+    """gcd(f, f') = 1 for f nonconstant in the one slot pos, by dense Euclid."""
+    p = f.field.characteristic
+    a = [0] * (f.degree_in(pos) + 1)
+    for mono, c in f.terms.items():
+        a[mono[pos]] = c
+    b = [i * c % p if p else i * c for i, c in enumerate(a)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        a, b = b, _dense_rem(a, b, p)
+    return len(a) == 1
+
+
 def squarefree_part(f: Polynomial) -> Polynomial:
     """The product of the distinct irreducible factors of f, monic.
 
     Computed from gcds of f with its partial derivatives; in positive
     characteristic exact p-th powers are peeled off by exponent division
     first, and factors whose multiplicity the derivatives miss are
-    recovered recursively.
+    recovered recursively.  A polynomial in one slot is first tested with
+    a dense-coefficient Euclid: coprime to its derivative, it is its own
+    squarefree part, and only otherwise do the multivariate gcds run.
     """
     if f.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
@@ -490,8 +526,11 @@ def squarefree_part(f: Polynomial) -> Polynomial:
             f = _pth_root(f, p)
         if f.is_constant():
             return f
+    slots = f.occurring_slots()
+    if len(slots) == 1 and _coprime_to_derivative(f, min(slots)):
+        return f
     g = f
-    for pos in sorted(f.occurring_slots()):
+    for pos in sorted(slots):
         d = derivative(f, pos)
         if not d.is_zero():
             g = poly_gcd(g, d)

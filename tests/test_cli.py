@@ -143,6 +143,14 @@ def test_run_max_nodes_exit(example_file, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_main_max_nodes_below_one(example_file, capsys, budget):
+    assert main([example_file, "--max-nodes", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-nodes must be at least 1\n"
+    assert captured.out == ""
+
+
 def test_run_exponent_overflow_exit(tmp_path, capsys):
     path = tmp_path / "overflow.txt"
     path.write_text("char 5\nn 1\nform x\nideal:\nx_1^32768-1\n")

@@ -282,6 +282,15 @@ def test_partition_max_nodes():
     assert len(err.value.tree.nodes) == 4
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_partition_max_nodes_below_one(budget):
+    # the root of x_1 over F_5 is a leaf; the root counts against the budget
+    prob = parse_problem("char 5\nn 1\nform x\nideal:\nx_1\n")
+    assert len(partition_variety(prob, max_nodes=1).nodes) == 1
+    with pytest.raises(ValueError, match="at least 1"):
+        partition_variety(prob, max_nodes=budget)
+
+
 def test_partition_inconsistent_root():
     prob = parse_problem("char 0\nn 1\nform y\nideal:\ny_1\ny_1-1\n")
     tree = partition_variety(prob)

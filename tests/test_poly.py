@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from p1parts.fields import GF, QQ, FieldError
 from p1parts.poly import (
-    Layout, Polynomial, ProjLayout, derivative, exact_div, lead_split, poly_gcd,
-    squarefree_part, to_canonical_text,
+    Layout, Polynomial, ProjLayout, _pth_root, derivative, exact_div, lead_split,
+    poly_gcd, squarefree_part, to_canonical_text,
 )
 from p1parts.parser import parse_polynomial
 
@@ -189,6 +189,81 @@ def test_squarefree_properties():
             if not d.is_zero():
                 g = poly_gcd(g, d)
         assert g.is_constant()
+
+
+def ref_squarefree_part(f):
+    """``squarefree_part`` by the multivariate gcds alone, without the
+    dense univariate test: the reference for that test."""
+    f = f.monic()
+    if f.is_constant():
+        return f
+    p = f.field.characteristic
+    if p:
+        while all(e % p == 0 for mono in f.terms for e in mono):
+            f = _pth_root(f, p)
+        if f.is_constant():
+            return f
+    g = f
+    for pos in sorted(f.occurring_slots()):
+        d = derivative(f, pos)
+        if not d.is_zero():
+            g = poly_gcd(g, d)
+            if g.is_constant():
+                return f
+    w = exact_div(f, g).monic()
+    s = ref_squarefree_part(g)
+    extra = exact_div(s, poly_gcd(s, w))
+    return (w * extra).monic()
+
+
+@st.composite
+def univariates(draw):
+    """A polynomial of degree at most 12 in one of one to three slots.
+
+    Either a dense random polynomial, or a product of powers of up to
+    three random factors, optionally times x^p - x (x^q - x, q from 2 to
+    7, over QQ) or raised to the p-th power (the square over QQ).
+    """
+    field = draw(st.sampled_from((QQ, GF(2), GF(3), GF(5), GF(7))))
+    p = field.characteristic
+    nslots = draw(st.integers(1, 3))
+    pos = draw(st.integers(0, nslots - 1))
+    coeffs = st.integers(-3, 3) if p == 0 else st.integers(0, p - 1)
+    nonzero = coeffs.filter(bool)
+
+    def dense(degree):
+        cs = draw(st.lists(coeffs, min_size=degree, max_size=degree))
+        terms = {e: c for e, c in enumerate(cs)}
+        terms[degree] = draw(nonzero)
+        return Polynomial(field, nslots, {
+            tuple(e if i == pos else 0 for i in range(nslots)): c
+            for e, c in terms.items()})
+
+    shape = draw(st.sampled_from(("dense", "factors", "x^p-x", "p-th power")))
+    if shape == "dense":
+        return dense(draw(st.integers(1, 12)))
+    power = p or 2
+    budget = 12 // power if shape == "p-th power" else 12
+    f = Polynomial.const(field, nslots, draw(nonzero))
+    if shape == "x^p-x":
+        q = p or draw(st.integers(2, 7))
+        f = f * (Polynomial.var(field, nslots, pos, q) - Polynomial.var(field, nslots, pos))
+        budget -= q
+    for _ in range(draw(st.integers(1, 3))):
+        if budget < 1:
+            break
+        degree = draw(st.integers(1, min(3, budget)))
+        k = draw(st.integers(1, min(3, budget // degree)))
+        f = f * dense(degree) ** k
+        budget -= degree * k
+    return f ** power if shape == "p-th power" else f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(univariates())
+def test_squarefree_univariate_matches_gcd_path(f):
+    assert f.degree_in(min(f.occurring_slots())) <= 12
+    assert squarefree_part(f) == ref_squarefree_part(f)
 
 
 # -- canonical text -------------------------------------------------------------
