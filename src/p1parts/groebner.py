@@ -6,7 +6,9 @@ minimal reduced basis, monic, sorted by increasing leading monomial.
 Saturation and radical membership both ride on one mechanism: adjoin a
 fresh top slot t, add 1 - t*f, eliminate.
 
-Most bases the engine needs extend a reduced basis by one polynomial: a
+An ``IdealBasis`` is always such a reduced basis: only ``buchberger``,
+``_extend``, ``elimination_subbasis`` and ``ideal_saturate`` make one.
+Most bases the engine needs extend one by a single polynomial: a
 child's equality J, the Rabinowitsch element 1 - t*f (a reduced basis
 stays reduced with t adjoined), a squarefree eliminant of the closure.
 Every S-pair inside a reduced basis reduces to zero, so ``_extend``
@@ -70,10 +72,9 @@ def _overflow():
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """A generator list, optionally certified as a reduced Groebner basis."""
+    """A reduced lex Groebner basis: monic, sorted by increasing lead."""
 
     generators: tuple
-    is_reduced_gb: bool = False
 
     def __iter__(self):
         return iter(self.generators)
@@ -209,7 +210,7 @@ def normal_form(f: Polynomial, basis_or_gens) -> Polynomial:
 
 def _unit_basis(template: Polynomial) -> IdealBasis:
     one = Polynomial.const(template.field, template.nslots, 1)
-    return IdealBasis((one,), True)
+    return IdealBasis((one,))
 
 
 def buchberger(gens) -> IdealBasis:
@@ -218,28 +219,24 @@ def buchberger(gens) -> IdealBasis:
     The zero ideal normalizes to an empty basis and the unit ideal to the
     single generator 1.  The output is independent of the input order.
     """
-    return _extend(IdealBasis((), True), gens)
+    return _extend(IdealBasis(()), gens)
 
 
 def _extend(basis: IdealBasis, polys) -> IdealBasis:
     """``buchberger(basis.generators + polys)``, without redoing the basis.
 
-    Precondition: when ``basis.is_reduced_gb`` is set, its generators are
-    a reduced Groebner basis, so every S-pair among them reduces to zero
-    by them and hence by any larger set.  Those pairs are marked treated
-    instead of queued; they still feed the chain criterion.  Without the
-    flag this is the full computation.  Old elements that no new leading
-    monomial touches come back as the same objects, and when nothing new
-    remains after de-duplication the basis itself is returned.
+    Every S-pair among the reduced basis's elements reduces to zero by
+    them and hence by any larger set, so those pairs are marked treated
+    instead of queued; they still feed the chain criterion.  Old elements
+    that no new leading monomial touches come back as the same objects,
+    and when nothing new remains after de-duplication the basis itself is
+    returned.
     """
-    if basis.is_reduced_gb:
-        old = basis.generators  # nonzero, monic and distinct already
-    else:
-        old, polys = (), (*basis.generators, *polys)
+    old = basis.generators  # nonzero, monic and distinct already
     added = [g for g in dict.fromkeys(g.monic() for g in polys if not g.is_zero())
              if g not in old]
     if not added:
-        return basis if old else IdealBasis((), True)
+        return basis
     gens = [*old, *added]
     for g in added:
         gens[0]._check(g)
@@ -310,19 +307,16 @@ def _extend(basis: IdealBasis, polys) -> IdealBasis:
                 new_leads.append(lead)
         reduced.append((lead, tail))
         out.append(g)
-    return IdealBasis(tuple(out), True)
+    return IdealBasis(tuple(out))
 
 
 def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
     """Generators involving only the lowest j slots.
 
-    For a reduced lex basis this subset is a reduced basis of the
+    The subset of a reduced lex basis is a reduced basis of the
     elimination ideal (the relations among the low slots alone).
     """
-    if not basis.is_reduced_gb:
-        raise ValueError("elimination requires a reduced Groebner basis")
-    return IdealBasis(tuple(g for g in basis.generators
-                            if support_level(g) <= j), True)
+    return IdealBasis(tuple(g for g in basis if support_level(g) <= j))
 
 
 def _extend_top(g: Polynomial) -> Polynomial:
@@ -339,14 +333,17 @@ def _rabinowitsch_basis(basis_or_gens, f: Polynomial):
     """Reduced basis of I + <1 - t*f> with a fresh slot t above all others.
 
     A reduced basis of I stays one with t adjoined (no leading monomial
-    moves), so an ``IdealBasis`` flagged reduced is only extended.
+    moves), so an ``IdealBasis`` is only extended; raw generators get the
+    full computation.
     """
     field = f.field
-    reduced = isinstance(basis_or_gens, IdealBasis) and basis_or_gens.is_reduced_gb
     ext = tuple(_extend_top(g) for g in basis_or_gens if not g.is_zero())
     t = Polynomial.var(field, f.nslots + 1, 0)
     one = Polynomial.const(field, f.nslots + 1, 1)
-    return _extend(IdealBasis(ext, reduced), (one - t * _extend_top(f),))
+    rab = one - t * _extend_top(f)
+    if isinstance(basis_or_gens, IdealBasis):
+        return _extend(IdealBasis(ext), (rab,))
+    return buchberger((*ext, rab))
 
 
 def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
@@ -359,7 +356,7 @@ def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
         raise ValueError("cannot saturate by the zero polynomial")
     ext = _rabinowitsch_basis(basis_or_gens, f)
     kept = tuple(_strip_top(g) for g in ext.generators if g.degree_in(0) == 0)
-    return IdealBasis(kept, True)
+    return IdealBasis(kept)
 
 
 def principal_saturate(f: Polynomial, q: Polynomial) -> Polynomial:
@@ -422,8 +419,6 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
     scan order; slots with no eliminant are skipped, so J only satisfies
     I <= J <= sqrt(I), which is all the callers rely on.
     """
-    if not basis.is_reduced_gb:
-        basis = buchberger(basis.generators)
     while not (basis.is_zero_ideal() or basis.is_unit()):
         for pos in reversed(range(basis.generators[0].nslots)):
             m = _eliminant(basis, pos)

@@ -197,7 +197,14 @@ def split_scan(part: Part) -> Optional[SplitFinding]:
 
 
 def normalize_neq(neq, eq: IdealBasis):
-    """Squarefree, monic, irredundant inequality constraints, or None.
+    """Irredundant inequality constraints sorted by ``_scan_key``, or None.
+
+    Precondition: the constraints are monic, squarefree, nonconstant and
+    pairwise distinct.  A parent's ``neq`` is, and adjoining the ``J`` of
+    a split keeps it so: ``J`` is the squarefree part of a coefficient
+    saturated by every inequality at or below the split level, hence
+    coprime to each of them, and every other inequality lives above that
+    level while ``J`` lives at or below it.
 
     None signals an empty part: some constraint vanishes identically on
     the equality set.  A constraint is dropped as redundant when the
@@ -208,18 +215,13 @@ def normalize_neq(neq, eq: IdealBasis):
     """
     out = []
     for q in neq:
-        s = squarefree_part(q)
-        if s.is_constant():
-            continue  # a nonzero constant is never zero: redundant
-        # exact: a power of s lies in eq iff it lies in the generators
-        # supported at or below the level of s
-        low_eq = elimination_subbasis(eq, support_level(s))
-        if radical_membership(s, low_eq):
+        # exact: a power of q lies in eq iff it lies in the generators
+        # supported at or below the level of q
+        low_eq = elimination_subbasis(eq, support_level(q))
+        if radical_membership(q, low_eq):
             return None
-        if _extend(low_eq, (s,)).is_unit():
-            continue
-        if s not in out:
-            out.append(s)
+        if not _extend(low_eq, (q,)).is_unit():
+            out.append(q)
     out.sort(key=_scan_key)
     return tuple(out)
 

@@ -10,6 +10,10 @@ each prefix that no value extends.  On these walks the oracle also
 cross-checks a part tree for disjointness, soundness and coverage.  A
 part's frozen slots are evaluated like any other: freezing only renames
 the slots that have already been chosen.
+
+Every enumeration first compares the (p+1)^n canonical tuples with the
+constant ``DEFAULT_CAP`` and raises EnumerationCapExceeded, before any
+evaluation, when they pass it.
 """
 
 from __future__ import annotations
@@ -51,16 +55,16 @@ def proj_line_points(p: int):
     return [(1, 0)] + [(a, 1) for a in range(p)]
 
 
-def _check_cap(p: int, n: int, cap: int):
+def _check_cap(p: int, n: int):
     total = (p + 1) ** n
-    if total > cap:
+    if total > DEFAULT_CAP:
         raise EnumerationCapExceeded(
-            f"(p+1)^n = {total} exceeds the enumeration cap {cap}")
+            f"(p+1)^n = {total} exceeds the enumeration cap {DEFAULT_CAP}")
 
 
-def enumerate_proj_space(p: int, n: int, cap: int = DEFAULT_CAP) -> list:
+def enumerate_proj_space(p: int, n: int) -> list:
     """All canonical tuples, deterministic order, (p+1)^n of them."""
-    _check_cap(p, n, cap)
+    _check_cap(p, n)
     pts = proj_line_points(p)
     return [ProjTuple(coords) for coords in itertools.product(pts, repeat=n)]
 
@@ -84,22 +88,22 @@ def _check_characteristic(polys, p: int, what: str):
             raise ValueError(f"{what} over {f.field}, expected F_{p}")
 
 
-def variety_points(gens, p: int, n: int, cap: int = DEFAULT_CAP) -> list:
+def variety_points(gens, p: int, n: int) -> list:
     """Tuples on which every (pair-homogeneous) generator vanishes."""
     gens = list(gens)
     _check_characteristic(gens, p, "generators are")
     for g in gens:
         _check_pair_homogeneous(g, n)
-    return _members(gens, (), p, n, cap)
+    return _members(gens, (), p, n)
 
 
-def part_members(part: Part, p: int, n: int, cap: int = DEFAULT_CAP) -> list:
+def part_members(part: Part, p: int, n: int) -> list:
     """Tuples where every equality vanishes and every inequality does not."""
     _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
-    return _members(part.eq.generators, part.neq, p, n, cap)
+    return _members(part.eq.generators, part.neq, p, n)
 
 
-def _members(eq, neq, p: int, n: int, cap: int) -> list:
+def _members(eq, neq, p: int, n: int) -> list:
     """The canonical tuples satisfying the constraints, in
     ``enumerate_proj_space`` order."""
     def canonical(k, vals):
@@ -113,14 +117,13 @@ def _members(eq, neq, p: int, n: int, cap: int) -> list:
         found.append(tuple(vals[i + 1] * (vals[i] + 1)
                            for i in range(0, 2 * n, 2)))
 
-    _walk(eq, neq, p, n, cap, canonical, leaf=leaf)
+    _walk(eq, neq, p, n, canonical, leaf=leaf)
     found.sort()  # x_n varies slowest, as in enumerate_proj_space
     pts = proj_line_points(p)
     return [ProjTuple(tuple(pts[i] for i in idx)) for idx in found]
 
 
-def _walk(eq, neq, p: int, n: int, cap: int, candidates, *,
-          leaf=None, dead=None):
+def _walk(eq, neq, p: int, n: int, candidates, *, leaf=None, dead=None):
     """Walk the slot assignments where every ``eq`` vanishes and every
     ``neq`` does not.
 
@@ -132,7 +135,7 @@ def _walk(eq, neq, p: int, n: int, cap: int, candidates, *,
     ``dead(k, eqs, neqs, vals)`` sees that slot's constraints with
     y_1, ..., y_{k-1} still set.
     """
-    _check_cap(p, n, cap)
+    _check_cap(p, n)
     nslots = 2 * n
     tests = [([], []) for _ in range(nslots + 1)]  # by support level
     for f in (*eq, *neq):
@@ -194,18 +197,17 @@ class PartitionReport:
                 f"({self.tuples_scanned} tuples scanned)")
 
 
-def check_partition(tree: PartTree, gens, p: int, n: int,
-                    cap: int = DEFAULT_CAP) -> PartitionReport:
+def check_partition(tree: PartTree, gens, p: int, n: int) -> PartitionReport:
     """Cross-tabulate leaf members against the brute-force variety."""
     if tree.field.characteristic != p:
         raise ValueError(
             f"tree was computed in characteristic {tree.field.characteristic}, "
             f"cannot check against F_{p}")
-    variety = set(variety_points(gens, p, n, cap))
+    variety = set(variety_points(gens, p, n))
     coverage = {}
     unsound = []
     for part in leaf_parts(tree):
-        for t in part_members(part, p, n, cap):
+        for t in part_members(part, p, n):
             coverage.setdefault(t, []).append(part.id)
             if t not in variety:
                 unsound.append((part.id, t))
@@ -257,8 +259,7 @@ def check_extension(part: Part, p: int, n: int) -> list:
             prefix = tuple(vals[nslots - i] for i in range(1, k))
             counterexamples.append((k, prefix))
 
-    _walk(part.eq.generators, part.neq, p, n, DEFAULT_CAP, candidates,
-          dead=dead)
+    _walk(part.eq.generators, part.neq, p, n, candidates, dead=dead)
     return sorted(counterexamples)
 
 

@@ -331,24 +331,19 @@ def lead_split(f: Polynomial, first_frozen_pos: int):
     lex-greatest live monomial together with its full frozen coefficient
     polynomial.  A polynomial lying entirely in the frozen slots yields
     the trivial monomial and itself as coefficient.
+
+    The live slots come first, so the greatest live part is that of the
+    leading monomial: a term with a greater live part would be the lead.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no leading data")
-    nslots = f.nslots
-    zeros_tail = (0,) * (nslots - first_frozen_pos)
+    live = f.lead_monomial()[:first_frozen_pos]
     zeros_head = (0,) * first_frozen_pos
-    best = None
-    for mono in f.terms:
-        live = mono[:first_frozen_pos] + zeros_tail
-        if best is None or live > best:
-            best = live
-    coeff_terms = {}
-    field = f.field
-    for mono, c in f.terms.items():
-        if mono[:first_frozen_pos] + zeros_tail == best:
-            frozen = zeros_head + mono[first_frozen_pos:]
-            coeff_terms[frozen] = c
-    return best, Polynomial._raw(field, nslots, coeff_terms)
+    coeff_terms = {zeros_head + mono[first_frozen_pos:]: c
+                   for mono, c in f.terms.items()
+                   if mono[:first_frozen_pos] == live}
+    best = live + (0,) * (f.nslots - first_frozen_pos)
+    return best, Polynomial._raw(f.field, f.nslots, coeff_terms)
 
 
 def derivative(f: Polynomial, pos: int) -> Polynomial:

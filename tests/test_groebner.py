@@ -5,7 +5,7 @@ import pytest
 
 from p1parts.fields import GF, QQ, FieldError
 from p1parts.groebner import (
-    ExponentOverflowError, IdealBasis, buchberger, elimination_subbasis,
+    ExponentOverflowError, buchberger, elimination_subbasis,
     heuristic_radical, ideal_saturate, normal_form, principal_saturate,
     radical_membership,
 )
@@ -36,7 +36,7 @@ def spoly(f, g):
     return a * f - b * g
 
 
-def assert_is_reduced_gb(basis):
+def assert_reduced_basis(basis):
     gens = basis.generators
     for g in gens:
         assert g.lead_coeff() == g.field.one()
@@ -76,7 +76,7 @@ def test_buchberger_hyperbola_circle():
     B = buchberger([f, g])
     assert B.generators == (A("x_1^2-1"), A("x_2-x_1"))
     assert normal_form(f, B).is_zero() and normal_form(g, B).is_zero()
-    assert_is_reduced_gb(B)
+    assert_reduced_basis(B)
 
 
 def test_buchberger_single_generator():
@@ -153,7 +153,7 @@ def test_buchberger_is_canonical_and_order_independent():
             continue
         B = buchberger(gens)
         if not B.is_unit() and B.generators:
-            assert_is_reduced_gb(B)
+            assert_reduced_basis(B)
         for g in gens:
             assert normal_form(g, B).is_zero()
         for perm in itertools.permutations(gens):
@@ -173,9 +173,6 @@ def test_elimination_subbasis():
     unit = buchberger([A("1")])
     assert elimination_subbasis(unit, 1).generators == (A("1"),)
 
-    with pytest.raises(ValueError):
-        elimination_subbasis(IdealBasis((A("x_1"),), False), 1)
-
 
 def test_elimination_theorem_random():
     # low-block members of the ideal reduce to 0 against the sub-basis,
@@ -194,7 +191,7 @@ def test_elimination_theorem_random():
             sub = elimination_subbasis(B, j)
             if not sub.generators:
                 continue
-            assert_is_reduced_gb(sub)
+            assert_reduced_basis(sub)
             for _ in range(5):
                 f = Polynomial.zero(GF(5), 3)
                 for b in sub.generators:

@@ -172,7 +172,7 @@ def test_split_scan_leaf():
 
 def test_split_scan_certified_by_neq():
     # sole nonconstant lead coefficient z_2^2 is certified by neq {z_2}
-    eq = IdealBasis((P("z_2^2*y_3-1", 2),), True)
+    eq = IdealBasis((P("z_2^2*y_3-1", 2),))
     part = Part(0, -1, eq, (P("z_2", 2),), 2)
     assert split_scan(part) is None
 
@@ -198,9 +198,9 @@ def test_normalize_neq_empty_part():
     assert normalize_neq((P("z_2", 2),), eq) is None
 
 
-def test_normalize_neq_squarefree_and_sorted():
-    eq = IdealBasis((), True)
-    got = normalize_neq((P("z_2^2*z_4", 6), P("z_2", 6)), eq)
+def test_normalize_neq_sorts_by_scan_key():
+    eq = IdealBasis(())
+    got = normalize_neq((P("z_2*z_4", 6), P("z_2", 6)), eq)
     assert got == (P("z_2", 6), P("z_2*z_4", 6))
 
 

@@ -11,6 +11,11 @@ unit modulo the low equalities (the lemma in ``split_scan``'s
 docstring, checked directly by ``test_no_saturated_coefficient_is_a_unit``).
 So ``split_scan`` must return the reference finding on every part the
 engine builds.
+
+The same nodes also carry the invariants the engine relies on without
+re-establishing them: each ``eq`` is the reduced basis of its own
+generators, and each ``neq`` is monic, squarefree, nonconstant, pairwise
+distinct and sorted by the scan key.
 """
 
 import random
@@ -24,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from p1parts.fields import GF, QQ
 from p1parts.groebner import buchberger, elimination_subbasis
 from p1parts.multiproj import (
-    MaxNodesExceeded, Part, SplitFinding, partition_variety,
+    MaxNodesExceeded, Part, SplitFinding, _scan_key, partition_variety,
     reduced_lead_coefficient, split_scan,
 )
 from p1parts.parser import ProblemSpec, parse_problem
@@ -88,11 +93,21 @@ def tree_nodes(problem, radical):
         return exc.tree.nodes
 
 
+def assert_node_invariants(part):
+    assert buchberger(part.eq.generators) == part.eq
+    for q in part.neq:
+        assert not q.is_constant() and q.lead_coeff() == q.field.one()
+        assert squarefree_part(q) == q
+    assert len(set(part.neq)) == len(part.neq)
+    assert list(part.neq) == sorted(part.neq, key=_scan_key)
+
+
 def assert_scans_agree(problem, radical):
     nodes = tree_nodes(problem, radical)
     assert nodes
     for part in nodes:
         assert split_scan(part) == ref_split_scan(part), part.id
+        assert_node_invariants(part)
 
 
 DEMOS = sorted(path.name for path in DEMO_PROBLEMS.glob("*.txt"))
@@ -138,6 +153,7 @@ def test_random_scans_match_reference():
             nodes = tree_nodes(problem, radical)
             for part in nodes:
                 assert split_scan(part) == ref_split_scan(part), (seed, part.id)
+                assert_node_invariants(part)
             checked += bool(nodes)
     assert checked >= 150
 

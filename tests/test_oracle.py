@@ -17,6 +17,7 @@ from p1parts.poly import Polynomial, ProjLayout
 
 PL2 = ProjLayout(2)
 PL3 = ProjLayout(3)
+PL9 = ProjLayout(9)  # over F_5, (5+1)^9 canonical tuples exceed DEFAULT_CAP
 F3 = GF(3)
 F5 = GF(5)
 
@@ -33,8 +34,8 @@ def test_enumerate_proj_space():
     assert [t.coords[0] for t in pts] == [(1, 0), (0, 1), (1, 1), (2, 1)]
     assert len(enumerate_proj_space(5, 3)) == 216
     assert enumerate_proj_space(3, 0) == [ProjTuple(())]
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_proj_space(5, 3, cap=100)
+    with pytest.raises(EnumerationCapExceeded, match=str(6 ** 9)):
+        enumerate_proj_space(5, 9)
 
 
 def slot_values(t):
@@ -94,7 +95,7 @@ def part_from_texts(eq_texts, neq_texts, layout, field, level):
     """A part frozen at ``level``; inequalities name every slot z_k."""
     eq_layout = layout.at_level(level)
     neq_layout = layout.at_level(layout.nslots)
-    eq = IdealBasis(tuple(P(t, eq_layout, field) for t in eq_texts), True)
+    eq = IdealBasis(tuple(P(t, eq_layout, field) for t in eq_texts))
     neq = tuple(P(t, neq_layout, field) for t in neq_texts)
     return Part(0, -1, eq, neq, level)
 
@@ -119,7 +120,7 @@ def test_part_members_published_parts():
     assert part_members(unit, 5, 3) == []
 
 
-def test_check_partition_valid_and_induced_failures():
+def test_check_partition_valid_and_induced_failures(monkeypatch):
     prob = parse_problem(EXAMPLE5)
     tree = partition_variety(prob)
     gens = homogenized_generators(prob)
@@ -128,7 +129,9 @@ def test_check_partition_valid_and_induced_failures():
     assert report.variety_size == 41
     assert report.tuples_scanned == 216
     assert "partition valid: 216 tuples scanned" == report.summary()
-    assert check_partition(tree, gens, 5, 3, cap=216) == report
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 216)  # a cap of (p+1)^n passes
+    assert check_partition(tree, gens, 5, 3) == report
+    monkeypatch.undo()
 
     # delete one leaf: coverage breaks
     broken = type(tree)(list(tree.nodes), tree.layout, tree.field)
@@ -186,32 +189,33 @@ def no_evaluation(monkeypatch):
 
 
 def test_variety_points_cap(no_evaluation):
-    g = P("y_4*y_2-y_3*y_1", PL2, F5)
-    with pytest.raises(EnumerationCapExceeded, match="36"):
-        variety_points([g], 5, 2, cap=35)
+    g = P("y_4*y_2-y_3*y_1", PL9, F5)
+    with pytest.raises(EnumerationCapExceeded, match=str(6 ** 9)):
+        variety_points([g], 5, 9)
 
 
 def test_part_members_cap(no_evaluation):
-    part = part_from_texts(["y_6*y_4"], ["z_1"], PL3, F5, 0)
-    with pytest.raises(EnumerationCapExceeded, match="216"):
-        part_members(part, 5, 3, cap=215)
-    unit = part_from_texts(["1"], [], PL3, F5, 0)
+    part = part_from_texts(["y_6*y_4"], ["z_1"], PL9, F5, 0)
+    with pytest.raises(EnumerationCapExceeded, match=str(6 ** 9)):
+        part_members(part, 5, 9)
+    unit = part_from_texts(["1"], [], PL9, F5, 0)
     with pytest.raises(EnumerationCapExceeded):
-        part_members(unit, 5, 3, cap=215)
+        part_members(unit, 5, 9)
 
 
-def test_check_partition_cap(no_evaluation):
+def test_check_partition_cap(no_evaluation, monkeypatch):
     prob = parse_problem(EXAMPLE5)
     tree = partition_variety(prob)
     gens = homogenized_generators(prob)
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 215)  # one less than (p+1)^n
     with pytest.raises(EnumerationCapExceeded, match="216"):
-        check_partition(tree, gens, 5, 3, cap=215)
+        check_partition(tree, gens, 5, 3)
 
 
 def test_check_extension_cap(no_evaluation):
     # (5+1)^9 canonical tuples exceed the cap; only y_1 is constrained,
     # so without the cap the walk would cover 5^17 prefixes
-    loose = part_from_texts(["y_1"], [], ProjLayout(9), F5, 0)
+    loose = part_from_texts(["y_1"], [], PL9, F5, 0)
     with pytest.raises(EnumerationCapExceeded, match=str(6 ** 9)):
         check_extension(loose, 5, 9)
 

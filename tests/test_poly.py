@@ -91,6 +91,36 @@ def test_lead_split_level_zero_is_ordinary_lead():
         assert coeff == Polynomial.const(QQ, 6, f.lead_coeff())
 
 
+def ref_lead_split(f, first_frozen_pos):
+    """The two-pass definition: the greatest live part over all terms,
+    then the frozen parts of the terms that share it."""
+    zeros_tail = (0,) * (f.nslots - first_frozen_pos)
+    best = max(m[:first_frozen_pos] + zeros_tail for m in f.terms)
+    coeff = {(0,) * first_frozen_pos + m[first_frozen_pos:]: c
+             for m, c in f.terms.items()
+             if m[:first_frozen_pos] + zeros_tail == best}
+    return best, Polynomial(f.field, f.nslots, coeff)
+
+
+@st.composite
+def split_polynomials(draw):
+    """A nonzero polynomial over QQ or F_5 in 2 to 8 slots, and a cut."""
+    field = draw(st.sampled_from((QQ, GF(5))))
+    nslots = draw(st.integers(2, 8))
+    coeffs = st.integers(-3, 3) if field is QQ else st.integers(1, 4)
+    monos = st.tuples(*[st.integers(0, 2)] * nslots)
+    terms = draw(st.dictionaries(monos, coeffs.filter(bool), min_size=1,
+                                 max_size=6))
+    return Polynomial(field, nslots, terms), draw(st.integers(0, nslots))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(split_polynomials())
+def test_lead_split_matches_two_pass_definition(drawn):
+    f, cut = drawn
+    assert lead_split(f, cut) == ref_lead_split(f, cut)
+
+
 # -- gcd and squarefree parts ---------------------------------------------------
 
 def euclid_gcd_univariate(f, g):
