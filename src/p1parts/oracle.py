@@ -1,15 +1,19 @@
 """Brute-force finite-field ground truth for the partition machinery.
 
 Every question is answered by one depth-first walk over the slots, from
-y_1 up to y_{2n}: each constraint is evaluated as soon as its top slot
-is set, so a prefix that fails one is dropped with every assignment that
-extends it.  Variety points and part members walk the canonical
+y_1 up to y_{2n}: each constraint is tested as soon as its top slot is
+set, so a prefix that fails one is dropped with every assignment that
+extends it.  The walk compiles each constraint once, into its terms
+grouped by the exponent of its top slot.  Once the lower slots are set,
+it specializes each constraint of the next slot, once per prefix, to its
+univariate fibre in that slot, and tests every candidate value on the
+fibres alone.  Variety points and part members walk the canonical
 representatives (y_{2j-1} in {0, 1}, and y_{2j} = 1 after a 0); the
 stepwise extension check walks all of F_p at every slot and examines
-each prefix that no value extends.  On these walks the oracle also
-cross-checks a part tree for disjointness, soundness and coverage.  A
-part's frozen slots are evaluated like any other: freezing only renames
-the slots that have already been chosen.
+each prefix that no value extends, on the same fibres.  On these walks
+the oracle also cross-checks a part tree for disjointness, soundness and
+coverage.  A part's frozen slots are evaluated like any other: freezing
+only renames the slots that have already been chosen.
 
 Every enumeration first compares the (p+1)^n canonical tuples with the
 constant ``DEFAULT_CAP`` and raises EnumerationCapExceeded, before any
@@ -21,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
+from .fields import GF
 from .groebner import principal_saturate
 from .multiproj import Part, PartTree, leaf_parts
 from .poly import Polynomial, poly_gcd, support_level
@@ -128,32 +133,32 @@ def _walk(eq, neq, p: int, n: int, candidates, *, leaf=None, dead=None):
     ``neq`` does not.
 
     Sets y_1, ..., y_{2n} in turn, y_k to each value of
-    ``candidates(k, vals)``, and tests the constraints whose top slot is
-    y_k as soon as it is set; a failing prefix is never extended.  In
-    ``vals`` position 2n - i holds y_i.  Each full assignment goes to
-    ``leaf(vals)``.  When no candidate survives at slot k,
-    ``dead(k, eqs, neqs, vals)`` sees that slot's constraints with
-    y_1, ..., y_{k-1} still set.
+    ``candidates(k, vals)``; a failing prefix is never extended.  In
+    ``vals`` position 2n - i holds y_i.  Each constraint is compiled once,
+    by ``_compile``, into its terms grouped by the exponent of its top
+    slot.  Once y_1, ..., y_{k-1} are set, each constraint whose top slot
+    is y_k is specialized, once per prefix, to its univariate fibre in
+    y_k, and every candidate is tested on the fibres alone.  Each full
+    assignment goes to ``leaf(vals)``.  When no candidate survives at
+    slot k, ``dead(k, eqs, neqs, vals)`` sees the same fibres, as
+    polynomials in y_k, with y_1, ..., y_{k-1} still set in ``vals``.
     """
     _check_cap(p, n)
     nslots = 2 * n
-    tests = [([], []) for _ in range(nslots + 1)]  # by support level
     for f in (*eq, *neq):
         if f.nslots != nslots:
             raise ValueError(
                 f"constraint has {f.nslots} slots, expected {nslots}")
-    for g in eq:
-        tests[support_level(g)][0].append(g)
-    for q in neq:
-        tests[support_level(q)][1].append(q)
+    if any(g.is_constant() and not g.is_zero() for g in eq) or \
+            any(q.is_zero() for q in neq):
+        return  # a constant fails for every assignment
+    tests = [([], []) for _ in range(nslots + 1)]  # by support level
+    for bucket, constraints in enumerate((eq, neq)):
+        for f in constraints:
+            k = support_level(f)
+            if k:  # the other constants hold for every assignment
+                tests[k][bucket].append(_compile(f, nslots - k))
     vals = [0] * nslots
-
-    def holds(eqs, neqs):
-        return all(g.evaluate(vals) == 0 for g in eqs) and \
-            all(q.evaluate(vals) != 0 for q in neqs)
-
-    if not holds(*tests[0]):
-        return
 
     def extend(k):  # y_1, ..., y_{k-1} are set
         if k > nslots:
@@ -162,16 +167,72 @@ def _walk(eq, neq, p: int, n: int, candidates, *, leaf=None, dead=None):
             return
         pos = nslots - k
         eqs, neqs = tests[k]
+        values = candidates(k, vals)
+        eq_fibres = [_specialize(f, vals, p) for f in eqs]
+        neq_fibres = [_specialize(f, vals, p) for f in neqs]
         alive = False
-        for a in candidates(k, vals):
-            vals[pos] = a
-            if holds(eqs, neqs):
+        for a in values:
+            if _holds(eq_fibres, neq_fibres, a, p):
                 alive = True
+                vals[pos] = a
                 extend(k + 1)
         if not alive and dead is not None:
-            dead(k, eqs, neqs, vals)
+            field = GF(p)
+            dead(k, [_as_polynomial(f, field, nslots, pos) for f in eq_fibres],
+                 [_as_polynomial(f, field, nslots, pos) for f in neq_fibres],
+                 vals)
 
     extend(1)
+
+
+def _compile(f: Polynomial, pos: int):
+    """f's terms grouped by the exponent e of slot ``pos``: pairs
+    (e, ((c, ((i, exp), ...)), ...)) over the other slots."""
+    by_exp = {}
+    for mono, c in f.terms.items():
+        by_exp.setdefault(mono[pos], []).append(
+            (c, tuple((i, e) for i, e in enumerate(mono) if e and i != pos)))
+    return tuple((e, tuple(terms)) for e, terms in by_exp.items())
+
+
+def _specialize(compiled, vals, p: int):
+    """The univariate fibre of a compiled constraint at the slot values
+    ``vals``: its nonzero coefficients, as pairs (e, c)."""
+    fibre = []
+    for e, terms in compiled:
+        acc = 0
+        for c, factors in terms:
+            for i, exp in factors:
+                c *= vals[i] ** exp
+            acc += c
+        acc %= p
+        if acc:
+            fibre.append((e, acc))
+    return fibre
+
+
+def _holds(eq_fibres, neq_fibres, a, p: int) -> bool:
+    """Whether every equality fibre vanishes at a and no inequality
+    fibre does."""
+    for fibre in eq_fibres:
+        v = 0
+        for e, c in fibre:
+            v += c * a ** e
+        if v % p:
+            return False
+    for fibre in neq_fibres:
+        v = 0
+        for e, c in fibre:
+            v += c * a ** e
+        if not v % p:
+            return False
+    return True
+
+
+def _as_polynomial(fibre, field, nslots: int, pos: int) -> Polynomial:
+    """A fibre as a polynomial in slot ``pos``."""
+    return Polynomial._raw(field, nslots, {
+        (0,) * pos + (e,) + (0,) * (nslots - pos - 1): c for e, c in fibre})
 
 
 @dataclass
@@ -253,29 +314,12 @@ def check_extension(part: Part, p: int, n: int) -> list:
         return values
 
     def dead(k, eqs, neqs, vals):
-        pos = nslots - k
-        if not _extends_into_closure([_fibre(g, vals, pos) for g in eqs],
-                                     [_fibre(q, vals, pos) for q in neqs]):
+        if not _extends_into_closure(eqs, neqs):
             prefix = tuple(vals[nslots - i] for i in range(1, k))
             counterexamples.append((k, prefix))
 
     _walk(part.eq.generators, part.neq, p, n, candidates, dead=dead)
     return sorted(counterexamples)
-
-
-def _fibre(g: Polynomial, vals, pos: int) -> Polynomial:
-    """g as a polynomial in slot ``pos`` alone, every other slot set to
-    its value in ``vals``."""
-    field = g.field
-    p = field.characteristic
-    terms = []
-    for mono, c in g.terms.items():
-        for i, e in enumerate(mono):
-            if e and i != pos:
-                c = field.mul(c, pow(vals[i], e, p))
-        e = mono[pos]
-        terms.append(((0,) * pos + (e,) + (0,) * (g.nslots - pos - 1), c))
-    return Polynomial(field, g.nslots, terms)
 
 
 def _extends_into_closure(equations, exclusions):

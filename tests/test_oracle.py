@@ -183,9 +183,13 @@ def test_check_extension_rejects_wrong_prime():
 
 @pytest.fixture
 def no_evaluation(monkeypatch):
-    def evaluate(self, values):
+    """Any evaluation, or any compiling or specializing of a constraint
+    for the walk, fails the test."""
+    def evaluated(*args):
         raise AssertionError("evaluated before the cap check")
-    monkeypatch.setattr(Polynomial, "evaluate", evaluate)
+    monkeypatch.setattr(Polynomial, "evaluate", evaluated)
+    monkeypatch.setattr(oracle, "_compile", evaluated)
+    monkeypatch.setattr(oracle, "_specialize", evaluated)
 
 
 def test_variety_points_cap(no_evaluation):

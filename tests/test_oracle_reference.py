@@ -8,7 +8,10 @@ order.  ``ref_check_extension`` is the earlier stepwise extension check,
 a level-by-level breadth-first search that substitutes each dead prefix
 into the next slot's constraints; ``check_extension`` must report the
 same counterexamples wherever no constraint is constant (the reference
-never tested the constant ones).
+never tested the constant ones).  ``ref_fibre`` is the walk's earlier
+fibre, built as a polynomial straight from the slot values; the walk's
+compiled constraints must specialize to the same fibre and agree with
+``Polynomial.evaluate`` at every value of the fibre's slot.
 """
 
 from pathlib import Path
@@ -22,8 +25,8 @@ from p1parts.multiproj import (
     Part, homogenized_generators, leaf_parts, partition_variety,
 )
 from p1parts.oracle import (
-    _check_characteristic, check_extension, enumerate_proj_space, part_members,
-    variety_points,
+    _as_polynomial, _check_characteristic, _compile, _holds, _specialize,
+    check_extension, enumerate_proj_space, part_members, variety_points,
 )
 from p1parts.parser import parse_problem
 from p1parts.poly import Polynomial, poly_gcd, support_level
@@ -180,6 +183,21 @@ def ref_extends_into_closure(eqs, neqs, t, level):
     return not g.is_constant()
 
 
+def ref_fibre(g: Polynomial, vals, pos: int) -> Polynomial:
+    """g as a polynomial in slot ``pos`` alone, every other slot set to
+    its value in ``vals``."""
+    field = g.field
+    p = field.characteristic
+    terms = []
+    for mono, c in g.terms.items():
+        for i, e in enumerate(mono):
+            if e and i != pos:
+                c = field.mul(c, pow(vals[i], e, p))
+        e = mono[pos]
+        terms.append(((0,) * pos + (e,) + (0,) * (g.nslots - pos - 1), c))
+    return Polynomial(field, g.nslots, terms)
+
+
 # -- strategies ----------------------------------------------------------------
 
 PRIMES = (2, 3, 5)
@@ -229,9 +247,36 @@ def parts(draw, nonconstant=False):
     return p, n, Part(0, -1, IdealBasis(tuple(eq)), tuple(neq), level)
 
 
+@st.composite
+def fibre_cases(draw):
+    """A constraint, one of its slots and values for all the others."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nslots = draw(st.integers(2, 6))
+    f = draw(constraints(GF(p), nslots, max_terms=4, max_degree=5))
+    pos = draw(st.integers(0, nslots - 1))
+    vals = draw(st.lists(st.integers(0, p - 1),
+                         min_size=nslots, max_size=nslots))
+    return p, f, pos, vals
+
+
 # -- properties ----------------------------------------------------------------
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fibre_cases())
+def test_fibre_matches_evaluation(case):
+    p, f, pos, vals = case
+    fibre = _specialize(_compile(f, pos), vals, p)
+    poly = _as_polynomial(fibre, f.field, f.nslots, pos)
+    assert poly == ref_fibre(f, vals, pos)
+    for a in range(p):
+        point = vals[:pos] + [a] + vals[pos + 1:]
+        value = f.evaluate(point)
+        assert poly.evaluate(point) == value
+        assert _holds([fibre], [], a, p) == (value == 0)
+        assert _holds([], [fibre], a, p) == (value != 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(parts())
 def test_part_members_matches_reference(drawn):
     p, n, part = drawn
@@ -245,7 +290,7 @@ def test_check_extension_matches_reference(drawn):
     assert check_extension(part, p, n) == ref_check_extension(part, p, n)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.data())
 def test_variety_points_matches_reference(data):
     p = data.draw(st.sampled_from(PRIMES))
