@@ -3,8 +3,9 @@
 Buchberger's algorithm with the coprime-lcm and chain criteria and
 normal (smallest-lcm) pair selection, always returning the unique
 minimal reduced basis, monic, sorted by increasing leading monomial.
-Saturation and radical membership both ride on one mechanism: adjoin a
-fresh top slot t, add 1 - t*f, eliminate.
+Saturation, radical membership and the lcm behind ``poly_gcd`` ride on
+one mechanism: adjoin a fresh top slot t and eliminate it, from
+I + <1 - t*f> for the first two and from <t*f, (1-t)*g> for the lcm.
 
 An ``IdealBasis`` is always such a reduced basis: only ``buchberger``,
 ``_extend``, ``elimination_subbasis`` and ``ideal_saturate`` make one.
@@ -357,6 +358,16 @@ def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
     ext = _rabinowitsch_basis(basis_or_gens, f)
     kept = tuple(_strip_top(g) for g in ext.generators if g.degree_in(0) == 0)
     return IdealBasis(kept)
+
+
+def _poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Monic lcm of nonzero f and g: the generator of <f> ∩ <g>, which is
+    <t*f, (1-t)*g> with a fresh top slot t eliminated."""
+    t = Polynomial.var(f.field, f.nslots + 1, 0)
+    one = Polynomial.const(f.field, f.nslots + 1, 1)
+    basis = buchberger((t * _extend_top(f), (one - t) * _extend_top(g)))
+    lcm, = (h for h in basis.generators if h.degree_in(0) == 0)
+    return _strip_top(lcm)
 
 
 def principal_saturate(f: Polynomial, q: Polynomial) -> Polynomial:

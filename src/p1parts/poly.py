@@ -4,11 +4,11 @@ Monomials are exponent tuples indexed by variable slot, slot 0 being the
 lex-greatest variable, so plain tuple comparison is exactly the lex order.
 Polynomials are immutable term maps; all operations are pure functions.
 
-The gcd is a primitive polynomial remainder sequence with content
-extraction, recursing on one variable at a time.  No factorization into
-irreducibles happens anywhere; squarefree parts come from gcds with
-partial derivatives (with exact p-th powers handled by exponent division
-in characteristic p).
+The gcd is Euclid's on dense coefficient lists in one slot, and f*g
+divided by the lcm otherwise, with the lcm taken from the Groebner core.
+No factorization into irreducibles happens anywhere; squarefree parts
+come from gcds with partial derivatives (with exact p-th powers handled
+by exponent division in characteristic p).
 """
 
 from __future__ import annotations
@@ -395,71 +395,6 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._raw(field, f.nslots, quot)
 
 
-def _coeffs_in(f: Polynomial, pos: int):
-    """Split f by the exponent of one slot: degree -> coefficient poly."""
-    field = f.field
-    buckets = {}
-    for mono, c in f.terms.items():
-        e = mono[pos]
-        stripped = mono[:pos] + (0,) + mono[pos + 1:]
-        buckets.setdefault(e, {})[stripped] = c
-    return {e: Polynomial._raw(field, f.nslots, t) for e, t in buckets.items()}
-
-
-def _content_in(f: Polynomial, pos: int) -> Polynomial:
-    parts = _coeffs_in(f, pos)
-    g = Polynomial.zero(f.field, f.nslots)
-    for e in sorted(parts):
-        g = poly_gcd(g, parts[e])
-        if g.is_constant() and not g.is_zero():
-            break
-    return g
-
-
-def _pseudo_rem(f: Polynomial, g: Polynomial, pos: int) -> Polynomial:
-    """Pseudo-remainder of f by g viewed as univariate in one slot."""
-    dg = g.degree_in(pos)
-    lc_g = _coeffs_in(g, pos)[dg]
-    df = f.degree_in(pos)
-    while not f.is_zero() and df >= dg:
-        lc_f = _coeffs_in(f, pos)[df]
-        shift = Polynomial.var(f.field, f.nslots, pos, exp=df - dg) \
-            if df > dg else Polynomial.const(f.field, f.nslots, 1)
-        f = lc_g * f - shift * lc_f * g
-        df = f.degree_in(pos)
-    return f
-
-
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic gcd by primitive remainder sequences, one variable at a time."""
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    f._check(g)
-    one = Polynomial.const(f.field, f.nslots, 1)
-    if f.is_constant() or g.is_constant():
-        return one
-    pos = min(min(f.occurring_slots()), min(g.occurring_slots()))
-    if f.degree_in(pos) == 0:
-        return poly_gcd(f, _content_in(g, pos))
-    if g.degree_in(pos) == 0:
-        return poly_gcd(_content_in(f, pos), g)
-    cf = _content_in(f, pos)
-    cg = _content_in(g, pos)
-    c = poly_gcd(cf, cg)
-    a = exact_div(f, cf)
-    b = exact_div(g, cg)
-    if a.degree_in(pos) < b.degree_in(pos):
-        a, b = b, a
-    while not b.is_zero():
-        r = _pseudo_rem(a, b, pos)
-        if not r.is_zero():
-            r = exact_div(r, _content_in(r, pos))
-        a, b = b, r
-    return (c * a).monic()
-
-
 def _pth_root(f: Polynomial, p: int) -> Polynomial:
     # Over F_p every coefficient is its own p-th root (Frobenius fixes F_p).
     terms = {tuple(e // p for e in m): c for m, c in f.terms.items()}
@@ -486,18 +421,45 @@ def _dense_rem(a: list, b: list, p: int) -> list:
     return a
 
 
-def _coprime_to_derivative(f: Polynomial, pos: int) -> bool:
-    """gcd(f, f') = 1 for f nonconstant in the one slot pos, by dense Euclid."""
-    p = f.field.characteristic
+def _dense(f: Polynomial, pos: int) -> list:
+    """Coefficient list of f in the one slot pos, lowest degree first."""
     a = [0] * (f.degree_in(pos) + 1)
     for mono, c in f.terms.items():
         a[mono[pos]] = c
-    b = [i * c % p if p else i * c for i, c in enumerate(a)][1:]
-    while b and not b[-1]:
-        b.pop()
-    while b:
-        a, b = b, _dense_rem(a, b, p)
-    return len(a) == 1
+    return a
+
+
+def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Monic gcd.
+
+    Inputs that share no slot are coprime, since every factor of a
+    polynomial lies in its own slots.  In one slot the gcd is Euclid's
+    on dense coefficient lists.  Otherwise it is f*g divided by their
+    lcm, the generator of <f> ∩ <g>, which the Groebner core reads off
+    <t*f, (1-t)*g> by eliminating a fresh slot t (Cox, Little & O'Shea,
+    ch. 4 section 3).
+    """
+    if f.is_zero():
+        return g.monic()
+    if g.is_zero():
+        return f.monic()
+    f._check(g)
+    slots = f.occurring_slots()
+    if not slots & g.occurring_slots():
+        return Polynomial.const(f.field, f.nslots, 1)
+    slots |= g.occurring_slots()
+    if len(slots) == 1:
+        pos, = slots
+        p = f.field.characteristic
+        a, b = _dense(f, pos), _dense(g, pos)
+        while b:
+            a, b = b, _dense_rem(a, b, p)
+        return Polynomial(f.field, f.nslots, {
+            tuple(e if i == pos else 0 for i in range(f.nslots)): c
+            for e, c in enumerate(a)}).monic()
+    # imported here because groebner imports this module
+    from .groebner import _poly_lcm
+    return exact_div(f * g, _poly_lcm(f, g)).monic()
 
 
 def squarefree_part(f: Polynomial) -> Polynomial:
@@ -506,9 +468,8 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     Computed from gcds of f with its partial derivatives; in positive
     characteristic exact p-th powers are peeled off by exponent division
     first, and factors whose multiplicity the derivatives miss are
-    recovered recursively.  A polynomial in one slot is first tested with
-    a dense-coefficient Euclid: coprime to its derivative, it is its own
-    squarefree part, and only otherwise do the multivariate gcds run.
+    recovered recursively.  A polynomial in one slot only ever meets the
+    dense univariate Euclid of ``poly_gcd``.
     """
     if f.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
@@ -521,11 +482,8 @@ def squarefree_part(f: Polynomial) -> Polynomial:
             f = _pth_root(f, p)
         if f.is_constant():
             return f
-    slots = f.occurring_slots()
-    if len(slots) == 1 and _coprime_to_derivative(f, min(slots)):
-        return f
     g = f
-    for pos in sorted(slots):
+    for pos in sorted(f.occurring_slots()):
         d = derivative(f, pos)
         if not d.is_zero():
             g = poly_gcd(g, d)

@@ -3,12 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p1parts import groebner
 from p1parts.fields import GF, QQ, FieldError
 from p1parts.poly import (
-    Layout, Polynomial, ProjLayout, _pth_root, derivative, exact_div, lead_split,
+    Layout, Polynomial, ProjLayout, derivative, exact_div, lead_split,
     poly_gcd, squarefree_part, to_canonical_text,
 )
 from p1parts.parser import parse_polynomial
+
+from test_poly_reference import ref_squarefree_part
 
 L3 = ProjLayout(3)
 L1 = ProjLayout(1)
@@ -176,6 +179,34 @@ def test_gcd_common_factor():
         assert qa * d == f * h
 
 
+def test_gcd_of_a_remainder_sequence_runaway():
+    # the remainder-sequence gcd had not finished on this pair after 90 s
+    ax = Layout.affine(3)
+    f = parse_polynomial(
+        "3*x_3^4*x_2+7/2*x_3^3*x_2*x_1-3*x_3^3*x_1+13/2*x_3^2*x_2^3"
+        "+2*x_3^2*x_2^2*x_1^2-5/3*x_3^2*x_2^2+x_3^2*x_2*x_1^2-2*x_3^2*x_1^2"
+        "+x_3^2*x_1+4*x_3*x_2^3*x_1+x_3*x_2^2*x_1^3-17/6*x_3*x_2^2*x_1"
+        "-2*x_3*x_2*x_1^3+5/3*x_3*x_2*x_1+2/3*x_3*x_1^2+3*x_2^5+3*x_2^4*x_1^2"
+        "-5/2*x_2^4+2/3*x_2^2*x_1+2/3*x_2*x_1^3-5/9*x_2*x_1", ax, QQ)
+    g = parse_polynomial(
+        "-1/2*x_3^4*x_2*x_1-5*x_3^3*x_2^2*x_1-1/4*x_3^3*x_2*x_1^2"
+        "+1/2*x_3^3*x_1^2-3/4*x_3^2*x_2^3*x_1-5/2*x_3^2*x_2^2*x_1^2"
+        "+5*x_3^2*x_2*x_1^2+1/3*x_3^2*x_2-1/6*x_3^2*x_1^2-15/2*x_3*x_2^4*x_1"
+        "-5/3*x_3*x_2*x_1^2+1/6*x_3*x_2*x_1-1/3*x_3*x_1+1/2*x_2^3+1/9*x_1",
+        ax, QQ)
+    assert poly_gcd(f, g) == parse_polynomial(
+        "x_3^2*x_2+1/2*x_3*x_2*x_1-x_3*x_1+3/2*x_2^3+1/3*x_1", ax, QQ)
+
+
+def test_gcd_of_disjoint_slots_needs_no_lcm(monkeypatch):
+    def no_lcm(f, g):
+        raise AssertionError("inputs without a common slot reached the lcm")
+
+    monkeypatch.setattr(groebner, "_poly_lcm", no_lcm)
+    assert poly_gcd(P("y_6^2*y_5+y_5"), P("y_3*y_1-y_2^2")) == P("1")
+    assert poly_gcd(P("y_6*y_4+y_5"), P("y_2*y_1+1")) == P("1")
+
+
 def test_squarefree_part():
     assert squarefree_part(P("z_2^2", 2)) == P("z_2", 2)
     # derived: gcd(y_1^2-2y_1+1, 2y_1-2) = y_1-1
@@ -221,31 +252,6 @@ def test_squarefree_properties():
         assert g.is_constant()
 
 
-def ref_squarefree_part(f):
-    """``squarefree_part`` by the multivariate gcds alone, without the
-    dense univariate test: the reference for that test."""
-    f = f.monic()
-    if f.is_constant():
-        return f
-    p = f.field.characteristic
-    if p:
-        while all(e % p == 0 for mono in f.terms for e in mono):
-            f = _pth_root(f, p)
-        if f.is_constant():
-            return f
-    g = f
-    for pos in sorted(f.occurring_slots()):
-        d = derivative(f, pos)
-        if not d.is_zero():
-            g = poly_gcd(g, d)
-            if g.is_constant():
-                return f
-    w = exact_div(f, g).monic()
-    s = ref_squarefree_part(g)
-    extra = exact_div(s, poly_gcd(s, w))
-    return (w * extra).monic()
-
-
 @st.composite
 def univariates(draw):
     """A polynomial of degree at most 12 in one of one to three slots.
@@ -289,6 +295,8 @@ def univariates(draw):
     return f ** power if shape == "p-th power" else f
 
 
+# The reference takes the remainder-sequence gcd wherever its dense test
+# finds a repeated factor; the engine stays on the dense Euclid.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(univariates())
 def test_squarefree_univariate_matches_gcd_path(f):
