@@ -19,7 +19,7 @@ from p1parts import groebner, multiproj, poly
 from p1parts.multiproj import partition_variety
 from p1parts.parser import parse_problem
 from p1parts.poly import (
-    Polynomial, _dense_rem, _pth_root, derivative, exact_div, poly_gcd,
+    Polynomial, _pth_root, derivative, exact_div, poly_gcd,
     squarefree_part,
 )
 
@@ -93,6 +93,26 @@ def ref_poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
             r = exact_div(r, _content_in(r, pos))
         a, b = b, r
     return (c * a).monic()
+
+
+def _dense_rem(a: list, b: list, p: int) -> list:
+    """Remainder of dense coefficient lists, lowest degree first.
+
+    A copy of the engine's helper, so that no reference result rests on
+    the code it is compared with.
+    """
+    a = a[:]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p) if p else 1 / b[-1]
+    while len(a) > db:
+        q = a.pop() * inv
+        shift = len(a) - db
+        for i in range(db):
+            v = a[shift + i] - q * b[i]
+            a[shift + i] = v % p if p else v
+        while a and not a[-1]:
+            a.pop()
+    return a
 
 
 def _coprime_to_derivative(f: Polynomial, pos: int) -> bool:
