@@ -1,33 +1,20 @@
 """Lex Groebner bases and the ideal operations built on them.
 
-Buchberger's algorithm with the coprime-lcm and chain criteria and
-normal (smallest-lcm) pair selection, always returning the unique
-minimal reduced basis, monic, sorted by increasing leading monomial.
-Saturation, radical membership and the lcm behind ``poly_gcd`` ride on
-one mechanism: adjoin a fresh top slot t and eliminate it, from
-I + <1 - t*f> for the first two and from <t*f, (1-t)*g> for the lcm.
+Buchberger's algorithm with normal (smallest-lcm) pair selection, always
+returning the unique minimal reduced basis, monic, sorted by increasing
+leading monomial.  Saturation, radical membership and the lcm behind
+``poly_gcd`` ride on one mechanism: adjoin a fresh top slot t and
+eliminate it, from I + <1 - t*f> for the first two and from
+<t*f, (1-t)*g> for the lcm.
 
 An ``IdealBasis`` is always such a reduced basis: only ``buchberger``,
 ``_extend``, ``elimination_subbasis`` and ``ideal_saturate`` make one.
 Most bases the engine needs extend one by a single polynomial: a
-child's equality J, the Rabinowitsch element 1 - t*f (a reduced basis
-stays reduced with t adjoined), a squarefree eliminant of the closure.
-Every S-pair inside a reduced basis reduces to zero, so ``_extend``
-queues only the pairs that involve a new element and marks the old ones
-treated, which keeps them available to the chain criterion (the
-installation of Gebauer & Moeller 1988).  ``buchberger`` extends the
-empty basis.
-
-An extension also pays only for what the new polynomials change.  The
-old elements are packed as they are (monic and distinct already); only
-the new ones are made monic and de-duplicated, and one equal to an old
-element is dropped.  The final pass leaves an old element alone when its
-lead survives minimalization and no surviving new leading monomial
-divides a term of its tail: the old leads never divide old tails, and a
-new lead larger than the element's own cannot divide anything below it.
-Such an element is already in the reduced basis and is returned as the
-same object; only the old elements a new lead touches, and the new
-elements, are reduced and unpacked.
+child's equality J, the Rabinowitsch element 1 - t*f, a squarefree
+eliminant of the closure.  Every S-pair inside a reduced basis reduces
+to zero, so its elements start as the active set with no pairs queued,
+and each new element enters through the pair installation of Gebauer &
+Moeller (1988).  ``buchberger`` extends the empty basis.
 
 The core works on packed monomials (Monagan & Pearce 2007): each
 exponent tuple becomes one int with 16 bits per slot, slot 0 in the
@@ -36,28 +23,27 @@ Lex order is then int order and multiplying monomials is adding ints.
 Divisibility is one masked subtraction: a divides b exactly when
 ``((b | guard) - a) & guard == guard``, because a field keeps its guard
 bit only where b's exponent is at least a's.  An exponent that reaches
-2^15 raises ExponentOverflowError rather than wrap.  Packing is local to
-a call: a basis computation packs its input once and unpacks only the
-final basis, ``normal_form`` packs its arguments each time.
+2^15 raises ExponentOverflowError rather than wrap.  A basis keeps its
+elements packed, so the core packs only new polynomials.  An empty top
+slot leaves a packed int unchanged, so 1 - t*f goes straight onto the
+packed elements of I, and the t-free elements, a prefix in lead order,
+are the saturation.
 
-Division picks the largest remaining term off a max-heap and reduces it
-by the first generator, in increasing leading-monomial order, whose
-leading monomial divides it.  The minimal basis becomes the reduced one
-in a single pass in increasing lead order: no later leading monomial can
-divide a term of an earlier element, so reducing each element by the
-already-reduced smaller ones is enough.
+Division reduces the largest remaining term, taken off a max-heap, by
+the first element, in increasing lead order, whose lead divides it.  No
+later lead divides a term of an earlier element, so one pass in
+increasing lead order makes the minimal basis reduced.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from bisect import insort
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
-from .poly import (
-    Polynomial, exact_div, poly_gcd, squarefree_part, support_level,
-)
+from .poly import Polynomial, exact_div, poly_gcd, squarefree_part
 
 _EXPONENT_LIMIT = 1 << 15  # the top bit of each 16-bit slot is the guard
 
@@ -73,9 +59,14 @@ def _overflow():
 
 @dataclass(frozen=True)
 class IdealBasis:
-    """A reduced lex Groebner basis: monic, sorted by increasing lead."""
+    """A reduced lex Groebner basis: monic, sorted by increasing lead.
+
+    ``heads`` are the generators as packed ``_monic_head`` pairs, filled
+    by the core or, for a basis made from generators alone, by ``_heads``.
+    """
 
     generators: tuple
+    heads: tuple = dc_field(default=None, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.generators)
@@ -93,12 +84,13 @@ class IdealBasis:
 class _Packing:
     """Conversion between exponent tuples and packed ints for one slot count."""
 
-    __slots__ = ("nslots", "guard", "_struct")
+    __slots__ = ("nslots", "guard", "top", "_struct")
 
     def __init__(self, nslots: int):
         self.nslots = nslots
         self._struct = struct.Struct(f">{nslots}H")
         self.guard = int.from_bytes(b"\x80\x00" * nslots, "big")
+        self.top = 1 << 16 * nslots  # a fresh slot above all others
 
     def pack(self, terms) -> dict:
         """Packed copy of a tuple-keyed term map."""
@@ -122,18 +114,26 @@ class _Packing:
 def _monic_head(terms: dict, field):
     """(lead, tail) of a packed term map (consumed) made monic.
 
-    The tail is a list of (monomial, coefficient) pairs without the lead.
+    The tail is a tuple of (monomial, coefficient) pairs without the lead.
     """
     lead = max(terms)
     lc = terms.pop(lead)
     if lc == field.one():
-        return lead, list(terms.items())
+        return lead, tuple(terms.items())
     inv = field.inv(lc)
-    return lead, [(m, field.mul(c, inv)) for m, c in terms.items()]
+    return lead, tuple((m, field.mul(c, inv)) for m, c in terms.items())
 
 
-def _lead_key(head):
-    return head[0]
+def _heads(basis: IdealBasis) -> tuple:
+    if basis.heads is None:  # a basis made from its generators alone
+        gens = basis.generators
+        packing = _Packing(gens[0].nslots) if gens else None
+        object.__setattr__(basis, "heads", tuple(
+            _monic_head(packing.pack(g.terms), g.field) for g in gens))
+    return basis.heads
+
+
+_lead_key = itemgetter(0)  # of a (lead, tail) head
 
 
 def _lcm(a: int, b: int, guard: int) -> int:
@@ -214,6 +214,102 @@ def _unit_basis(template: Polynomial) -> IdealBasis:
     return IdealBasis((one,))
 
 
+def _install(G: list, k: int, active: list, pairs: list, guard: int):
+    """Gebauer & Moeller's update for the new element G[k].
+
+    A queued pair goes when G[k]'s lead divides its lcm strictly on both
+    sides.  Of the new pairs, one goes when a smaller one's lcm divides
+    its lcm, one is kept per lcm, and an lcm shared with a pair of coprime
+    leads goes whole.  An element whose lead G[k]'s divides forms no more
+    pairs.
+    """
+    h = G[k][0]
+    kept = [q for q in pairs if ((q[0] | guard) - h) & guard != guard
+            or _lcm(G[q[1]][0], h, guard) == q[0] or _lcm(G[q[2]][0], h, guard) == q[0]]
+    if len(kept) < len(pairs):
+        heapq.heapify(kept)
+        pairs[:] = kept
+    classes, minimal = {}, []  # a divisor of an lcm comes before it
+    for lcm, i in sorted((_lcm(G[i][0], h, guard), i) for i in active):
+        if lcm not in classes:
+            classes[lcm] = None
+            lg = lcm | guard
+            for m in minimal:
+                if (lg - m) & guard == guard:
+                    break
+            else:
+                minimal.append(lcm)
+                classes[lcm] = (lcm, i, k)
+        if G[i][0] + h == lcm:
+            classes[lcm] = None
+    for q in filter(None, classes.values()):
+        heapq.heappush(pairs, q)
+    active[:] = [i for i in active if ((G[i][0] | guard) - h) & guard != guard]
+    active.append(k)
+
+
+def _close(G: list, nold: int, field, guard: int):
+    """All heads of a Groebner basis of G, by increasing lead, or None for 1.
+
+    G (heads, the first ``nold`` a reduced basis) gains the remainders.
+    """
+    if any(lead == 0 for lead, _ in G):
+        return None
+    p = field.characteristic
+    heads = sorted(G, key=_lead_key)  # stable: an old element comes first
+    active, pairs = list(range(nold)), []
+    for k in range(nold, len(G)):
+        _install(G, k, active, pairs, guard)
+    while pairs:  # smallest lcm first (normal strategy)
+        lcm, i, j = heapq.heappop(pairs)
+        (lead_i, tail_i), (lead_j, tail_j) = G[i], G[j]
+        # S-polynomial of two monic elements: the leads cancel
+        work = {}
+        _subtract(work, [], tail_i, lcm - lead_i, -1, p, guard)
+        _subtract(work, [], tail_j, lcm - lead_j, 1, p, guard)
+        h = _reduce(work, heads, p, guard)
+        if not h:
+            continue
+        new = _monic_head(h, field)
+        if new[0] == 0:
+            return None
+        G.append(new)
+        insort(heads, new, key=_lead_key)
+        _install(G, len(G) - 1, active, pairs, guard)
+    return heads
+
+
+def _finish(heads, old_at: dict, field, packing: _Packing) -> IdealBasis:
+    """The reduced basis of the closed ``heads``, all in ``packing``.
+
+    Old leads divide no other old lead or tail, and a larger lead nothing,
+    so an old element (``old_at`` maps its lead to it) is dropped or
+    reduced only for a smaller surviving new lead, else returned as is.
+    """
+    p, guard, one = field.characteristic, packing.guard, field.one()
+    reduced, leads, new_leads, out, last = [], [], [], [], None
+    for head in heads:
+        lead, tail = head
+        if lead == last:
+            continue  # an old element precedes a new one with its lead
+        last = lead
+        g = old_at.get(lead)
+        lg = lead | guard
+        if any((lg - d) & guard == guard for d in (leads if g is None else new_leads)):
+            continue
+        if g is None or new_leads and any(((m | guard) - n) & guard == guard
+                                          for m, _ in tail for n in new_leads):
+            rem = _reduce(dict(tail), reduced, p, guard)
+            head = lead, tuple(rem.items())
+            if g is None:
+                new_leads.append(lead)
+            g = packing.unpack(field, {lead: one, **rem})
+        reduced.append(head)
+        leads.append(lead)
+        out.append(g)
+    return IdealBasis(tuple(out), tuple(reduced))
+
+
 def buchberger(gens) -> IdealBasis:
     """The minimal reduced lex Groebner basis of the ideal the input spans.
 
@@ -224,150 +320,86 @@ def buchberger(gens) -> IdealBasis:
 
 
 def _extend(basis: IdealBasis, polys) -> IdealBasis:
-    """``buchberger(basis.generators + polys)``, without redoing the basis.
-
-    Every S-pair among the reduced basis's elements reduces to zero by
-    them and hence by any larger set, so those pairs are marked treated
-    instead of queued; they still feed the chain criterion.  Old elements
-    that no new leading monomial touches come back as the same objects,
-    and when nothing new remains after de-duplication the basis itself is
-    returned.
-    """
+    """``buchberger(basis.generators + polys)``, installing only the new
+    polynomials: the basis itself when nothing new remains after
+    de-duplication."""
     old = basis.generators  # nonzero, monic and distinct already
-    added = [g for g in dict.fromkeys(g.monic() for g in polys if not g.is_zero())
-             if g not in old]
+    added = dict.fromkeys(g.monic() for g in polys if not g.is_zero())
     if not added:
         return basis
-    gens = [*old, *added]
+    first = old[0] if old else next(iter(added))
     for g in added:
-        gens[0]._check(g)
-    for g in gens:
-        if g.is_constant():
-            return _unit_basis(g)
-    field = gens[0].field
-    p = field.characteristic
-    packing = _Packing(gens[0].nslots)
-    guard = packing.guard
-    G = [_monic_head(packing.pack(g.terms), field) for g in gens]
-    closed = len(old)
-    # G in increasing lead order, for division; the sort is stable, so an
-    # old element precedes a new input with the same lead
-    heads = sorted(G, key=_lead_key)
-
-    # pair queue keyed by (lcm, i, j): smallest lcm first (normal strategy)
-    pairs = []
-    treated = {(i, j) for j in range(closed) for i in range(j)}
-    for j in range(closed, len(G)):
-        for i in range(j):
-            heapq.heappush(pairs, (_lcm(G[i][0], G[j][0], guard), i, j))
-    while pairs:
-        lcm, i, j = heapq.heappop(pairs)
-        treated.add((i, j))
-        (lead_i, tail_i), (lead_j, tail_j) = G[i], G[j]
-        if lead_i + lead_j == lcm:
-            continue  # coprime leading monomials: S-polynomial reduces to 0
-        lg = lcm | guard
-        if any(k != i and k != j and (lg - G[k][0]) & guard == guard
-               and (min(i, k), max(i, k)) in treated
-               and (min(j, k), max(j, k)) in treated
-               for k in range(len(G))):
-            continue  # chain criterion
-        # S-polynomial of two monic elements: the leads cancel
-        work = {}
-        _subtract(work, [], tail_i, lcm - lead_i, -1, p, guard)
-        _subtract(work, [], tail_j, lcm - lead_j, 1, p, guard)
-        h = _reduce(work, heads, p, guard)
-        if not h:
-            continue
-        new = _monic_head(h, field)
-        if new[0] == 0:
-            return _unit_basis(gens[0])
-        G.append(new)
-        insort(heads, new, key=_lead_key)
-        for k in range(len(G) - 1):
-            heapq.heappush(pairs, (_lcm(G[k][0], new[0], guard), k, len(G) - 1))
-
-    # Minimalize, then reduce each element by the reduced smaller ones.  An
-    # old tail is reduced by the old leads already, and a lead larger than
-    # an element's own cannot divide its tail, so an old element needs the
-    # work only when a smaller surviving new lead divides a tail term.
-    old_at = dict(zip((lead for lead, _ in G), old))  # old lead -> element
-    one = field.one()
-    reduced, new_leads, out = [], [], []
-    for lead, tail in heads:
-        lg = lead | guard
-        if any((lg - r[0]) & guard == guard for r in reduced):
-            continue
-        g = old_at.get(lead)
-        if g is None or any(((m | guard) - n) & guard == guard
-                            for m, _ in tail for n in new_leads):
-            rem = _reduce(dict(tail), reduced, p, guard)
-            tail = list(rem.items())
-            g = packing.unpack(field, {lead: one, **rem})
-            if lead not in old_at:
-                new_leads.append(lead)
-        reduced.append((lead, tail))
-        out.append(g)
-    return IdealBasis(tuple(out))
+        first._check(g)
+    field = first.field
+    packing = _Packing(first.nslots)
+    G = list(_heads(basis))
+    old_at = {lead: g for (lead, _), g in zip(G, old)}
+    for g in added:
+        head = _monic_head(packing.pack(g.terms), field)
+        if old_at.get(head[0]) != g:
+            G.append(head)
+    if len(G) == len(old):
+        return basis
+    heads = _close(G, len(old), field, packing.guard)
+    if heads is None:
+        return _unit_basis(first)
+    return _finish(heads, old_at, field, packing)
 
 
 def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
     """Generators involving only the lowest j slots.
 
     The subset of a reduced lex basis is a reduced basis of the
-    elimination ideal (the relations among the low slots alone).
+    elimination ideal (the relations among the low slots alone).  It is a
+    prefix: a polynomial lives in those slots exactly when its lead does.
     """
-    return IdealBasis(tuple(g for g in basis if support_level(g) <= j))
+    k = bisect_left(_heads(basis), 1 << 16 * j, key=_lead_key)
+    return IdealBasis(basis.generators[:k], basis.heads[:k])
 
 
-def _extend_top(g: Polynomial) -> Polynomial:
-    terms = {(0,) + m: c for m, c in g.terms.items()}
-    return Polynomial._raw(g.field, g.nslots + 1, terms)
-
-
-def _strip_top(g: Polynomial) -> Polynomial:
-    terms = {m[1:]: c for m, c in g.terms.items()}
-    return Polynomial._raw(g.field, g.nslots - 1, terms)
-
-
-def _rabinowitsch_basis(basis_or_gens, f: Polynomial):
-    """Reduced basis of I + <1 - t*f> with a fresh slot t above all others.
-
-    A reduced basis of I stays one with t adjoined (no leading monomial
-    moves), so an ``IdealBasis`` is only extended; raw generators get the
-    full computation.
-    """
+def _rabinowitsch(basis_or_gens, f: Polynomial, packing: _Packing):
+    """``_close`` of I + <1 - t*f>, t a fresh slot above the others, and
+    the old elements by lead; only raw generators get a full run."""
     field = f.field
-    ext = tuple(_extend_top(g) for g in basis_or_gens if not g.is_zero())
-    t = Polynomial.var(field, f.nslots + 1, 0)
-    one = Polynomial.const(field, f.nslots + 1, 1)
-    rab = one - t * _extend_top(f)
+    rab = {packing.top + m: c for m, c in packing.pack(f.terms).items()}
+    rab[0] = field.neg(field.one())  # t*f - 1
     if isinstance(basis_or_gens, IdealBasis):
-        return _extend(IdealBasis(ext), (rab,))
-    return buchberger((*ext, rab))
+        G = list(_heads(basis_or_gens))
+        old_at = {lead: g for (lead, _), g in zip(G, basis_or_gens.generators)}
+    else:
+        G = [_monic_head(packing.pack(g.terms), field)
+             for g in basis_or_gens if not g.is_zero()]
+        old_at = {}
+    nold = len(old_at)
+    G.append(_monic_head(rab, field))
+    return _close(G, nold, field, packing.guard | packing.top << 15), old_at
 
 
 def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
-    """Reduced basis of the saturation (I : f^infinity).
-
-    Adjoins a fresh top slot t, adds 1 - t*f, computes the lex basis and
-    intersects with the original slots.
-    """
+    """Reduced basis of the saturation (I : f^infinity): the basis of
+    I + <1 - t*f>, t a fresh top slot, meet the original slots."""
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
-    ext = _rabinowitsch_basis(basis_or_gens, f)
-    kept = tuple(_strip_top(g) for g in ext.generators if g.degree_in(0) == 0)
-    return IdealBasis(kept)
+    packing = _Packing(f.nslots)
+    heads, old_at = _rabinowitsch(basis_or_gens, f, packing)
+    if heads is None:
+        return _unit_basis(f)
+    low = heads[:bisect_left(heads, packing.top, key=_lead_key)]
+    return _finish(low, old_at, f.field, packing)
 
 
 def _poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic lcm of nonzero f and g: the generator of <f> ∩ <g>, which is
     <t*f, (1-t)*g> with a fresh top slot t eliminated."""
-    t = Polynomial.var(f.field, f.nslots + 1, 0)
-    one = Polynomial.const(f.field, f.nslots + 1, 1)
-    basis = buchberger((t * _extend_top(f), (one - t) * _extend_top(g)))
-    lcm, = (h for h in basis.generators if h.degree_in(0) == 0)
-    return _strip_top(lcm)
+    field, packing = f.field, _Packing(f.nslots)
+    top, pg = packing.top, packing.pack(g.terms)
+    tf = {top + m: c for m, c in packing.pack(f.terms).items()}
+    tg_g = {**{m: field.neg(c) for m, c in pg.items()},
+            **{top + m: c for m, c in pg.items()}}  # (t - 1)*g
+    heads = _close([_monic_head(tf, field), _monic_head(tg_g, field)], 0, field,
+                   packing.guard | top << 15)
+    low = heads[:bisect_left(heads, top, key=_lead_key)]
+    return _finish(low, {}, field, packing).generators[0]
 
 
 def principal_saturate(f: Polynomial, q: Polynomial) -> Polynomial:
@@ -386,7 +418,7 @@ def radical_membership(f: Polynomial, basis_or_gens) -> bool:
     """True when some power of f lies in the ideal (1 in I + <1 - t*f>)."""
     if f.is_zero():
         return True
-    return _rabinowitsch_basis(basis_or_gens, f).is_unit()
+    return _rabinowitsch(basis_or_gens, f, _Packing(f.nslots))[0] is None
 
 
 def _permuted(g: Polynomial, order) -> Polynomial:

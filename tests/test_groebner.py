@@ -5,9 +5,9 @@ import pytest
 
 from p1parts.fields import GF, QQ, FieldError
 from p1parts.groebner import (
-    ExponentOverflowError, buchberger, elimination_subbasis,
-    heuristic_radical, ideal_saturate, normal_form, principal_saturate,
-    radical_membership,
+    ExponentOverflowError, IdealBasis, _extend, buchberger,
+    elimination_subbasis, heuristic_radical, ideal_saturate, normal_form,
+    principal_saturate, radical_membership,
 )
 from p1parts.poly import Layout, Polynomial, ProjLayout
 from p1parts.parser import parse_polynomial
@@ -224,6 +224,29 @@ def test_ideal_saturate():
 
     with pytest.raises(ValueError):
         ideal_saturate([p2("y_1")], Polynomial.zero(QQ, 4))
+
+
+def test_ideal_saturate_keeps_untouched_elements():
+    """Old elements the saturation leaves alone come back as the same objects."""
+    two = ProjLayout(2)
+
+    def p2(text):
+        return parse_polynomial(text, two, QQ)
+
+    basis = buchberger([p2("y_4^2-1"), p2("y_1^2-y_1")])
+    sat = ideal_saturate(basis, p2("y_1"))
+    assert sat.generators == (p2("y_1-1"), p2("y_4^2-1"))
+    assert sat.generators[1] is basis.generators[1]
+    assert sat == ideal_saturate(list(basis.generators), p2("y_1"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_unit_basis_through_the_packed_path(field):
+    unit = IdealBasis((Polynomial.const(field, 4, 1),))
+    f = parse_polynomial("y_2*y_1-1", ProjLayout(2), field)
+    assert radical_membership(f, unit)
+    assert ideal_saturate(unit, f) == unit
+    assert _extend(unit, (f,)) == unit
 
 
 def test_ideal_saturate_brute_force_f5():

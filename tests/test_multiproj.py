@@ -98,6 +98,14 @@ def test_canonical_constraints():
     assert len(canonical_constraints(PL3, QQ)) == 6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])
+def test_canonical_constraints_are_a_reduced_basis(n, field):
+    # root_part extends them as they are
+    cons = canonical_constraints(ProjLayout(n), field)
+    assert buchberger(cons).generators == tuple(cons)
+
+
 def test_canonical_constraints_cut_out_projective_line():
     # over F3 the n=1 constraints have exactly |P^1(F_3)| = 4 solutions
     one = ProjLayout(1)

@@ -14,10 +14,12 @@ engine builds.
 
 The same nodes also carry the invariants the engine relies on without
 re-establishing them: each ``eq`` is the reduced basis of its own
-generators, and each ``neq`` is monic, squarefree, nonconstant, pairwise
+generators and carries the packed heads of exactly those generators,
+and each ``neq`` is monic, squarefree, nonconstant, pairwise
 distinct and sorted by the scan key.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -26,8 +28,9 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p1parts.cli import render_tree
 from p1parts.fields import GF, QQ
-from p1parts.groebner import buchberger, elimination_subbasis
+from p1parts.groebner import IdealBasis, _heads, buchberger, elimination_subbasis
 from p1parts.multiproj import (
     MaxNodesExceeded, Part, SplitFinding, _scan_key, partition_variety,
     reduced_lead_coefficient, split_scan,
@@ -86,15 +89,25 @@ def ref_split_scan(part: Part) -> Optional[SplitFinding]:
 
 # -- every node of the engine's trees ----------------------------------------------
 
-def tree_nodes(problem, radical):
+def tree(problem, radical):
     try:
-        return partition_variety(problem, max_nodes=300, radical=radical).nodes
+        return partition_variety(problem, max_nodes=300, radical=radical)
     except MaxNodesExceeded as exc:
-        return exc.tree.nodes
+        return exc.tree
+
+
+def tree_nodes(problem, radical):
+    return tree(problem, radical).nodes
+
+
+def packed(heads):
+    return [(lead, dict(tail)) for lead, tail in heads]
 
 
 def assert_node_invariants(part):
     assert buchberger(part.eq.generators) == part.eq
+    fresh = _heads(IdealBasis(part.eq.generators))
+    assert part.eq.heads is not None and packed(part.eq.heads) == packed(fresh)
     for q in part.neq:
         assert not q.is_constant() and q.lead_coeff() == q.field.one()
         assert squarefree_part(q) == q
@@ -156,6 +169,21 @@ def test_random_scans_match_reference():
                 assert_node_invariants(part)
             checked += bool(nodes)
     assert checked >= 150
+
+
+# sha256 of the text renders of every random problem's tree, radical on
+# and off; pinned so that a rewritten core must give the same bytes.
+RANDOM_RENDER_DIGEST = "e0294c40727561beb68cd3d702eb951b3e7ebaad52c58bed3bef9bbcade8cd2d"
+
+
+def test_random_renders_unchanged():
+    digest = hashlib.sha256()
+    for seed in RANDOM_SEEDS:
+        problem = random_problem(seed)
+        for radical in (True, False):
+            rendered = render_tree(tree(problem, radical), "text")
+            digest.update(f"{seed} {radical}\n{rendered}\n".encode())
+    assert digest.hexdigest() == RANDOM_RENDER_DIGEST
 
 
 # -- the lemma ---------------------------------------------------------------------
