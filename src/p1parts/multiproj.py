@@ -160,6 +160,22 @@ def _scan_key(g: Polynomial):
     return (g.lead_monomial(), sorted(g.terms.items()))
 
 
+def _window(g: Polynomial, nslots: int):
+    """The levels [lo, hi) at which ``split_scan`` must look at g: those
+    with a frozen and a live factor in the leading monomial.
+
+    At level L the slots k <= L are frozen.  From hi = ``support_level(g)``
+    up, g is fully frozen.  Below lo, the lowest slot index in the lead,
+    the lead has no frozen factor, and then its frozen coefficient is the
+    constant leading coefficient: a term sharing the lead's live part
+    agrees with the lead wherever the lead is nonzero and is no smaller
+    anywhere else, so it is the lead.  From lo up, the frozen factor makes
+    the coefficient nonconstant.
+    """
+    last = max((i for i, e in enumerate(g.lead_monomial()) if e), default=-1)
+    return nslots - last, support_level(g)
+
+
 def split_scan(part: Part) -> Optional[SplitFinding]:
     """Find the first freezing level whose lead coefficients force a split.
 
@@ -170,6 +186,11 @@ def split_scan(part: Part) -> Optional[SplitFinding]:
     the extension step starts from partial solutions that meet only the
     constraints down there.  Returns None, making the part a leaf, when
     every coefficient at every level is certified.
+
+    Only levels inside a generator's ``_window`` are split off: a frozen
+    coefficient that is constant at level L stays constant below L, where
+    fewer slots are frozen, and a constant certifies itself.  It is
+    constant exactly when the leading monomial has no frozen factor.
 
     The low equalities could certify nothing more.  Say g = M*r*m + (terms
     of smaller live monomial), m the nonconstant saturated coefficient.
@@ -183,20 +204,19 @@ def split_scan(part: Part) -> Optional[SplitFinding]:
     if not gens:
         return None
     nslots = gens[0].nslots
+    windows = [(g, *_window(g, nslots)) for g in gens]
     neq_levels = [(q, support_level(q)) for q in part.neq]
     for level in range(1, nslots):
         low_neq = [q for q, lvl in neq_levels if lvl <= level]
-        for g in gens:
-            mono, lc = lead_split(g, nslots - level)
-            if not any(mono):
-                continue  # fully frozen generator
-            m = reduced_lead_coefficient(lc, low_neq)
-            if not m.is_constant():
-                return SplitFinding(level, g, squarefree_part(m))
+        for g, lo, hi in windows:
+            if lo <= level < hi:
+                m = reduced_lead_coefficient(lead_split(g, nslots - level)[1], low_neq)
+                if not m.is_constant():
+                    return SplitFinding(level, g, squarefree_part(m))
     return None
 
 
-def normalize_neq(neq, eq: IdealBasis):
+def normalize_neq(neq, eq: IdealBasis, parent: Optional[Part] = None):
     """Irredundant inequality constraints sorted by ``_scan_key``, or None.
 
     Precondition: the constraints are monic, squarefree, nonconstant and
@@ -212,12 +232,21 @@ def normalize_neq(neq, eq: IdealBasis):
     keep it from vanishing; redundancy against higher-level generators
     does not count, since the constraint still carries information for
     the extension steps below them.
+
+    Both verdicts depend only on the constraint and those low generators.
+    So a constraint the ``parent`` part kept is kept again, without a
+    Groebner run, when the low generators are the parent's.
     """
     out = []
     for q in neq:
         # exact: a power of q lies in eq iff it lies in the generators
         # supported at or below the level of q
-        low_eq = elimination_subbasis(eq, support_level(q))
+        level = support_level(q)
+        low_eq = elimination_subbasis(eq, level)
+        if (parent is not None and q in parent.neq and low_eq.generators
+                == elimination_subbasis(parent.eq, level).generators):
+            out.append(q)
+            continue
         if radical_membership(q, low_eq):
             return None
         if not _extend(low_eq, (q,)).is_unit():
@@ -266,7 +295,7 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
             tree.diagnostics.append(
                 f"discarded unit-ideal {branch} child of node {parent.id}")
             return
-        cleaned = normalize_neq(neq, eq)
+        cleaned = normalize_neq(neq, eq, parent)
         if cleaned is None:
             tree.discarded_empty += 1
             tree.diagnostics.append(

@@ -107,7 +107,7 @@ class Polynomial:
     the field's canonical form).  Never mutate ``terms`` after creation.
     """
 
-    __slots__ = ("field", "nslots", "terms", "_lead")
+    __slots__ = ("field", "nslots", "terms", "_lead", "_squarefree")
 
     def __init__(self, field: Field, nslots: int, terms=None):
         self.field = field
@@ -129,6 +129,7 @@ class Polynomial:
                     del clean[mono]
         self.terms = clean
         self._lead = None
+        self._squarefree = False
 
     # -- constructors ------------------------------------------------------
 
@@ -140,6 +141,7 @@ class Polynomial:
         p.nslots = nslots
         p.terms = terms
         p._lead = None
+        p._squarefree = False
         return p
 
     @classmethod
@@ -318,9 +320,17 @@ class Polynomial:
 
 
 def support_level(f: Polynomial) -> int:
-    """Highest slot index occurring in f, 0 for a constant."""
-    slots = f.occurring_slots()
-    return f.nslots - min(slots) if slots else 0
+    """Highest slot index occurring in f, 0 for a constant.
+
+    Read off the leading monomial alone: a term with a nonzero exponent
+    in a slot before the lead's first nonzero one would be lex-greater
+    than the lead.
+    """
+    if f.terms:
+        for i, e in enumerate(f.lead_monomial()):
+            if e:
+                return f.nslots - i
+    return 0
 
 
 def lead_split(f: Polynomial, first_frozen_pos: int):
@@ -470,12 +480,25 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     first, and factors whose multiplicity the derivatives miss are
     recovered recursively.  A polynomial in one slot only ever meets the
     dense univariate Euclid of ``poly_gcd``.
+
+    The result is marked squarefree, and a marked polynomial comes back
+    as itself at once.  Polynomials are immutable and every constructor
+    starts unmarked, so the mark is a proved fact about the object: a
+    basis element that a parent part's radical closure checked reaches
+    its children's closures as the same object, already marked.
     """
+    if f._squarefree:
+        return f
     if f.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
     f = f.monic()
-    if f.is_constant():
-        return f
+    if not f.is_constant():
+        f = _squarefree_monic(f)
+    f._squarefree = True
+    return f
+
+
+def _squarefree_monic(f: Polynomial) -> Polynomial:
     p = f.field.characteristic
     if p:
         while all(e % p == 0 for mono in f.terms for e in mono):

@@ -1,6 +1,6 @@
-"""Differential checks of the split scan against its predecessor.
+"""Differential checks of the split scan against its predecessors.
 
-``ref_split_scan`` is the earlier scan.  Besides saturating a frozen
+``ref_split_scan`` is the earliest scan.  Besides saturating a frozen
 leading coefficient by the low inequalities, it also counted the
 coefficient as certified when it was a unit modulo the equality
 generators supported at or below the level, and it scanned the basis
@@ -9,14 +9,18 @@ change the result: the basis already lists its leading monomials in
 increasing order, and a nonconstant saturated coefficient is never a
 unit modulo the low equalities (the lemma in ``split_scan``'s
 docstring, checked directly by ``test_no_saturated_coefficient_is_a_unit``).
-So ``split_scan`` must return the reference finding on every part the
-engine builds.
+``full_split_scan`` is the scan before level windows: it splits off the
+lead coefficient of every generator at every level.  So ``split_scan``
+must return both references' finding on every part the engine builds,
+and ``test_window_bounds`` checks the windows themselves.
 
 The same nodes also carry the invariants the engine relies on without
 re-establishing them: each ``eq`` is the reduced basis of its own
 generators and carries the packed heads of exactly those generators,
 and each ``neq`` is monic, squarefree, nonconstant, pairwise
-distinct and sorted by the scan key.
+distinct and sorted by the scan key.  Every child appended while
+solving gets the same inequalities whether or not ``normalize_neq``
+may take the verdicts of inherited ones from the parent.
 """
 
 import hashlib
@@ -28,12 +32,13 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from p1parts import multiproj
 from p1parts.cli import render_tree
 from p1parts.fields import GF, QQ
 from p1parts.groebner import IdealBasis, _heads, buchberger, elimination_subbasis
 from p1parts.multiproj import (
-    MaxNodesExceeded, Part, SplitFinding, _scan_key, partition_variety,
-    reduced_lead_coefficient, split_scan,
+    MaxNodesExceeded, Part, SplitFinding, _scan_key, _window, normalize_neq,
+    partition_variety, reduced_lead_coefficient, split_scan,
 )
 from p1parts.parser import ProblemSpec, parse_problem
 from p1parts.poly import (
@@ -87,6 +92,26 @@ def ref_split_scan(part: Part) -> Optional[SplitFinding]:
     return None
 
 
+def full_split_scan(part: Part) -> Optional[SplitFinding]:
+    """``split_scan`` without level windows: every generator that is not
+    fully frozen has its lead coefficient split off at every level."""
+    gens = part.eq.generators
+    if not gens:
+        return None
+    nslots = gens[0].nslots
+    neq_levels = [(q, support_level(q)) for q in part.neq]
+    for level in range(1, nslots):
+        low_neq = [q for q, lvl in neq_levels if lvl <= level]
+        for g in gens:
+            mono, lc = lead_split(g, nslots - level)
+            if not any(mono):
+                continue  # fully frozen generator
+            m = reduced_lead_coefficient(lc, low_neq)
+            if not m.is_constant():
+                return SplitFinding(level, g, squarefree_part(m))
+    return None
+
+
 # -- every node of the engine's trees ----------------------------------------------
 
 def tree(problem, radical):
@@ -115,12 +140,25 @@ def assert_node_invariants(part):
     assert list(part.neq) == sorted(part.neq, key=_scan_key)
 
 
-def assert_scans_agree(problem, radical):
-    nodes = tree_nodes(problem, radical)
-    assert nodes
+def assert_tree_agrees(monkeypatch, problem, radical) -> bool:
+    """Check every node of the problem's tree and every child appended
+    while building it; True when the tree has nodes."""
+    children = []
+    real_normalize = multiproj.normalize_neq
+
+    def recording(neq, eq, parent):
+        children.append((neq, eq, parent))
+        return real_normalize(neq, eq, parent)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multiproj, "normalize_neq", recording)
+        nodes = tree_nodes(problem, radical)
     for part in nodes:
-        assert split_scan(part) == ref_split_scan(part), part.id
+        assert split_scan(part) == ref_split_scan(part) == full_split_scan(part), part.id
         assert_node_invariants(part)
+    for neq, eq, parent in children:
+        assert normalize_neq(neq, eq, parent) == normalize_neq(neq, eq), parent.id
+    return bool(nodes)
 
 
 DEMOS = sorted(path.name for path in DEMO_PROBLEMS.glob("*.txt"))
@@ -128,8 +166,9 @@ DEMOS = sorted(path.name for path in DEMO_PROBLEMS.glob("*.txt"))
 
 @pytest.mark.parametrize("radical", [True, False])
 @pytest.mark.parametrize("name", DEMOS)
-def test_demo_scans_match_reference(name, radical):
-    assert_scans_agree(parse_problem((DEMO_PROBLEMS / name).read_text()), radical)
+def test_demo_scans_match_reference(monkeypatch, name, radical):
+    problem = parse_problem((DEMO_PROBLEMS / name).read_text())
+    assert assert_tree_agrees(monkeypatch, problem, radical)
 
 
 def random_problem(seed):
@@ -156,18 +195,14 @@ def random_problem(seed):
 RANDOM_SEEDS = range(100)
 
 
-def test_random_scans_match_reference():
+def test_random_scans_match_reference(monkeypatch):
     checked = 0
     for seed in RANDOM_SEEDS:
         problem = random_problem(seed)
         if not problem.generators:
             continue
         for radical in (True, False):
-            nodes = tree_nodes(problem, radical)
-            for part in nodes:
-                assert split_scan(part) == ref_split_scan(part), (seed, part.id)
-                assert_node_invariants(part)
-            checked += bool(nodes)
+            checked += assert_tree_agrees(monkeypatch, problem, radical)
     assert checked >= 150
 
 
@@ -216,3 +251,18 @@ def test_no_saturated_coefficient_is_a_unit(data):
             m = reduced_lead_coefficient(lc, low_neq)
             if not m.is_constant():
                 assert not buchberger(low_eq + (m,)).is_unit()
+
+
+# -- the level windows ---------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_window_bounds(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    nslots = data.draw(st.integers(1, 6))
+    g = data.draw(polynomials(field, nslots))
+    lo, hi = _window(g, nslots)
+    for level in range(nslots + 1):
+        mono, lc = lead_split(g, nslots - level)
+        assert (not lc.is_constant()) == (lo <= level), level
+        assert (not any(mono)) == (level >= hi), level

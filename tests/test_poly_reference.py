@@ -1,4 +1,5 @@
-"""Differential checks of the gcd and the squarefree part against a reference.
+"""Differential checks of the gcd, the squarefree part and the support
+level against a reference.
 
 The reference is the earlier implementation: a gcd by primitive
 remainder sequences, recursing on one slot at a time through contents
@@ -7,7 +8,11 @@ polynomial in one slot for coprimality with its derivative by a dense
 Euclid.  Monic gcds and monic squarefree parts are unique, so
 ``poly_gcd`` and ``squarefree_part`` must return exactly the reference
 values: on random products with a common factor, and on every call the
-engine makes while solving the demo problems.
+engine makes while solving the demo problems.  A squarefree part comes
+out marked, and a marked polynomial comes back as itself: the mark must
+sit only on polynomials that equal their reference squarefree part.
+``support_level`` reads the lead alone and must agree with a scan of
+every term.
 """
 
 from pathlib import Path
@@ -20,7 +25,7 @@ from p1parts.multiproj import partition_variety
 from p1parts.parser import parse_problem
 from p1parts.poly import (
     Polynomial, _pth_root, derivative, exact_div, poly_gcd,
-    squarefree_part,
+    squarefree_part, support_level,
 )
 
 from test_groebner_reference import FIELDS, polynomials
@@ -166,6 +171,12 @@ def ref_squarefree_part(f: Polynomial) -> Polynomial:
     return (w * extra).monic()
 
 
+def ref_support_level(f: Polynomial) -> int:
+    """Highest slot index occurring in f, 0 for a constant, from every term."""
+    slots = f.occurring_slots()
+    return f.nslots - min(slots) if slots else 0
+
+
 # -- properties ----------------------------------------------------------------
 
 @st.composite
@@ -189,6 +200,31 @@ def test_gcd_matches_reference(drawn):
 def test_squarefree_part_matches_reference(drawn):
     a, _, h = drawn
     assert squarefree_part(a * h ** 2) == ref_squarefree_part(a * h ** 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_support_level_matches_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    nslots = data.draw(st.integers(1, 8))
+    f = data.draw(polynomials(field, nslots))
+    for g in (f, Polynomial.zero(field, nslots), Polynomial.const(field, nslots, 1)):
+        assert support_level(g) == ref_support_level(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(factors())
+def test_squarefree_mark(drawn):
+    a, b, h = drawn
+    f = a * h ** 2  # h is nonconstant: a repeated factor
+    for g in (f, a, b, h, a * b):
+        s = squarefree_part(g)
+        assert s._squarefree and s == ref_squarefree_part(s)
+        assert not g._squarefree or g == ref_squarefree_part(g)
+        assert squarefree_part(s) is s
+        fresh = [s * s, s + s, -s, s.scale(s.field.one()), s.scale(2).monic()]
+        assert not any(t._squarefree for t in fresh)
+    assert not f._squarefree and not f.monic()._squarefree
 
 
 # The modules that bind each function; every binding is wrapped, so calls
