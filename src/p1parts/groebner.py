@@ -426,22 +426,17 @@ def _permuted(g: Polynomial, order) -> Polynomial:
     return Polynomial._raw(g.field, g.nslots, terms)
 
 
-def _eliminant(basis: IdealBasis, pos: int):
+def _eliminant(basis: IdealBasis, pos: int, g: Polynomial):
     """Monic generator of the ideal's intersection with k[slot pos], or None.
 
-    A nonzero univariate member has a pure power of the slot as leading
-    monomial in every order, so the reduced lex basis has such a leading
-    monomial whenever the intersection is nonzero (Cox, Little & O'Shea,
-    ch. 3 section 1).  When the element carrying it is univariate it is
-    the generator; otherwise the lex basis is recomputed with the slot
-    moved to the bottom, where the generator, if any, comes first.
+    ``g`` is the first generator of the reduced lex basis whose leading
+    monomial is a pure power of the slot.  A nonzero univariate member
+    has such a leading monomial in every order, so the basis has one
+    whenever the intersection is nonzero (Cox, Little & O'Shea, ch. 3
+    section 1).  When ``g`` is univariate it is the generator; otherwise
+    the lex basis is recomputed with the slot moved to the bottom, where
+    the generator, if any, comes first.
     """
-    for g in basis.generators:
-        lead = g.lead_monomial()
-        if 0 < lead[pos] == sum(lead):
-            break
-    else:
-        return None
     if g.occurring_slots() <= {pos}:
         return g
     nslots = g.nslots
@@ -460,11 +455,20 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
     scan again, until every slot's eliminant is squarefree.  The result
     is the least ideal J containing I with that property, whatever the
     scan order; slots with no eliminant are skipped, so J only satisfies
-    I <= J <= sqrt(I), which is all the callers rely on.
+    I <= J <= sqrt(I), which is all the callers rely on.  Only a slot
+    that some leading monomial is a pure power of can have an eliminant;
+    one pass over the leads finds, for each such slot, the first
+    generator leading with a pure power of it.
     """
     while not (basis.is_zero_ideal() or basis.is_unit()):
-        for pos in reversed(range(basis.generators[0].nslots)):
-            m = _eliminant(basis, pos)
+        firsts = {}  # slot -> first generator leading with a pure power of it
+        for g in basis.generators:
+            lead = g.lead_monomial()
+            pos = next(i for i, e in enumerate(lead) if e)
+            if lead[pos] == sum(lead):
+                firsts.setdefault(pos, g)
+        for pos in sorted(firsts, reverse=True):
+            m = _eliminant(basis, pos, firsts[pos])
             if m is None:
                 continue
             s = squarefree_part(m)

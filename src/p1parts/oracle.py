@@ -3,17 +3,24 @@
 Every question is answered by one depth-first walk over the slots, from
 y_1 up to y_{2n}: each constraint is tested as soon as its top slot is
 set, so a prefix that fails one is dropped with every assignment that
-extends it.  The walk compiles each constraint once, into its terms
-grouped by the exponent of its top slot.  Once the lower slots are set,
-it specializes each constraint of the next slot, once per prefix, to its
-univariate fibre in that slot, and tests every candidate value on the
-fibres alone.  Variety points and part members walk the canonical
-representatives (y_{2j-1} in {0, 1}, and y_{2j} = 1 after a 0); the
-stepwise extension check walks all of F_p at every slot and examines
-each prefix that no value extends, on the same fibres.  On these walks
-the oracle also cross-checks a part tree for disjointness, soundness and
-coverage.  A part's frozen slots are evaluated like any other: freezing
-only renames the slots that have already been chosen.
+extends it.  One walk carries several systems of constraints at once,
+and drops a prefix only when every system fails it.  Before the walk,
+each distinct constraint is compiled once, into its terms grouped by
+the exponent of its top slot, and at each slot the systems are grouped
+by the constraints they test there.  Once the lower slots are set, each
+group specializes its constraints of the next slot to their univariate
+fibres in that slot and finds the candidate values that pass, once for
+all its systems; a group whose constraints involve no lower slot finds
+them once, before the walk.  Variety points and part members walk the
+canonical representatives (y_{2j-1} in {0, 1}, and y_{2j} = 1 after a
+0) for one system; the stepwise extension check walks all of F_p at
+every slot for one part and examines each prefix that no value extends,
+on the same fibres.  The partition check walks the variety and every
+leaf together and tallies each tuple as it is reached: it counts the
+variety and the covered points, and builds a tuple only for a point
+that is missing, off the variety or covered twice.  A part's frozen
+slots are evaluated like any other: freezing only renames the slots
+that have already been chosen.
 
 Every enumeration first compares the (p+1)^n canonical tuples with the
 constant ``DEFAULT_CAP`` and raises EnumerationCapExceeded, before any
@@ -93,96 +100,179 @@ def _check_characteristic(polys, p: int, what: str):
             raise ValueError(f"{what} over {f.field}, expected F_{p}")
 
 
-def variety_points(gens, p: int, n: int) -> list:
-    """Tuples on which every (pair-homogeneous) generator vanishes."""
-    gens = list(gens)
+def _variety(gens, p: int, n: int):
+    """The generators as a system with no inequalities, once they are
+    known to lie over F_p and to be homogeneous in every pair."""
+    gens = tuple(gens)
     _check_characteristic(gens, p, "generators are")
     for g in gens:
         _check_pair_homogeneous(g, n)
-    return _members(gens, (), p, n)
+    return gens, ()
+
+
+def _system(part: Part, p: int):
+    """A part's equalities and inequalities, once they are known to lie
+    over F_p."""
+    _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
+    return part.eq.generators, part.neq
+
+
+def variety_points(gens, p: int, n: int) -> list:
+    """Tuples on which every (pair-homogeneous) generator vanishes."""
+    return _members(_variety(gens, p, n), p, n)
 
 
 def part_members(part: Part, p: int, n: int) -> list:
     """Tuples where every equality vanishes and every inequality does not."""
-    _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
-    return _members(part.eq.generators, part.neq, p, n)
+    return _members(_system(part, p), p, n)
 
 
-def _members(eq, neq, p: int, n: int) -> list:
-    """The canonical tuples satisfying the constraints, in
-    ``enumerate_proj_space`` order."""
-    def canonical(k, vals):
+def _canonical(p: int, n: int):
+    """The walk's candidates for canonical representatives."""
+    def candidates(k, vals):
         if k % 2:
             return (0, 1)  # y_{2j-1}
         return range(p) if vals[2 * n - k + 1] else (1,)  # y_{2j}
+    return candidates
 
+
+def _point(vals, n: int) -> tuple:
+    """A full canonical assignment as indices into ``proj_line_points``,
+    x_n first: (y_{2j}, y_{2j-1}) = (g, h) is point h*(g+1)."""
+    return tuple(vals[i + 1] * (vals[i] + 1) for i in range(0, 2 * n, 2))
+
+
+def _members(system, p: int, n: int) -> list:
+    """The canonical tuples satisfying one system, in
+    ``enumerate_proj_space`` order."""
     found = []
-
-    def leaf(vals):  # (y_{2j}, y_{2j-1}) = (g, h) is point h*(g+1)
-        found.append(tuple(vals[i + 1] * (vals[i] + 1)
-                           for i in range(0, 2 * n, 2)))
-
-    _walk(eq, neq, p, n, canonical, leaf=leaf)
+    _walk([system], p, n, _canonical(p, n),
+          leaf=lambda vals, alive: found.append(_point(vals, n)))
     found.sort()  # x_n varies slowest, as in enumerate_proj_space
     pts = proj_line_points(p)
     return [ProjTuple(tuple(pts[i] for i in idx)) for idx in found]
 
 
-def _walk(eq, neq, p: int, n: int, candidates, *, leaf=None, dead=None):
-    """Walk the slot assignments where every ``eq`` vanishes and every
-    ``neq`` does not.
+def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
+    """Walk the slot assignments where, for some system (eq, neq) of
+    ``systems``, every ``eq`` vanishes and every ``neq`` does not.
 
     Sets y_1, ..., y_{2n} in turn, y_k to each value of
-    ``candidates(k, vals)``; a failing prefix is never extended.  In
-    ``vals`` position 2n - i holds y_i.  Each constraint is compiled once,
-    by ``_compile``, into its terms grouped by the exponent of its top
-    slot.  Once y_1, ..., y_{k-1} are set, each constraint whose top slot
-    is y_k is specialized, once per prefix, to its univariate fibre in
-    y_k, and every candidate is tested on the fibres alone.  Each full
-    assignment goes to ``leaf(vals)``.  When no candidate survives at
-    slot k, ``dead(k, eqs, neqs, vals)`` sees the same fibres, as
-    polynomials in y_k, with y_1, ..., y_{k-1} still set in ``vals``.
+    ``candidates(k, vals)``; a prefix that every system fails is never
+    extended.  In ``vals`` position 2n - i holds y_i.  ``_plan`` groups
+    the systems, slot by slot, by the constraints they test there.  Once
+    y_1, ..., y_{k-1} are set, each group of surviving systems at slot k
+    finds the candidates that pass its tests, once for all its systems.
+    Each full assignment goes to ``leaf(vals, alive)``, where bit i of
+    ``alive`` is set when ``systems[i]`` holds.  When no candidate at
+    slot k extends a group, ``dead(k, eqs, neqs, vals)`` sees the
+    group's fibres, as polynomials in y_k, with y_1, ..., y_{k-1} still
+    set in ``vals``.
     """
     _check_cap(p, n)
     nslots = 2 * n
-    for f in (*eq, *neq):
-        if f.nslots != nslots:
-            raise ValueError(
-                f"constraint has {f.nslots} slots, expected {nslots}")
-    if any(g.is_constant() and not g.is_zero() for g in eq) or \
-            any(q.is_zero() for q in neq):
-        return  # a constant fails for every assignment
-    tests = [([], []) for _ in range(nslots + 1)]  # by support level
-    for bucket, constraints in enumerate((eq, neq)):
-        for f in constraints:
-            k = support_level(f)
-            if k:  # the other constants hold for every assignment
-                tests[k][bucket].append(_compile(f, nslots - k))
+    start, groups = _plan(systems, p, nslots)
     vals = [0] * nslots
 
-    def extend(k):  # y_1, ..., y_{k-1} are set
-        if k > nslots:
-            if leaf is not None:
-                leaf(vals)
-            return
+    def extend(k, alive):  # y_1, ..., y_{k-1} are set
         pos = nslots - k
-        eqs, neqs = tests[k]
         values = candidates(k, vals)
-        eq_fibres = [_specialize(f, vals, p) for f in eqs]
-        neq_fibres = [_specialize(f, vals, p) for f in neqs]
-        alive = False
+        live = []
+        for members, eqs, neqs, passing in groups[k]:
+            members &= alive
+            if members:
+                required, excluded = passing or _passing(
+                    [_specialize(f, vals, p) for f in eqs],
+                    [_specialize(f, vals, p) for f in neqs], values, p)
+                live.append((members, required, excluded, eqs, neqs))
+        reached = 0
         for a in values:
-            if _holds(eq_fibres, neq_fibres, a, p):
-                alive = True
+            held = 0
+            for members, required, excluded, _, _ in live:
+                if a in required and a not in excluded:
+                    held |= members
+            if held:
+                reached |= held
                 vals[pos] = a
-                extend(k + 1)
-        if not alive and dead is not None:
+                if k < nslots:
+                    extend(k + 1, held)
+                elif leaf is not None:
+                    leaf(vals, held)
+        if dead is not None and reached != alive:
             field = GF(p)
-            dead(k, [_as_polynomial(f, field, nslots, pos) for f in eq_fibres],
-                 [_as_polynomial(f, field, nslots, pos) for f in neq_fibres],
-                 vals)
+            for members, _, _, eqs, neqs in live:
+                if not members & reached:
+                    dead(k, [_as_polynomial(_specialize(f, vals, p), field,
+                                            nslots, pos) for f in eqs],
+                         [_as_polynomial(_specialize(f, vals, p), field,
+                                         nslots, pos) for f in neqs], vals)
 
-    extend(1)
+    if not start:
+        return
+    if nslots:
+        extend(1, start)
+    elif leaf is not None:
+        leaf(vals, start)  # the one assignment of no slots
+
+
+def _plan(systems, p: int, nslots: int):
+    """The walk's tests: the systems it starts with, as a bit mask, and
+    for each slot k a list of groups (systems, eqs, neqs, passing).
+
+    The systems of a group test the same constraints at slot k, ``eqs``
+    and ``neqs``, each compiled once by ``_compile``.  A system with a
+    failing constant never starts; one with no test at slot k joins the
+    group there that passes every value.  When no constraint of a group
+    involves a slot below k, its fibres are the same for every prefix,
+    and ``passing`` holds their ``_passing`` over all of F_p; otherwise
+    it is None, and the walk specializes the fibres at each prefix.
+    """
+    for eq, neq in systems:
+        for f in (*eq, *neq):
+            if f.nslots != nslots:
+                raise ValueError(
+                    f"constraint has {f.nslots} slots, expected {nslots}")
+    index = {}  # distinct constraint -> its place in the two lists below
+    compiled, fixed = [], []  # fixed: the fibre, if no prefix changes it
+    by_tests = {}  # (slot, eq places, neq places) -> systems
+    start = 0
+    for i, (eq, neq) in enumerate(systems):
+        if any(g.is_constant() and not g.is_zero() for g in eq) or \
+                any(q.is_zero() for q in neq):
+            continue  # a constant fails for every assignment
+        start |= 1 << i
+        tests = {}  # slot -> (eq places, neq places)
+        for bucket, constraints in enumerate((eq, neq)):
+            for f in constraints:
+                k = support_level(f)
+                if not k:
+                    continue  # the other constants hold for every assignment
+                c = index.setdefault(f, len(compiled))
+                if c == len(compiled):
+                    g = _compile(f, nslots - k)
+                    compiled.append(g)
+                    fixed.append(None if any(
+                        factors for _, terms in g for _, factors in terms)
+                        else _specialize(g, (), p))
+                tests.setdefault(k, ([], []))[bucket].append(c)
+        for k, (eqs, neqs) in tests.items():
+            key = (k, tuple(eqs), tuple(neqs))
+            by_tests[key] = by_tests.get(key, 0) | 1 << i
+    everything = range(p)
+    groups = [[] for _ in range(nslots + 1)]
+    untested = [start] * (nslots + 1)  # slot -> systems with no test there
+    for (k, eqs, neqs), members in by_tests.items():
+        untested[k] &= ~members
+        passing = None
+        if all(fixed[c] is not None for c in (*eqs, *neqs)):
+            passing = _passing([fixed[c] for c in eqs],
+                               [fixed[c] for c in neqs], everything, p)
+        groups[k].append((members, [compiled[c] for c in eqs],
+                          [compiled[c] for c in neqs], passing))
+    for k in range(1, nslots + 1):
+        if untested[k]:
+            groups[k].append((untested[k], (), (), (everything, ())))
+    return start, groups
 
 
 def _compile(f: Polynomial, pos: int):
@@ -193,6 +283,24 @@ def _compile(f: Polynomial, pos: int):
         by_exp.setdefault(mono[pos], []).append(
             (c, tuple((i, e) for i, e in enumerate(mono) if e and i != pos)))
     return tuple((e, tuple(terms)) for e, terms in by_exp.items())
+
+
+def _passing(eq_fibres, neq_fibres, values, p: int):
+    """The ``values`` at which every equality fibre vanishes and no
+    inequality fibre does, as a pair (required, excluded): a value passes
+    when it is in ``required`` and not in ``excluded``.
+
+    A nonzero fibre of degree d vanishes at d values at most, so neither
+    set holds more values than the fibres' degrees add up to, except that
+    ``required`` is ``values`` itself when no equality fibre is nonzero;
+    nothing of the size of F_p is built.
+    """
+    if not all(neq_fibres):
+        return (), ()  # a zero inequality fibre fails everywhere
+    eq_fibres = [f for f in eq_fibres if f]  # a zero fibre vanishes everywhere
+    if eq_fibres:
+        return {a for a in values if _holds(eq_fibres, neq_fibres, a, p)}, ()
+    return values, {a for a in values if not _holds((), neq_fibres, a, p)}
 
 
 def _specialize(compiled, vals, p: int):
@@ -259,30 +367,48 @@ class PartitionReport:
 
 
 def check_partition(tree: PartTree, gens, p: int, n: int) -> PartitionReport:
-    """Cross-tabulate leaf members against the brute-force variety."""
+    """Cross-tabulate leaf members against the brute-force variety.
+
+    One walk carries the variety (system 0) and every leaf (system i for
+    leaf i - 1) and tallies each tuple as it is reached; a ProjTuple is
+    built only for a tuple the report lists.
+    """
     if tree.field.characteristic != p:
         raise ValueError(
             f"tree was computed in characteristic {tree.field.characteristic}, "
             f"cannot check against F_{p}")
-    variety = set(variety_points(gens, p, n))
-    coverage = {}
-    unsound = []
-    for part in leaf_parts(tree):
-        for t in part_members(part, p, n):
-            coverage.setdefault(t, []).append(part.id)
-            if t not in variety:
-                unsound.append((part.id, t))
-    double = sorted(((t, ids) for t, ids in coverage.items() if len(ids) > 1),
-                    key=lambda pair: str(pair[0]))
-    missing = sorted((t for t in variety if t not in coverage), key=str)
-    covered = sum(1 for t in variety if t in coverage)
+    leaves = leaf_parts(tree)
+    systems = [_variety(gens, p, n)] + [_system(part, p) for part in leaves]
+    pts = proj_line_points(p)
+    variety_size = covered = 0
+    double, unsound, missing = [], [], []
+
+    def leaf(vals, alive):
+        nonlocal variety_size, covered
+        on_variety, parts = alive & 1, alive >> 1
+        variety_size += on_variety
+        if on_variety and parts:
+            covered += 1
+            if not parts & (parts - 1):
+                return  # covered exactly once
+        t = ProjTuple(tuple(pts[i] for i in _point(vals, n)))
+        if not parts:
+            missing.append(t)
+            return
+        ids = [part.id for i, part in enumerate(leaves) if parts >> i & 1]
+        if len(ids) > 1:
+            double.append((t, ids))
+        if not on_variety:
+            unsound.extend((part_id, t) for part_id in ids)
+
+    _walk(systems, p, n, _canonical(p, n), leaf=leaf)
     return PartitionReport(
-        variety_size=len(variety),
+        variety_size=variety_size,
         tuples_scanned=(p + 1) ** n,
         covered=covered,
-        double_covered=double,
+        double_covered=sorted(double, key=lambda pair: str(pair[0])),
         unsound=sorted(unsound, key=lambda pair: (pair[0], str(pair[1]))),
-        missing=missing,
+        missing=sorted(missing, key=str),
     )
 
 
@@ -300,7 +426,7 @@ def check_extension(part: Part, p: int, n: int) -> list:
     Raises EnumerationCapExceeded when the canonical tuples or the values
     the walk tries pass ``DEFAULT_CAP``.
     """
-    _check_characteristic((*part.eq.generators, *part.neq), p, "part is")
+    system = _system(part, p)
     nslots = 2 * n
     counterexamples = []
     values, tried = range(p), 0
@@ -318,7 +444,7 @@ def check_extension(part: Part, p: int, n: int) -> list:
             prefix = tuple(vals[nslots - i] for i in range(1, k))
             counterexamples.append((k, prefix))
 
-    _walk(part.eq.generators, part.neq, p, n, candidates, dead=dead)
+    _walk([system], p, n, candidates, dead=dead)
     return sorted(counterexamples)
 
 

@@ -207,6 +207,29 @@ def test_run_oracle_failure_exit_code(example5_file, capsys, monkeypatch):
     assert "not covered" in captured.err
 
 
+def test_run_oracle_unsound_exit_code(example5_file, capsys, monkeypatch):
+    import p1parts.cli as cli_mod
+    from p1parts.groebner import IdealBasis
+    from p1parts.multiproj import Part
+
+    def widened(problem, **kwargs):
+        # leaf 17 (x_3^2 + x_3 = 0) without that equality
+        tree = partition_variety(problem, **kwargs)
+        leaf = tree.nodes[17]
+        tree.nodes[17] = Part(leaf.id, leaf.prev,
+                              IdealBasis(leaf.eq.generators[:-1]), leaf.neq,
+                              leaf.frozen_level)
+        return tree
+
+    monkeypatch.setattr(cli_mod, "partition_variety", widened)
+    assert run(RunOptions(example5_file, leaves_only=True, oracle_check=5)) == 3
+    captured = capsys.readouterr()
+    assert "INVALID" in captured.out
+    unsound = [line for line in captured.err.splitlines()
+               if "contains non-variety point" in line]
+    assert unsound and all(line.startswith("  part 17 ") for line in unsound)
+
+
 # A known F_3 problem whose leaf 22 has a prefix (y_1, y_2, y_3) = (1, 2, 1)
 # with no value of y_4; its leaves still cover the variety disjointly.
 EXTENSION_DEFECT_F3 = ("char 3\nn 3\nform x\nideal:\n"

@@ -151,6 +151,19 @@ def test_check_partition_valid_and_induced_failures(monkeypatch):
     rep3 = check_partition(dup, gens, 5, 3)
     assert rep3.double_covered and not rep3.valid
 
+    # widen leaf 17 (x_3^2 + x_3 = 0) by dropping that equality: the leaf
+    # takes in points off the variety
+    leaf = tree.nodes[17]
+    assert leaf.id in tree.leaf_ids()
+    wide = type(tree)(list(tree.nodes), tree.layout, tree.field)
+    wide.nodes[17] = Part(leaf.id, leaf.prev,
+                          IdealBasis(leaf.eq.generators[:-1]), leaf.neq,
+                          leaf.frozen_level)
+    rep4 = check_partition(wide, gens, 5, 3)
+    assert rep4.unsound and not rep4.valid
+    assert {part_id for part_id, _ in rep4.unsound} == {17}
+    assert not rep4.missing and not rep4.double_covered
+
 
 def test_check_partition_rejects_cross_characteristic():
     prob = parse_problem(EXAMPLE5)

@@ -12,6 +12,11 @@ never tested the constant ones).  ``ref_fibre`` is the walk's earlier
 fibre, built as a polynomial straight from the slot values; the walk's
 compiled constraints must specialize to the same fibre and agree with
 ``Polynomial.evaluate`` at every value of the fibre's slot.
+``ref_check_partition`` is the earlier partition check, one walk for the
+variety and one per leaf, cross-tabulated afterwards; ``check_partition``
+walks the variety and every leaf at once and must give an equal report,
+on sound trees and on trees broken by dropping, duplicating or widening
+a leaf.
 """
 
 from pathlib import Path
@@ -22,15 +27,16 @@ from hypothesis import given, settings, strategies as st
 from p1parts.fields import GF, FieldError
 from p1parts.groebner import IdealBasis, principal_saturate
 from p1parts.multiproj import (
-    Part, homogenized_generators, leaf_parts, partition_variety,
+    Part, PartTree, homogenized_generators, leaf_parts, partition_variety,
 )
 from p1parts.oracle import (
-    _as_polynomial, _check_characteristic, _compile, _holds, _specialize,
-    check_extension, enumerate_proj_space, part_members, variety_points,
+    PartitionReport, _as_polynomial, _check_characteristic, _compile, _holds,
+    _specialize, check_extension, check_partition, enumerate_proj_space,
+    part_members, variety_points,
 )
 from p1parts.parser import parse_problem
 from p1parts.poly import Polynomial, poly_gcd, support_level
-from test_oracle import slot_values
+from test_oracle import random_fp_problem, slot_values
 
 DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
@@ -54,6 +60,34 @@ def ref_part_members(part, p, n):
                 all(q.evaluate(vals) != 0 for q in part.neq):
             out.append(t)
     return out
+
+
+def ref_check_partition(tree: PartTree, gens, p: int, n: int) -> PartitionReport:
+    """Cross-tabulate leaf members against the brute-force variety."""
+    if tree.field.characteristic != p:
+        raise ValueError(
+            f"tree was computed in characteristic {tree.field.characteristic}, "
+            f"cannot check against F_{p}")
+    variety = set(variety_points(gens, p, n))
+    coverage = {}
+    unsound = []
+    for part in leaf_parts(tree):
+        for t in part_members(part, p, n):
+            coverage.setdefault(t, []).append(part.id)
+            if t not in variety:
+                unsound.append((part.id, t))
+    double = sorted(((t, ids) for t, ids in coverage.items() if len(ids) > 1),
+                    key=lambda pair: str(pair[0]))
+    missing = sorted((t for t in variety if t not in coverage), key=str)
+    covered = sum(1 for t in variety if t in coverage)
+    return PartitionReport(
+        variety_size=len(variety),
+        tuples_scanned=(p + 1) ** n,
+        covered=covered,
+        double_covered=double,
+        unsound=sorted(unsound, key=lambda pair: (pair[0], str(pair[1]))),
+        missing=missing,
+    )
 
 
 def ref_substitute(self, images: dict) -> "Polynomial":
@@ -342,3 +376,78 @@ def test_leaf_extension_matches_reference(name, radical):
             found[part.id] = cex
     if name == "ext-defect-f3" and not radical:
         assert found == {22: [(4, (1, 2, 1))]}
+
+
+N5_F5 = "char 5\nn 5\nform x\nideal:\nx_5*x_1-x_2*x_3+x_4\n"
+
+
+def renumbered(tree: PartTree, nodes) -> PartTree:
+    """A tree over ``nodes``, with ids renumbered to list positions."""
+    remap = {part.id: i for i, part in enumerate(nodes)}
+    return PartTree([Part(remap[q.id], remap.get(q.prev, -1), q.eq, q.neq,
+                          q.frozen_level) for q in nodes],
+                    tree.layout, tree.field)
+
+
+def mutants(tree: PartTree) -> dict:
+    """The tree with its first leaf dropped, its last leaf duplicated, and
+    the first leaf with an equality widened by dropping its last one."""
+    leaves = leaf_parts(tree)
+    first, last = leaves[0], leaves[-1]
+    out = {
+        "dropped": renumbered(tree, [q for q in tree.nodes if q.id != first.id]),
+        "duplicated": PartTree(
+            tree.nodes + [Part(len(tree.nodes), last.prev, last.eq, last.neq,
+                               last.frozen_level)], tree.layout, tree.field),
+    }
+    wide = next((q for q in leaves if q.eq.generators), None)
+    if wide is not None:
+        widened = Part(wide.id, wide.prev,
+                       IdealBasis(wide.eq.generators[:-1]), wide.neq,
+                       wide.frozen_level)
+        out["widened"] = PartTree(
+            [widened if q.id == wide.id else q for q in tree.nodes],
+            tree.layout, tree.field)
+    return out
+
+
+PARTITION_TEXTS = {"n5-f5": N5_F5, "ext-defect-f3": EXT_DEFECT_F3}
+PARTITION_CASES = [(name, radical) for name in FP_DEMOS
+                   for radical in (True, False)] + \
+    [(name, False) for name in PARTITION_TEXTS]
+
+
+def assert_reports_agree(tree, gens, p, n):
+    """Compare the reports on the tree and its mutants; return the mutant
+    reports."""
+    assert check_partition(tree, gens, p, n) == ref_check_partition(tree, gens, p, n)
+    reports = {}
+    for kind, broken in mutants(tree).items():
+        report = check_partition(broken, gens, p, n)
+        assert report == ref_check_partition(broken, gens, p, n), kind
+        reports[kind] = report
+    return reports
+
+
+@pytest.mark.parametrize("name, radical", PARTITION_CASES)
+def test_check_partition_matches_reference(name, radical):
+    text = PARTITION_TEXTS.get(name) or (DEMO_PROBLEMS / name).read_text()
+    problem = parse_problem(text)
+    p, n = problem.field.characteristic, problem.n
+    tree = partition_variety(problem, radical=radical)
+    gens = homogenized_generators(problem)
+    assert_reports_agree(tree, gens, p, n)
+
+
+def test_check_partition_matches_reference_on_sweep():
+    broken = {"unsound": 0, "double_covered": 0, "missing": 0}
+    for seed in range(1000, 1030):
+        problem = random_fp_problem(seed)
+        p, n = problem.field.characteristic, problem.n
+        tree = partition_variety(problem, max_nodes=400, radical=False)
+        reports = assert_reports_agree(
+            tree, homogenized_generators(problem), p, n)
+        for report in reports.values():
+            for kind in broken:
+                broken[kind] += bool(getattr(report, kind))
+    assert all(broken.values()), broken  # every kind of failure was compared
