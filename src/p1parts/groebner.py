@@ -1,20 +1,61 @@
 """Lex Groebner bases and the ideal operations built on them.
 
-Buchberger's algorithm with normal (smallest-lcm) pair selection, always
-returning the unique minimal reduced basis, monic, sorted by increasing
-leading monomial.  Saturation, radical membership and the lcm behind
-``poly_gcd`` ride on one mechanism: adjoin a fresh top slot t and
-eliminate it, from I + <1 - t*f> for the first two and from
+Every basis returned is the unique minimal reduced basis, monic, sorted
+by increasing leading monomial.  Saturation, radical membership and the
+lcm behind ``poly_gcd`` ride on one mechanism: adjoin a fresh top slot t
+and eliminate it, from I + <1 - t*f> for the first two and from
 <t*f, (1-t)*g> for the lcm.
 
 An ``IdealBasis`` is always such a reduced basis: only ``buchberger``,
 ``_extend``, ``elimination_subbasis`` and ``ideal_saturate`` make one.
-Most bases the engine needs extend one by a single polynomial: a
-child's equality J, the Rabinowitsch element 1 - t*f, a squarefree
-eliminant of the closure.  Every S-pair inside a reduced basis reduces
-to zero, so its elements start as the active set with no pairs queued,
-and each new element enters through the pair installation of Gebauer &
-Moeller (1988).  ``buchberger`` extends the empty basis.
+The input picks the algorithm.  Raw generators (``buchberger``, the lcm,
+and saturation or radical membership of a generator list) get
+Buchberger's algorithm with normal (smallest-lcm) pair selection and the
+pair installation of Gebauer & Moeller (1988).  A nonempty reduced basis
+G of an ideal I extended by one polynomial f, which is nearly every basis
+the engine needs (a child's equality J, the Rabinowitsch element t*f - 1,
+a squarefree eliminant of the closure, each homogenized generator at the
+root), gets a signature step instead (Faugere 2002; Gao, Volny & Wang
+2016), which skips most S-pairs that reduce to zero.  Raw generators
+stay with Gebauer & Moeller because adjoining them one at a time by
+signatures was measured slower there: the benchmark's leaf check, one
+``buchberger`` per leaf basis, rose by about a third on ``qq-paper``
+(``verify_s`` 0.0055 to 0.0074 s, two 8 s runs a side).
+
+The signature step.  Every element h it finds is congruent to u*f
+modulo I for some polynomial u; its signature is lm(u), a packed
+monomial, 1 for the remainder of f by G.  The J-pair of two elements is
+t_i*h_i, where t_i*lm(h_i) is the lcm of their leads and t_i*sig(h_i) is
+the larger of the two scaled signatures (an old element's is below every
+signature; equal ones form no pair).  J-pairs are taken in increasing
+signature s, one per signature, and one goes when
+
+- a syzygy signature divides s: an old lead (lm(u) in lm(I) lets u*f
+  drop to a lower signature modulo I) or a signature whose J-pair
+  reduced to zero;
+- or it is covered: some new element c has sig(c) | s and
+  (s / sig(c)) * lm(c) < lcm.
+
+The rest are reduced regularly, from the S-polynomial t_i*h_i - t_j*h_j
+on (one regular step in): an old element always reduces, a new element
+h_j reduces the term m only when (m / lm(h_j)) * sig(h_j) < s.
+A nonzero remainder joins the basis with signature s.  Gao, Volny & Wang
+also record the Koszul signature max(lm(h_j)*sig_i, lm(h_i)*sig_j) of
+two new elements and discard a J-pair whose reduced top term is
+reducible only at s itself.  Neither is needed here.  h_j*u_i - h_i*u_j
+lies in I, so a Koszul signature is a multiple of an old lead already,
+and a leading monomial past the exponent range is never formed.  A
+reducer at s itself, scaled, has signature s and a lead below the lcm,
+so it covers the pair, which never reaches the reduction.  This is
+their algorithm for the module of pairs (u, h) with h = u*f modulo I,
+which ends with every J-pair covered, so G and the new elements form a
+Groebner basis of I + <f> (their Theorem 2.4).  A J-pair reduces to zero
+only at a signature lm(u) with u*f in I and lm(u) not in lm(I).  When f
+is a nonzerodivisor modulo I, (I : f) = I, so that never happens and no
+reduction goes to zero.  t*f - 1 always is one: if a*(t*f - 1) lies in
+I[t], comparing coefficients from t^0 up puts every coefficient of a in
+I.  A J-pair signature that reaches 2^15 raises ExponentOverflowError,
+as an exponent does below, even where a criterion would drop the pair.
 
 The core works on packed monomials (Monagan & Pearce 2007): each
 exponent tuple becomes one int with 16 bits per slot, slot 0 in the
@@ -164,12 +205,25 @@ def _subtract(work: dict, heap: list, tail, shift: int, c, p: int, guard: int):
                 del work[t]
 
 
-def _reduce(work: dict, heads, p: int, guard: int) -> dict:
+def _spoly(head_i, head_j, lcm: int, p: int, guard: int) -> dict:
+    """S-polynomial of two monic heads whose leads have the lcm ``lcm``:
+    the leads cancel, so only the shifted tails are added."""
+    (lead_i, tail_i), (lead_j, tail_j) = head_i, head_j
+    work = {}
+    _subtract(work, [], tail_i, lcm - lead_i, -1, p, guard)
+    _subtract(work, [], tail_j, lcm - lead_j, 1, p, guard)
+    return work
+
+
+def _reduce(work: dict, heads, p: int, guard: int, sigs=None, bound=0):
     """Remainder of the packed term map ``work`` (consumed) by ``heads``.
 
     ``heads`` are monic (lead, tail) pairs sorted by lead; ``p`` is the
     field characteristic, 0 for the rationals.  The remainder's terms come
-    out in decreasing order.
+    out in decreasing order.  With ``sigs`` (lead -> signature of the new
+    elements of a signature run) the reduction is regular below the
+    signature ``bound``: an element in ``sigs`` reduces a term m only when
+    (m / lead) * signature < bound.
     """
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -181,7 +235,8 @@ def _reduce(work: dict, heads, p: int, guard: int) -> dict:
             continue  # cancelled after it was pushed
         mg = m | guard
         for lead, tail in heads:
-            if (mg - lead) & guard == guard:
+            if (mg - lead) & guard == guard and (
+                    sigs is None or lead not in sigs or m - lead + sigs[lead] < bound):
                 _subtract(work, heap, tail, m - lead, c, p, guard)
                 break
         else:
@@ -248,26 +303,19 @@ def _install(G: list, k: int, active: list, pairs: list, guard: int):
     active.append(k)
 
 
-def _close(G: list, nold: int, field, guard: int):
-    """All heads of a Groebner basis of G, by increasing lead, or None for 1.
-
-    G (heads, the first ``nold`` a reduced basis) gains the remainders.
-    """
+def _close(G: list, field, guard: int):
+    """All heads of a Groebner basis of the heads G, by increasing lead, or
+    None for 1; G gains the nonzero remainders."""
     if any(lead == 0 for lead, _ in G):
         return None
     p = field.characteristic
-    heads = sorted(G, key=_lead_key)  # stable: an old element comes first
-    active, pairs = list(range(nold)), []
-    for k in range(nold, len(G)):
+    heads = sorted(G, key=_lead_key)
+    active, pairs = [], []
+    for k in range(len(G)):
         _install(G, k, active, pairs, guard)
     while pairs:  # smallest lcm first (normal strategy)
         lcm, i, j = heapq.heappop(pairs)
-        (lead_i, tail_i), (lead_j, tail_j) = G[i], G[j]
-        # S-polynomial of two monic elements: the leads cancel
-        work = {}
-        _subtract(work, [], tail_i, lcm - lead_i, -1, p, guard)
-        _subtract(work, [], tail_j, lcm - lead_j, 1, p, guard)
-        h = _reduce(work, heads, p, guard)
+        h = _reduce(_spoly(G[i], G[j], lcm, p, guard), heads, p, guard)
         if not h:
             continue
         new = _monic_head(h, field)
@@ -277,6 +325,70 @@ def _close(G: list, nold: int, field, guard: int):
         insort(heads, new, key=_lead_key)
         _install(G, len(G) - 1, active, pairs, guard)
     return heads
+
+
+def _adjoin(old, f: dict, field, guard: int):
+    """All heads of a Groebner basis of ``old`` + <f>, by increasing lead,
+    or None for 1; ``old`` itself when f (a packed term map, consumed)
+    reduces to zero.
+
+    ``old`` are the heads of a reduced basis.  The new elements carry
+    signatures, packed monomials u with the element congruent to u*f plus
+    lower multiples of f modulo the old ideal; see the module docstring.
+    """
+    if old[0][0] == 0:
+        return None
+    p = field.characteristic
+    G, heads = list(old), list(old)
+    sigs = {}  # lead -> signature of each new element
+    syz = [lead for lead, _ in old]  # minimal syzygy signatures
+    pairs, s = [], 0
+    h = _reduce(f, old, p, guard)
+    if not h:
+        return old
+    while True:
+        if h:
+            new = _monic_head(h, field)
+            lead = new[0]
+            if lead == 0:
+                return None
+            k = len(G)
+            for j, (lead_j, _) in enumerate(G):
+                lcm = _lcm(lead, lead_j, guard)
+                if lcm == lead + lead_j:
+                    continue  # coprime leads: an old lead divides the signature
+                sig_j = sigs.get(lead_j)
+                sig = lcm - lead + s
+                i = k
+                if sig_j is not None:
+                    sig_o = lcm - lead_j + sig_j
+                    if sig_o == sig:
+                        continue
+                    if sig_o > sig:
+                        sig, i, j = sig_o, j, k
+                if sig & guard:
+                    raise _overflow()
+                heapq.heappush(pairs, (sig, lcm, i, j))
+            G.append(new)
+            insort(heads, new, key=_lead_key)
+            sigs[lead] = s
+        else:  # a syzygy signature that no element of syz divides
+            syz = [z for z in syz if ((z | guard) - s) & guard != guard]
+            syz.append(s)
+        last = s
+        while pairs:  # increasing signature, one J-pair per signature
+            s, lcm, i, j = heapq.heappop(pairs)
+            if s == last:
+                continue  # a cover or a syzygy signature now: cheaper to tell here
+            last = s
+            sg = s | guard
+            if not any((sg - z) & guard == guard for z in syz) and not any(
+                    (sg - sig_c) & guard == guard and s - sig_c + lead_c < lcm
+                    for lead_c, sig_c in sigs.items()):
+                break  # neither a syzygy signature nor a cover
+        else:
+            return heads
+        h = _reduce(_spoly(G[i], G[j], lcm, p, guard), heads, p, guard, sigs, s)
 
 
 def _finish(heads, old_at: dict, field, packing: _Packing) -> IdealBasis:
@@ -291,7 +403,7 @@ def _finish(heads, old_at: dict, field, packing: _Packing) -> IdealBasis:
     for head in heads:
         lead, tail = head
         if lead == last:
-            continue  # an old element precedes a new one with its lead
+            continue  # two generators of a raw run can share a lead
         last = lead
         g = old_at.get(lead)
         lg = lead | guard
@@ -320,9 +432,10 @@ def buchberger(gens) -> IdealBasis:
 
 
 def _extend(basis: IdealBasis, polys) -> IdealBasis:
-    """``buchberger(basis.generators + polys)``, installing only the new
-    polynomials: the basis itself when nothing new remains after
-    de-duplication."""
+    """``buchberger(basis.generators + polys)``.  The empty basis gets one
+    Gebauer-Moeller run over the polynomials; a reduced basis adjoins them
+    one at a time by signatures and comes back itself when nothing new
+    remains."""
     old = basis.generators  # nonzero, monic and distinct already
     added = dict.fromkeys(g.monic() for g in polys if not g.is_zero())
     if not added:
@@ -332,18 +445,22 @@ def _extend(basis: IdealBasis, polys) -> IdealBasis:
         first._check(g)
     field = first.field
     packing = _Packing(first.nslots)
-    G = list(_heads(basis))
-    old_at = {lead: g for (lead, _), g in zip(G, old)}
+    if not old:
+        heads = _close([_monic_head(packing.pack(g.terms), field) for g in added],
+                       field, packing.guard)
+        return _unit_basis(first) if heads is None else _finish(heads, {}, field, packing)
     for g in added:
-        head = _monic_head(packing.pack(g.terms), field)
-        if old_at.get(head[0]) != g:
-            G.append(head)
-    if len(G) == len(old):
-        return basis
-    heads = _close(G, len(old), field, packing.guard)
-    if heads is None:
-        return _unit_basis(first)
-    return _finish(heads, old_at, field, packing)
+        G = _heads(basis)
+        old_at = {lead: e for (lead, _), e in zip(G, basis.generators)}
+        terms = packing.pack(g.terms)
+        if old_at.get(max(terms)) == g:
+            continue
+        heads = _adjoin(G, terms, field, packing.guard)
+        if heads is None:
+            return _unit_basis(first)
+        if heads is not G:
+            basis = _finish(heads, old_at, field, packing)
+    return basis
 
 
 def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
@@ -358,21 +475,21 @@ def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
 
 
 def _rabinowitsch(basis_or_gens, f: Polynomial, packing: _Packing):
-    """``_close`` of I + <1 - t*f>, t a fresh slot above the others, and
-    the old elements by lead; only raw generators get a full run."""
+    """Heads of a Groebner basis of I + <1 - t*f>, t a fresh slot above the
+    others, or None for 1, and the old elements by lead: a nonempty basis
+    adjoins t*f - 1 by signatures, raw generators get Gebauer-Moeller."""
     field = f.field
+    guard = packing.guard | packing.top << 15
     rab = {packing.top + m: c for m, c in packing.pack(f.terms).items()}
     rab[0] = field.neg(field.one())  # t*f - 1
-    if isinstance(basis_or_gens, IdealBasis):
-        G = list(_heads(basis_or_gens))
+    if isinstance(basis_or_gens, IdealBasis) and basis_or_gens.generators:
+        G = _heads(basis_or_gens)
         old_at = {lead: g for (lead, _), g in zip(G, basis_or_gens.generators)}
-    else:
-        G = [_monic_head(packing.pack(g.terms), field)
-             for g in basis_or_gens if not g.is_zero()]
-        old_at = {}
-    nold = len(old_at)
+        return _adjoin(G, rab, field, guard), old_at
+    G = [_monic_head(packing.pack(g.terms), field)
+         for g in basis_or_gens if not g.is_zero()]
     G.append(_monic_head(rab, field))
-    return _close(G, nold, field, packing.guard | packing.top << 15), old_at
+    return _close(G, field, guard), {}
 
 
 def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
@@ -396,7 +513,7 @@ def _poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     tf = {top + m: c for m, c in packing.pack(f.terms).items()}
     tg_g = {**{m: field.neg(c) for m, c in pg.items()},
             **{top + m: c for m, c in pg.items()}}  # (t - 1)*g
-    heads = _close([_monic_head(tf, field), _monic_head(tg_g, field)], 0, field,
+    heads = _close([_monic_head(tf, field), _monic_head(tg_g, field)], field,
                    packing.guard | top << 15)
     low = heads[:bisect_left(heads, top, key=_lead_key)]
     return _finish(low, {}, field, packing).generators[0]
@@ -435,13 +552,19 @@ def _eliminant(basis: IdealBasis, pos: int, g: Polynomial):
     whenever the intersection is nonzero (Cox, Little & O'Shea, ch. 3
     section 1).  When ``g`` is univariate it is the generator; otherwise
     the lex basis is recomputed with the slot moved to the bottom, where
-    the generator, if any, comes first.
+    the generator, if any, comes first.  That basis adjoins the permuted
+    generators one at a time, in increasing lead order: one Buchberger
+    run over all of them took minutes on some 20-element bases.
     """
     if g.occurring_slots() <= {pos}:
         return g
     nslots = g.nslots
     order = [p for p in range(nslots) if p != pos] + [pos]
-    first = buchberger([_permuted(b, order) for b in basis.generators]).generators[0]
+    permuted = IdealBasis(())
+    for b in sorted((_permuted(b, order) for b in basis.generators),
+                    key=Polynomial.lead_monomial):
+        permuted = _extend(permuted, (b,))
+    first = permuted.generators[0]
     if not first.occurring_slots() <= {nslots - 1}:
         return None
     return _permuted(first, [order.index(p) for p in range(nslots)])

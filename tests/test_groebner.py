@@ -128,6 +128,28 @@ def test_exponent_overflow_raises():
         == A("x_1^20000")
 
 
+def test_signature_overflow():
+    """Signatures obey the exponent limit of the packed monomials.
+
+    Adjoining y_3-1 to <y_3*y_2*y_1^20000-y_2^2> gives y_2^2-y_2*y_1^20000
+    at signature y_2*y_1^20000; its J-pair with the old element has the
+    signature y_3*y_2*y_1^40000, which raises, though one run over both
+    generators stays in range.  Koszul signatures are never formed, so
+    one past the range raises nothing: adjoining y_2*y_1^17000-1 to
+    <y_1^17000-y_1> gives y_1^16999-1 at signature y_1^16999 and then
+    y_2-y_1^16998 at signature y_2*y_1^16999, and the Koszul signature of
+    these two is y_2*y_1^33998.
+    """
+    old = buchberger([P("y_3*y_2*y_1^20000-y_2^2")])
+    assert buchberger(old.generators + (P("y_3-1"),)).generators == (
+        P("y_2^2-y_2*y_1^20000"), P("y_3-1"))
+    with pytest.raises(ExponentOverflowError):
+        _extend(old, (P("y_3-1"),))
+    old = buchberger([P("y_1^17000-y_1")])
+    assert _extend(old, (P("y_2*y_1^17000-1"),)).generators == (
+        P("y_1^16999-1"), P("y_2-y_1^16998"))
+
+
 def random_ideal(rng, layout, field, ngens=3, max_terms=3, max_deg=3):
     gens = []
     for _ in range(rng.randint(1, ngens)):

@@ -17,10 +17,12 @@ the ideal.  Both closures reach the least ideal containing the input in
 which every slot's eliminant is squarefree, so their reduced bases must
 be identical.
 
-Extending a reduced basis skips the S-pairs among its elements, so
+Extending a reduced basis adjoins each new polynomial by a signature
+step that skips the S-pairs its criteria prove zero, so
 ``_extend(buchberger(gens), extra)`` must return the reference basis of
 ``gens + extra``, and saturation and radical membership must not depend
-on whether they get a reduced basis or the raw generators.
+on whether they get a reduced basis (a signature step) or the raw
+generators (Gebauer and Moeller's pairs).
 """
 
 import heapq
@@ -315,25 +317,41 @@ def test_heuristic_radical_matches_reference(gens):
 
 @st.composite
 def extensions(draw):
-    """An ideal and one or two polynomials to adjoin.
+    """An ideal and one or two polynomials to adjoin, in four kinds of draw.
 
-    In about half the draws the first polynomial leads with a nonconstant
-    tail monomial of the ideal's reduced basis, so that a new leading
-    monomial divides an old tail and the final pass must reduce that old
-    element again: 68 of the 200 derandomized draws of
-    ``test_extend_matches_reference`` do (33 without the aimed draws).
+    - Plain: random generators and polynomials.
+    - Tail: the first polynomial leads with a nonconstant tail monomial of
+      the ideal's reduced basis, so that a new leading monomial divides an
+      old tail and the final pass must reduce that old element again.
+    - Divisor: the ideal holds a product a*b and the first polynomial is
+      a, a zero divisor modulo the ideal: b*a lies in it, a syzygy whose
+      signature no old leading monomial need divide, so some J-pair
+      reduces to zero.
+    - Boolean: over F_2, the ideal also holds y^2+y for some slots y, so
+      every polynomial in those slots is a zero divisor, as h with h^2-h
+      is in the canonical constraints of every root.
     """
-    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(("plain", "tail", "divisor", "boolean")))
+    field = GF(2) if kind == "boolean" else draw(st.sampled_from(FIELDS))
     nslots = draw(st.sampled_from(WIDTHS))
     gens = draw(st.lists(polynomials(field, nslots), min_size=2, max_size=4))
     extra = draw(st.lists(polynomials(field, nslots), min_size=1, max_size=2))
-    if draw(st.booleans()):
+    if kind == "tail":
         tails = sorted({m for g in buchberger(gens).generators for m in g.terms
                         if m != g.lead_monomial() and any(m)})
         if tails:
             m = draw(st.sampled_from(tails))
             lower = {t: c for t, c in extra[0].terms.items() if t < m}
             extra[0] = Polynomial(field, nslots, {**lower, m: 1})
+    elif kind == "divisor":
+        a, b = (draw(polynomials(field, nslots, max_terms=2, max_degree=2))
+                for _ in range(2))
+        gens[0] = a * b
+        extra[0] = a
+    elif kind == "boolean":
+        for pos in draw(st.sets(st.integers(0, nslots - 1), min_size=1, max_size=3)):
+            y = Polynomial.var(field, nslots, pos)
+            gens.append(y * y + y)
     return tuple(gens), tuple(extra)
 
 
@@ -383,16 +401,17 @@ def test_extend_skips_the_closed_pairs(reduce_calls):
 def test_extend_reduces_only_the_touched_tails(reduce_calls):
     """Only the old element whose tail a new lead divides is reduced again.
 
-    The old leads y_4^2, y_3^2 and y_2^2 and the new lead y_1^2 are
-    pairwise coprime, so no S-polynomial is reduced.  The new lead
-    divides the tail of y_4^2-y_1^2 alone: the final pass reduces that
-    element and the new one, two calls, and hands the other two old
+    The new polynomial is reduced by the basis once, which leaves it as
+    it is.  The old leads y_4^2, y_3^2 and y_2^2 and the new lead y_1^2
+    are pairwise coprime, so no J-pair is reduced.  The new lead divides
+    the tail of y_4^2-y_1^2 alone: the final pass reduces that element
+    and the new one, three calls in all, and hands the other two old
     elements back as the same objects.
     """
     basis = buchberger([_qq("y_4^2-y_1^2"), _qq("y_3^2-y_1"), _qq("y_2^2-y_1")])
     reduce_calls.clear()
     ext = _extend(basis, (_qq("y_1^2-1"),))
-    assert len(reduce_calls) == 2
+    assert len(reduce_calls) == 3
     assert ext.generators == (
         _qq("y_1^2-1"), _qq("y_2^2-y_1"), _qq("y_3^2-y_1"), _qq("y_4^2-1"))
     assert ext.generators[1] is basis.generators[0]

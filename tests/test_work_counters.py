@@ -22,7 +22,9 @@ nodes):
 One more pins the ``_reduce`` calls of the ``found-f2`` root basis,
 which takes thousands when the homogenized generators and the canonical
 constraints go into one run, so that a change of ``root_part``'s
-insertion order shows.
+insertion order shows.  The last pins the zero remainders of the
+``n5-f5`` root basis, which the signature criteria predict: Gebauer and
+Moeller's installation reduced 437 of 547 S-pairs to zero there.
 """
 
 from p1parts import cli, groebner, multiproj, poly
@@ -78,20 +80,34 @@ def test_n5_f5_work_counters(monkeypatch):
     tree = partition_variety(parse_problem(N5_F5))
     render_tree(tree)
     assert len(tree.nodes) == 121
-    assert counts == {"reduce": 2146, "closure_lcm": 0, "lead_split": 114,
+    assert counts == {"reduce": 1308, "closure_lcm": 0, "lead_split": 114,
                       "poly_gcd": 402, "radical_membership": 60,
                       "to_canonical_text": 654}
 
 
-def test_found_f2_root_reduce_calls(monkeypatch):
-    calls = []
+def reduce_results(monkeypatch):
+    """A list that gains the result of every ``groebner._reduce`` call."""
+    results = []
     real_reduce = groebner._reduce
 
     def counting_reduce(*args):
-        calls.append(None)
-        return real_reduce(*args)
+        results.append(real_reduce(*args))
+        return results[-1]
 
     monkeypatch.setattr(groebner, "_reduce", counting_reduce)
+    return results
+
+
+def test_found_f2_root_reduce_calls(monkeypatch):
+    results = reduce_results(monkeypatch)
     root = root_part(parse_problem(FOUND_F2), radical=False)
     assert len(root.eq) == 27
-    assert len(calls) == 343
+    assert len(results) == 77
+
+
+def test_n5_f5_root_zero_reductions(monkeypatch):
+    results = reduce_results(monkeypatch)
+    root = root_part(parse_problem(N5_F5), radical=False)
+    assert len(root.eq) == 52
+    assert len(results) == 129
+    assert sum(r == {} for r in results) == 8
