@@ -17,10 +17,13 @@ the engine needs (a child's equality J, the Rabinowitsch element t*f - 1,
 a squarefree eliminant of the closure, each homogenized generator at the
 root), gets a signature step instead (Faugere 2002; Gao, Volny & Wang
 2016), which skips most S-pairs that reduce to zero.  Raw generators
-stay with Gebauer & Moeller because adjoining them one at a time by
-signatures was measured slower there: the benchmark's leaf check, one
-``buchberger`` per leaf basis, rose by about a third on ``qq-paper``
-(``verify_s`` 0.0055 to 0.0074 s, two 8 s runs a side).
+stay with Gebauer & Moeller.  Adjoined one at a time by signatures, the
+benchmark's leaf check, one ``buchberger`` per leaf basis, rose by about
+a third on ``qq-paper`` (``verify_s`` 0.0055 to 0.0074 s, two 8 s runs a
+side).  A fold that packs the list once and reduces once at the end
+runs at par there, but some pairs of high degree need signatures far
+past the exponent range, where the pair loop finds the basis in seconds
+(``test_raw_generators_need_no_signatures``).
 
 The signature step.  Every element h it finds is congruent to u*f
 modulo I for some polynomial u; its signature is lm(u), a packed
@@ -54,8 +57,16 @@ only at a signature lm(u) with u*f in I and lm(u) not in lm(I).  When f
 is a nonzerodivisor modulo I, (I : f) = I, so that never happens and no
 reduction goes to zero.  t*f - 1 always is one: if a*(t*f - 1) lies in
 I[t], comparing coefficients from t^0 up puts every coefficient of a in
-I.  A J-pair signature that reaches 2^15 raises ExponentOverflowError,
-as an exponent does below, even where a criterion would drop the pair.
+I.  A J-pair signature may pass 2^15 in a slot.  It is queued anyway:
+each field stays below 2^16, so int order is still lex order.  Taken,
+it meets both criteria with every such field saturated to 2^16 - 1,
+which makes the masked divisibility test below exact there, since the
+old leads and the signatures it is tested against are in range; it
+raises ExponentOverflowError only if it survives them.  A carry out of
+a field of the cover product (s / sig(c)) * lm(c) can only keep a pair,
+never drop one: a product at or above the lcm in lex order first
+exceeds it in some field, so its int is at least the lcm's whatever the
+lower fields carry.
 
 The core works on packed monomials (Monagan & Pearce 2007): each
 exponent tuple becomes one int with 16 bits per slot, slot 0 in the
@@ -366,9 +377,7 @@ def _adjoin(old, f: dict, field, guard: int):
                         continue
                     if sig_o > sig:
                         sig, i, j = sig_o, j, k
-                if sig & guard:
-                    raise _overflow()
-                heapq.heappush(pairs, (sig, lcm, i, j))
+                heapq.heappush(pairs, (sig, lcm, i, j))  # in range or not
             G.append(new)
             insort(heads, new, key=_lead_key)
             sigs[lead] = s
@@ -381,13 +390,16 @@ def _adjoin(old, f: dict, field, guard: int):
             if s == last:
                 continue  # a cover or a syzygy signature now: cheaper to tell here
             last = s
-            sg = s | guard
+            hi = s & guard
+            sg = s | guard | hi - (hi >> 15)  # a field past the range saturated
             if not any((sg - z) & guard == guard for z in syz) and not any(
                     (sg - sig_c) & guard == guard and s - sig_c + lead_c < lcm
                     for lead_c, sig_c in sigs.items()):
                 break  # neither a syzygy signature nor a cover
         else:
             return heads
+        if s & guard:
+            raise _overflow()
         h = _reduce(_spoly(G[i], G[j], lcm, p, guard), heads, p, guard, sigs, s)
 
 

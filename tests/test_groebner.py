@@ -129,25 +129,58 @@ def test_exponent_overflow_raises():
 
 
 def test_signature_overflow():
-    """Signatures obey the exponent limit of the packed monomials.
+    """Signatures may leave the exponent range of the packed monomials.
 
     Adjoining y_3-1 to <y_3*y_2*y_1^20000-y_2^2> gives y_2^2-y_2*y_1^20000
     at signature y_2*y_1^20000; its J-pair with the old element has the
-    signature y_3*y_2*y_1^40000, which raises, though one run over both
-    generators stays in range.  Koszul signatures are never formed, so
-    one past the range raises nothing: adjoining y_2*y_1^17000-1 to
-    <y_1^17000-y_1> gives y_1^16999-1 at signature y_1^16999 and then
-    y_2-y_1^16998 at signature y_2*y_1^16999, and the Koszul signature of
-    these two is y_2*y_1^33998.
+    signature y_3*y_2*y_1^40000, past the range, which the old lead
+    divides, so the pair goes and the basis is the one of both generators.
+    The F_7 pair below meets such signatures too on the way to a basis in
+    range.  A pair past the range that survives the criteria raises:
+    adjoining y_2^2-y_1 to <y_2*y_1^20000-1> gives y_2-y_1^20001 at
+    signature y_1^20000, and its J-pair with the old element, at signature
+    y_1^40000, is neither a syzygy signature nor covered (the basis holds
+    y_1^40001-1, out of range as well).  Koszul signatures are never
+    formed, so one past the range raises nothing: adjoining
+    y_2*y_1^17000-1 to <y_1^17000-y_1> gives y_1^16999-1 at signature
+    y_1^16999 and then y_2-y_1^16998 at signature y_2*y_1^16999, and the
+    Koszul signature of these two is y_2*y_1^33998.
     """
-    old = buchberger([P("y_3*y_2*y_1^20000-y_2^2")])
-    assert buchberger(old.generators + (P("y_3-1"),)).generators == (
-        P("y_2^2-y_2*y_1^20000"), P("y_3-1"))
+    gens = (P("y_3*y_2*y_1^20000-y_2^2"), P("y_3-1"))
+    assert _extend(buchberger(gens[:1]), gens[1:]) == buchberger(gens)
+    assert buchberger(gens).generators == (P("y_2^2-y_2*y_1^20000"), P("y_3-1"))
+    pl2, f7 = ProjLayout(2), GF(7)
+    gens = [parse_polynomial(text, pl2, f7) for text in (
+        "y_3^2*y_2^2*y_1+2*y_3*y_2^6533*y_1",
+        "4*y_3^2*y_2*y_1^15361+4*y_3*y_2*y_1^2+4*y_2^2*y_1")]
+    assert _extend(buchberger(gens[:1]), gens[1:]) == buchberger(gens)
+    assert len(buchberger(gens)) == 5
+    old = buchberger([P("y_2*y_1^20000-1")])
     with pytest.raises(ExponentOverflowError):
-        _extend(old, (P("y_3-1"),))
+        _extend(old, (P("y_2^2-y_1"),))
     old = buchberger([P("y_1^17000-y_1")])
     assert _extend(old, (P("y_2*y_1^17000-1"),)).generators == (
         P("y_1^16999-1"), P("y_2-y_1^16998"))
+
+
+def test_raw_generators_need_no_signatures():
+    """A raw generator list gets Gebauer-Moeller pairs, not signature steps.
+
+    Over F_7, f = 2*y_3*y_2+6*y_3^2*y_2^2*y_1^1784 is 2*y_3*y_2*(1+3*v)
+    with v = y_3*y_2*y_1^1784.  y_2^8423*y_1^2 divides v^8423, so 1+3*v is
+    a unit modulo it, and f and y_3*y_2^8424*y_1^2 generate <y_3*y_2>.  A
+    signature step adjoining f reaches y_3*y_2 only at signature v^8422:
+    the u with u*f = y_3*y_2 modulo the first generator is unique up to
+    multiples of y_2^8423*y_1^2, none of which cancels its lead.  That is
+    far past the exponent range, so the step raises where the pair loop
+    returns the basis.
+    """
+    pl2, f7 = ProjLayout(2), GF(7)
+    gens = [parse_polynomial(text, pl2, f7) for text in (
+        "4*y_3*y_2^8424*y_1^2", "2*y_3*y_2+6*y_3^2*y_2^2*y_1^1784")]
+    assert buchberger(gens).generators == (parse_polynomial("y_3*y_2", pl2, f7),)
+    with pytest.raises(ExponentOverflowError):
+        _extend(buchberger(gens[:1]), gens[1:])
 
 
 def random_ideal(rng, layout, field, ngens=3, max_terms=3, max_deg=3):
