@@ -37,25 +37,27 @@ class RunOptions:
     oracle_check: Optional[int] = None
 
 
-def _constraint_texts(tree: PartTree, part, texts: dict):
+def _constraint_texts(part, layouts: list, texts: dict):
     """Equalities named for the part's frozen level, inequalities all in z.
 
-    ``texts`` memoizes by (id of the polynomial, naming level) for one
-    rendering, during which the tree keeps every polynomial alive: a child
-    shares most generators with its parent as the same objects.
+    ``layouts`` holds the tree's layout named for each level, 0 to the
+    slot count.  ``texts`` memoizes by (id of the polynomial, naming
+    level) for one rendering, during which the tree keeps every polynomial
+    alive: a child shares most generators with its parent as the same
+    objects.
     """
     def text(f, level):
         key = id(f), level
         if key not in texts:
-            texts[key] = to_canonical_text(f, tree.layout.at_level(level))
+            texts[key] = to_canonical_text(f, layouts[level])
         return texts[key]
 
     return ([text(g, part.frozen_level) for g in part.eq.generators],
-            [text(q, tree.layout.nslots) for q in part.neq])
+            [text(q, len(layouts) - 1) for q in part.neq])
 
 
-def _node_record(tree: PartTree, part, leaf_ids, texts):
-    eqs, neqs = _constraint_texts(tree, part, texts)
+def _node_record(tree: PartTree, part, leaf_ids, layouts, texts):
+    eqs, neqs = _constraint_texts(part, layouts, texts)
     return {
         "id": part.id,
         "prev": part.prev,
@@ -80,24 +82,26 @@ def render_tree(tree: PartTree, format: str = "text",
         nodes = [p for p in tree.nodes if p.id in leaf_ids]
     else:
         nodes = list(tree.nodes)
+    layouts = [tree.layout.at_level(k) for k in range(tree.layout.nslots + 1)]
     texts = {}
 
     if format == "text":
         lines = []
         for part in nodes:
             path = ", ".join(str(i) for i in tree.path(part.id))
-            eqs, neqs = _constraint_texts(tree, part, texts)
+            eqs, neqs = _constraint_texts(part, layouts, texts)
             lines.append(f"({path}, ideal({','.join(eqs)}), {{{', '.join(neqs)}}})")
         return "\n".join(lines) + ("\n" if lines else "")
 
     if format == "json":
-        payload = {"nodes": [_node_record(tree, p, leaf_ids, texts) for p in nodes]}
+        payload = {"nodes": [_node_record(tree, p, leaf_ids, layouts, texts)
+                             for p in nodes]}
         return json.dumps(payload, indent=2) + "\n"
 
     if format == "dot":
         lines = ["digraph parts {"]
         for part in nodes:
-            eqs, neqs = _constraint_texts(tree, part, texts)
+            eqs, neqs = _constraint_texts(part, layouts, texts)
             label = f"{part.id}: eq=[{','.join(eqs)}] neq={{{','.join(neqs)}}}"
             label = label.replace("\\", "\\\\").replace('"', '\\"')
             shape = " shape=box" if part.id in leaf_ids else ""

@@ -1,9 +1,14 @@
 """Exact coefficient arithmetic over the rationals and over prime fields.
 
 Every computation in this package is exact: characteristic 0 uses
-arbitrary-precision ``Fraction`` values, characteristic p uses canonical
-residues (ints in ``[0, p)``).  A :class:`Field` instance supplies the
-arithmetic; it never rounds.
+arbitrary-precision rationals, characteristic p uses canonical residues
+(ints in ``[0, p)``).  A :class:`Field` instance supplies the arithmetic;
+it never rounds.  A canonical rational is an ``int`` when it is integral
+and a ``Fraction`` with denominator above 1 otherwise, so the usual
+coefficients 1, -1 and 2 stay native ints and most arithmetic never
+enters the pure-Python ``fractions`` module.  An int and an integral
+``Fraction`` compare, hash and print alike, so a value that some inline
+arithmetic leaves as an integral ``Fraction`` is still correct.
 """
 
 from __future__ import annotations
@@ -30,11 +35,20 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _rational(x):
+    """Canonical rational value of an int or a Fraction: an int when integral."""
+    if x.denominator == 1:
+        return x.numerator  # an int, for a bool too
+    return x
+
+
 class Field:
     """The rationals (characteristic 0) or the prime field F_p.
 
-    Raw values are ``Fraction`` over the rationals and ``int`` residues
-    over F_p.  Both forms are canonical, so equal values compare equal.
+    Raw values over the rationals are ``int`` when integral and
+    ``Fraction`` otherwise; over F_p they are ``int`` residues.  Every
+    method returns these canonical forms from canonical arguments, and
+    never a float: ``/`` between two ints would give one.
     """
 
     __slots__ = ("characteristic",)
@@ -72,7 +86,7 @@ class Field:
                 f"coefficient {x!r} is not exact: use an int or a Fraction")
         p = self.characteristic
         if p == 0:
-            return Fraction(x)
+            return _rational(x)
         if isinstance(x, Fraction):
             if x.denominator % p == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
@@ -80,19 +94,19 @@ class Field:
         return int(x) % p
 
     def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
+        return 1
 
     def add(self, a, b):
         if self.characteristic == 0:
-            return a + b
+            return _rational(a + b)
         return (a + b) % self.characteristic
 
     def sub(self, a, b):
         if self.characteristic == 0:
-            return a - b
+            return _rational(a - b)
         return (a - b) % self.characteristic
 
     def neg(self, a):
@@ -102,21 +116,22 @@ class Field:
 
     def mul(self, a, b):
         if self.characteristic == 0:
-            return a * b
+            return _rational(a * b)
         return (a * b) % self.characteristic
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.characteristic == 0:
-            return 1 / a
+            return _rational(Fraction(a.denominator, a.numerator))
         return pow(a, -1, self.characteristic)
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
         if self.characteristic == 0:
-            return a / b
+            return _rational(Fraction(a.numerator * b.denominator,
+                                      a.denominator * b.numerator))
         return a * pow(b, -1, self.characteristic) % self.characteristic
 
 

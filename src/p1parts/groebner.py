@@ -82,7 +82,9 @@ packed elements of I, and the t-free elements, a prefix in lead order,
 are the saturation.
 
 Division reduces the largest remaining term, taken off a max-heap, by
-the first element, in increasing lead order, whose lead divides it.  No
+the first element, in increasing lead order, whose lead divides it.  A
+divisor of a monomial is at most that monomial in lex order, so the scan
+stops at the first lead above the term, which is then irreducible.  No
 later lead divides a term of an earlier element, so one pass in
 increasing lead order makes the minimal basis reduced.
 """
@@ -231,7 +233,9 @@ def _reduce(work: dict, heads, p: int, guard: int, sigs=None, bound=0):
 
     ``heads`` are monic (lead, tail) pairs sorted by lead; ``p`` is the
     field characteristic, 0 for the rationals.  The remainder's terms come
-    out in decreasing order.  With ``sigs`` (lead -> signature of the new
+    out in decreasing order.  A lead that divides a term m is at most m,
+    so the scan over ``heads`` stops at the first lead above m and keeps m
+    in the remainder.  With ``sigs`` (lead -> signature of the new
     elements of a signature run) the reduction is regular below the
     signature ``bound``: an element in ``sigs`` reduces a term m only when
     (m / lead) * signature < bound.
@@ -246,6 +250,9 @@ def _reduce(work: dict, heads, p: int, guard: int, sigs=None, bound=0):
             continue  # cancelled after it was pushed
         mg = m | guard
         for lead, tail in heads:
+            if lead > m:  # no later lead divides m
+                out[m] = c
+                break
             if (mg - lead) & guard == guard and (
                     sigs is None or lead not in sigs or m - lead + sigs[lead] < bound):
                 _subtract(work, heap, tail, m - lead, c, p, guard)

@@ -13,7 +13,7 @@ by exponent division in characteristic p).
 
 from __future__ import annotations
 
-from .fields import Field, FieldError
+from .fields import QQ, Field, FieldError
 
 
 class Layout:
@@ -419,7 +419,7 @@ def _dense_rem(a: list, b: list, p: int) -> list:
     """
     a = a[:]
     db = len(b) - 1
-    inv = pow(b[-1], -1, p) if p else 1 / b[-1]
+    inv = pow(b[-1], -1, p) if p else QQ.inv(b[-1])
     while len(a) > db:
         q = a.pop() * inv
         shift = len(a) - db

@@ -314,3 +314,13 @@ def test_golden_digests_cover_every_demo():
     names = {path.name for path in DEMO_PROBLEMS.glob("*.txt")}
     assert {name for name, _, _ in GOLDEN_DIGESTS} == names
     assert len(GOLDEN_DIGESTS) == 6 * len(names)
+
+
+def test_minors_n6_rendering_golden():
+    # the 2x2 minors of a generic 2x3 matrix over QQ: 277 nodes, the
+    # largest rational tree with a pinned rendering
+    path = Path(__file__).resolve().parent / "problems" / "minors_n6_qq.txt"
+    tree = partition_variety(parse_problem(path.read_text(encoding="utf-8")))
+    assert len(tree.nodes) == 277
+    assert hashlib.sha256(render_tree(tree, "text").encode()).hexdigest() == \
+        "2807420d97a8467dc3bc037fb9582f9c0ef389271d1a8e7a99c1ab69368c9aa3"

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from p1parts.fields import GF, QQ, Field, FieldError
+from p1parts.multiproj import partition_variety
+from p1parts.parser import parse_problem
 from p1parts.poly import Polynomial
+
+from test_multiproj_reference import random_problem
 
 
 def brute_inverse(a, p):
@@ -69,9 +73,28 @@ def test_prime_field_inv():
         F7.inv(0)
 
 
+def exact(value, kind):
+    """The value, after checking it has exactly the given type."""
+    assert type(value) is kind, (value, kind)
+    return value
+
+
 def test_canonical_forms():
-    assert QQ.coerce(Fraction(6, 4)) == Fraction(3, 2)
-    assert type(QQ.coerce(3)) is Fraction
+    # a rational is an int when integral, else a Fraction; never a float
+    assert exact(QQ.coerce(3), int) == 3
+    assert exact(QQ.coerce(Fraction(6, 3)), int) == 2
+    assert exact(QQ.coerce(Fraction(6, 4)), Fraction) == Fraction(3, 2)
+    assert exact(QQ.zero(), int) == 0 and exact(QQ.one(), int) == 1
+    assert exact(QQ.inv(2), Fraction) == Fraction(1, 2)
+    assert exact(QQ.inv(Fraction(1, 2)), int) == 2
+    assert exact(QQ.inv(-1), int) == -1
+    assert exact(QQ.div(1, 3), Fraction) == Fraction(1, 3)
+    assert exact(QQ.div(4, 2), int) == 2
+    assert exact(QQ.div(Fraction(3, 2), Fraction(3, 4)), int) == 2
+    half = Fraction(1, 2)
+    assert exact(QQ.add(half, half), int) == 1
+    assert exact(QQ.sub(Fraction(3, 2), half), int) == 1
+    assert exact(QQ.mul(half, 2), int) == 1
     assert GF(5).coerce(12) == 2
     assert GF(5).coerce(-1) == 4
     assert GF(5).coerce(Fraction(1, 2)) == brute_inverse(2, 5) == 3
@@ -117,3 +140,25 @@ def test_prime_field_axioms(a, b, c):
     assert f.add(a, f.neg(a)) == 0
     if b:
         assert f.mul(b, f.inv(b)) == 1
+
+
+def rational_problems():
+    yield parse_problem("char 0\nn 3\nform x\nideal:\n"
+                        "x_1*(x_3^2*x_2+x_3+1)\nx_3*(x_3^2*x_2+x_3+1)\n")
+    yield parse_problem("char 0\nn 4\nform x\nideal:\nx_1*x_4-x_2*x_3\n")
+    for seed in range(100):
+        problem = random_problem(seed)
+        if problem.field == QQ:
+            yield problem
+
+
+@pytest.mark.parametrize("radical", [True, False])
+def test_tree_coefficients_exact(radical):
+    # every coefficient of every rational tree is an int or a Fraction
+    checked = 0
+    for problem in rational_problems():
+        for part in partition_variety(problem, radical=radical).nodes:
+            for f in (*part.eq.generators, *part.neq):
+                assert all(type(c) in (int, Fraction) for c in f.terms.values()), f
+                checked += 1
+    assert checked > 1000

@@ -15,6 +15,7 @@ sit only on polynomials that equal their reference squarefree part.
 every term.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -104,11 +105,12 @@ def _dense_rem(a: list, b: list, p: int) -> list:
     """Remainder of dense coefficient lists, lowest degree first.
 
     A copy of the engine's helper, so that no reference result rests on
-    the code it is compared with.
+    the code it is compared with.  A rational coefficient may be an int,
+    so the inverse is taken as a Fraction, never by ``1 / int``.
     """
     a = a[:]
     db = len(b) - 1
-    inv = pow(b[-1], -1, p) if p else 1 / b[-1]
+    inv = pow(b[-1], -1, p) if p else Fraction(1) / b[-1]
     while len(a) > db:
         q = a.pop() * inv
         shift = len(a) - db
