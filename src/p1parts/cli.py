@@ -41,15 +41,15 @@ def _constraint_texts(part, layouts: list, texts: dict):
     """Equalities named for the part's frozen level, inequalities all in z.
 
     ``layouts`` holds the tree's layout named for each level, 0 to the
-    slot count.  ``texts`` memoizes by (id of the polynomial, naming
-    level) for one rendering, during which the tree keeps every polynomial
-    alive: a child shares most generators with its parent as the same
-    objects.
+    slot count, each paired with the memo of its monomials' factor text.
+    ``texts`` memoizes by (id of the polynomial, naming level) for one
+    rendering, during which the tree keeps every polynomial alive: a child
+    shares most generators with its parent as the same objects.
     """
     def text(f, level):
         key = id(f), level
         if key not in texts:
-            texts[key] = to_canonical_text(f, layouts[level])
+            texts[key] = to_canonical_text(f, *layouts[level])
         return texts[key]
 
     return ([text(g, part.frozen_level) for g in part.eq.generators],
@@ -82,7 +82,7 @@ def render_tree(tree: PartTree, format: str = "text",
         nodes = [p for p in tree.nodes if p.id in leaf_ids]
     else:
         nodes = list(tree.nodes)
-    layouts = [tree.layout.at_level(k) for k in range(tree.layout.nslots + 1)]
+    layouts = [(tree.layout.at_level(k), {}) for k in range(tree.layout.nslots + 1)]
     texts = {}
 
     if format == "text":

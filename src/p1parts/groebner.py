@@ -30,8 +30,9 @@ modulo I for some polynomial u; its signature is lm(u), a packed
 monomial, 1 for the remainder of f by G.  The J-pair of two elements is
 t_i*h_i, where t_i*lm(h_i) is the lcm of their leads and t_i*sig(h_i) is
 the larger of the two scaled signatures (an old element's is below every
-signature; equal ones form no pair).  J-pairs are taken in increasing
-signature s, one per signature, and one goes when
+signature; equal ones form no pair).  A signature is queued once, with
+the least (lcm, i, j) of its J-pairs, and the signatures s are taken in
+increasing order.  The pair of s goes when
 
 - a syzygy signature divides s: an old lead (lm(u) in lm(I) lets u*f
   drop to a lower signature modulo I) or a signature whose J-pair
@@ -39,10 +40,17 @@ signature s, one per signature, and one goes when
 - or it is covered: some new element c has sig(c) | s and
   (s / sig(c)) * lm(c) < lcm.
 
+The old leads never change during a step, so they are tested once, when
+a signature is first queued, and a signature one divides is marked so
+that it is never queued; the zero reductions and the cover are tested
+when it is taken.
+
 The rest are reduced regularly, from the S-polynomial t_i*h_i - t_j*h_j
 on (one regular step in): an old element always reduces, a new element
 h_j reduces the term m only when (m / lm(h_j)) * sig(h_j) < s.
-A nonzero remainder joins the basis with signature s.  Gao, Volny & Wang
+A nonzero remainder joins the basis with signature s.  No element
+reduces its lead in this way, so no two new elements share a lead, and
+each J-pair it forms has a signature above s.  Gao, Volny & Wang
 also record the Koszul signature max(lm(h_j)*sig_i, lm(h_i)*sig_j) of
 two new elements and discard a J-pair whose reduced top term is
 reducible only at s itself.  Neither is needed here.  h_j*u_i - h_i*u_j
@@ -97,6 +105,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dc_field
 from operator import itemgetter
 
+from .fields import _rational
 from .poly import Polynomial, exact_div, poly_gcd, squarefree_part
 
 _EXPONENT_LIMIT = 1 << 15  # the top bit of each 16-bit slot is the guard
@@ -358,9 +367,11 @@ def _adjoin(old, f: dict, field, guard: int):
         return None
     p = field.characteristic
     G, heads = list(old), list(old)
-    sigs = {}  # lead -> signature of each new element
-    syz = [lead for lead, _ in old]  # minimal syzygy signatures
-    pairs, s = [], 0
+    old_leads = [lead for lead, _ in old] + [guard << 1]  # and one above all signatures
+    sigs = {}  # lead -> signature of each new element, in the order of G
+    syz = []  # minimal signatures of the zero reductions
+    best = {}  # signature -> least (lcm, i, j), or None when an old lead divides it
+    queue, s = [], 0  # a heap of the signatures in best not yet taken
     h = _reduce(f, old, p, guard)
     if not h:
         return old
@@ -371,34 +382,52 @@ def _adjoin(old, f: dict, field, guard: int):
             if lead == 0:
                 return None
             k = len(G)
-            for j, (lead_j, _) in enumerate(G):
-                lcm = _lcm(lead, lead_j, guard)
+            lg = lead | guard
+            made = []  # (signature, lcm, i, j) of each J-pair with the new element
+            for j, (lead_j, _) in enumerate(old):  # signatureless, so i is k
+                ge = (lg - lead_j) & guard  # _lcm(lead, lead_j, guard) inline
+                lcm = lead_j ^ ((lead ^ lead_j) & (ge | ge - (ge >> 15)))
+                if lcm != lead + lead_j:  # coprime leads: an old lead divides it
+                    made.append((lcm - lead + s, lcm, k, j))
+            for j, (lead_j, sig_j) in enumerate(sigs.items(), len(old)):  # in G's order
+                ge = (lg - lead_j) & guard
+                lcm = lead_j ^ ((lead ^ lead_j) & (ge | ge - (ge >> 15)))
                 if lcm == lead + lead_j:
-                    continue  # coprime leads: an old lead divides the signature
-                sig_j = sigs.get(lead_j)
-                sig = lcm - lead + s
-                i = k
-                if sig_j is not None:
-                    sig_o = lcm - lead_j + sig_j
-                    if sig_o == sig:
-                        continue
-                    if sig_o > sig:
-                        sig, i, j = sig_o, j, k
-                heapq.heappush(pairs, (sig, lcm, i, j))  # in range or not
+                    continue
+                sig, sig_o = lcm - lead + s, lcm - lead_j + sig_j
+                if sig_o > sig:
+                    made.append((sig_o, lcm, j, k))
+                elif sig_o < sig:
+                    made.append((sig, lcm, k, j))
+            for sig, lcm, i, j in made:  # all above s, and a taken one keeps its entry
+                pair = best.get(sig, ())
+                if pair is None:
+                    continue
+                if pair:
+                    if (lcm, i, j) < pair:
+                        best[sig] = lcm, i, j
+                    continue
+                hi = sig & guard
+                sg = sig | guard | hi - (hi >> 15)  # a field past the range saturated
+                for z in old_leads:  # a divisor is at most what it divides
+                    if z > sig or (sg - z) & guard == guard:
+                        break
+                if z > sig:
+                    best[sig] = lcm, i, j
+                    heapq.heappush(queue, sig)  # in range or not
+                else:  # an old lead divides it
+                    best[sig] = None
             G.append(new)
             insort(heads, new, key=_lead_key)
             sigs[lead] = s
         else:  # a syzygy signature that no element of syz divides
             syz = [z for z in syz if ((z | guard) - s) & guard != guard]
             syz.append(s)
-        last = s
-        while pairs:  # increasing signature, one J-pair per signature
-            s, lcm, i, j = heapq.heappop(pairs)
-            if s == last:
-                continue  # a cover or a syzygy signature now: cheaper to tell here
-            last = s
+        while queue:  # increasing signature
+            s = heapq.heappop(queue)
+            lcm, i, j = best[s]
             hi = s & guard
-            sg = s | guard | hi - (hi >> 15)  # a field past the range saturated
+            sg = s | guard | hi - (hi >> 15)
             if not any((sg - z) & guard == guard for z in syz) and not any(
                     (sg - sig_c) & guard == guard and s - sig_c + lead_c < lcm
                     for lead_c, sig_c in sigs.items()):
@@ -431,6 +460,8 @@ def _finish(heads, old_at: dict, field, packing: _Packing) -> IdealBasis:
         if g is None or new_leads and any(((m | guard) - n) & guard == guard
                                           for m, _ in tail for n in new_leads):
             rem = _reduce(dict(tail), reduced, p, guard)
+            if not p:  # _subtract leaves some products an integral Fraction
+                rem = {m: _rational(c) for m, c in rem.items()}
             head = lead, tuple(rem.items())
             if g is None:
                 new_leads.append(lead)

@@ -518,31 +518,36 @@ def _squarefree_monic(f: Polynomial) -> Polynomial:
     return (w * extra).monic()
 
 
-def to_canonical_text(f: Polynomial, layout: Layout) -> str:
+def to_canonical_text(f: Polynomial, layout: Layout, factors=None) -> str:
     """Deterministic text form: terms in decreasing lex order, '*' between
     factors, '^' for powers, magnitude-1 coefficients and the leading '+'
-    suppressed."""
+    suppressed.  ``factors``, a dict the caller keeps for this layout,
+    memoizes the factor text of each monomial across calls."""
     if f.nslots != layout.nslots:
         raise ValueError("polynomial does not match layout")
     if f.is_zero():
         return "0"
+    if factors is None:
+        factors = {}
     rational = f.field.characteristic == 0
+    one, names = f.field.one(), layout.names
     chunks = []
     for mono, c in f.sorted_terms():
         if rational and c < 0:
             sign, mag = "-", -c
         else:
             sign, mag = "+", c
-        factors = []
-        for pos in layout.term_factor_positions(mono):
-            e = mono[pos]
-            factors.append(layout.names[pos] if e == 1 else f"{layout.names[pos]}^{e}")
-        if not factors:
+        text = factors.get(mono)
+        if text is None:
+            text = factors[mono] = "*".join(
+                names[pos] if mono[pos] == 1 else f"{names[pos]}^{mono[pos]}"
+                for pos in layout.term_factor_positions(mono))
+        if not text:
             body = str(mag)
-        elif mag == f.field.one():
-            body = "*".join(factors)
+        elif mag == one:
+            body = text
         else:
-            body = str(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + text
         chunks.append((sign, body))
     first_sign, first_body = chunks[0]
     out = ("-" if first_sign == "-" else "") + first_body

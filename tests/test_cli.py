@@ -324,3 +324,13 @@ def test_minors_n6_rendering_golden():
     assert len(tree.nodes) == 277
     assert hashlib.sha256(render_tree(tree, "text").encode()).hexdigest() == \
         "2807420d97a8467dc3bc037fb9582f9c0ef389271d1a8e7a99c1ab69368c9aa3"
+
+
+def test_n7_f5_rendering_golden():
+    # one generator in n=7 over F_5: 627 nodes, the largest pinned tree,
+    # whose root basis is the largest signature step of the pinned inputs
+    path = Path(__file__).resolve().parent / "problems" / "n7_f5.txt"
+    tree = partition_variety(parse_problem(path.read_text(encoding="utf-8")))
+    assert len(tree.nodes) == 627
+    assert hashlib.sha256(render_tree(tree, "text").encode()).hexdigest() == \
+        "aee5236233d996dc2cb400a256b4b2cddb896e4599ecd96be9b8383a5cefe97e"

@@ -154,11 +154,13 @@ def rational_problems():
 
 @pytest.mark.parametrize("radical", [True, False])
 def test_tree_coefficients_exact(radical):
-    # every coefficient of every rational tree is an int or a Fraction
+    # every coefficient of every rational tree is canonical: an int, or a
+    # Fraction that is not integral
     checked = 0
     for problem in rational_problems():
         for part in partition_variety(problem, radical=radical).nodes:
             for f in (*part.eq.generators, *part.neq):
-                assert all(type(c) in (int, Fraction) for c in f.terms.values()), f
+                assert all(type(c) is int or type(c) is Fraction and c.denominator > 1
+                           for c in f.terms.values()), f
                 checked += 1
     assert checked > 1000

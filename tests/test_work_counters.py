@@ -17,15 +17,23 @@ nodes):
   child's closure already marked;
 - the ``radical_membership`` calls of ``normalize_neq``, none for an
   inherited inequality whose low basis is the parent's;
-- the ``to_canonical_text`` calls, one per generator and naming level.
+- the ``to_canonical_text`` calls, one per generator and naming level;
+- the entries the signature steps push onto their J-pair queues, one per
+  signature an old lead does not divide (7,270 J-pairs when every pair
+  was queued).
 
 One more pins the ``_reduce`` calls of the ``found-f2`` root basis,
 which takes thousands when the homogenized generators and the canonical
 constraints go into one run, so that a change of ``root_part``'s
-insertion order shows.  The last pins the zero remainders of the
-``n5-f5`` root basis, which the signature criteria predict: Gebauer and
-Moeller's installation reduced 437 of 547 S-pairs to zero there.
+insertion order shows.  The last pins the zero remainders and the queue
+of the ``n5-f5`` root basis, which the signature criteria predict:
+Gebauer and Moeller's installation reduced 437 of 547 S-pairs to zero
+there.
 """
+
+import heapq
+import sys
+from types import SimpleNamespace
 
 from p1parts import cli, groebner, multiproj, poly
 from p1parts.cli import render_tree
@@ -41,8 +49,25 @@ FOUND_F2 = ("char 2\nn 4\nform x\nideal:\n"
 COUNTED = ("lead_split", "poly_gcd", "radical_membership", "to_canonical_text")
 
 
+def queue_pushes(monkeypatch):
+    """A list that gains every item ``groebner._adjoin`` pushes onto its
+    J-pair queue; the pushes of ``_reduce`` and Gebauer-Moeller pass."""
+    pushed = []
+    adjoin = groebner._adjoin.__code__
+
+    def heappush(heap, item):
+        if sys._getframe(1).f_code is adjoin:
+            pushed.append(item)
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(groebner, "heapq", SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
+    return pushed
+
+
 def test_n5_f5_work_counters(monkeypatch):
     counts = dict.fromkeys(("reduce", "closure_lcm") + COUNTED, 0)
+    queued = queue_pushes(monkeypatch)
     in_closure = []
     real_reduce = groebner._reduce
     real_lcm = groebner._poly_lcm
@@ -83,6 +108,7 @@ def test_n5_f5_work_counters(monkeypatch):
     assert counts == {"reduce": 1308, "closure_lcm": 0, "lead_split": 114,
                       "poly_gcd": 402, "radical_membership": 60,
                       "to_canonical_text": 654}
+    assert len(queued) == 666
 
 
 def reduce_results(monkeypatch):
@@ -107,7 +133,9 @@ def test_found_f2_root_reduce_calls(monkeypatch):
 
 def test_n5_f5_root_zero_reductions(monkeypatch):
     results = reduce_results(monkeypatch)
+    queued = queue_pushes(monkeypatch)
     root = root_part(parse_problem(N5_F5), radical=False)
     assert len(root.eq) == 52
     assert len(results) == 129
     assert sum(r == {} for r in results) == 8
+    assert len(queued) == 172  # 3,349 when every J-pair was queued
