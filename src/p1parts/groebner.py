@@ -6,24 +6,23 @@ lcm behind ``poly_gcd`` ride on one mechanism: adjoin a fresh top slot t
 and eliminate it, from I + <1 - t*f> for the first two and from
 <t*f, (1-t)*g> for the lcm.
 
-An ``IdealBasis`` is always such a reduced basis: only ``buchberger``,
-``_extend``, ``elimination_subbasis`` and ``ideal_saturate`` make one.
-The input picks the algorithm.  Raw generators (``buchberger``, the lcm,
-and saturation or radical membership of a generator list) get
-Buchberger's algorithm with normal (smallest-lcm) pair selection and the
-pair installation of Gebauer & Moeller (1988).  A nonempty reduced basis
-G of an ideal I extended by one polynomial f, which is nearly every basis
-the engine needs (a child's equality J, the Rabinowitsch element t*f - 1,
-a squarefree eliminant of the closure, each homogenized generator at the
-root), gets a signature step instead (Faugere 2002; Gao, Volny & Wang
-2016), which skips most S-pairs that reduce to zero.  Raw generators
-stay with Gebauer & Moeller.  Adjoined one at a time by signatures, the
-benchmark's leaf check, one ``buchberger`` per leaf basis, rose by about
-a third on ``qq-paper`` (``verify_s`` 0.0055 to 0.0074 s, two 8 s runs a
-side).  A fold that packs the list once and reduces once at the end
-runs at par there, but some pairs of high degree need signatures far
-past the exponent range, where the pair loop finds the basis in seconds
-(``test_raw_generators_need_no_signatures``).
+An ``IdealBasis`` is always such a reduced basis: the core makes one in
+``_finish``, and a caller that builds one from generators (``root_part``
+from the canonical constraints) must hand over a reduced basis.
+
+One rule picks the algorithm.  A list of generators from outside
+(``buchberger``, and ``ideal_saturate`` or ``radical_membership`` of a
+list) gets Buchberger's algorithm with normal (smallest-lcm) pair
+selection and the pair installation of Gebauer & Moeller (1988): folded
+through signature steps, some pairs of high degree need signatures far
+past the exponent range (``test_raw_generators_need_no_signatures``).
+A reduced basis G of an ideal I, the empty one included, grows by
+signature steps that adjoin one polynomial f at a time (Faugere 2002;
+Gao, Volny & Wang 2016) and skip most S-pairs that reduce to zero: a
+child's equality J, the Rabinowitsch element t*f - 1, a squarefree
+eliminant, each homogenized generator at the root, each permuted
+generator of an eliminant, and (t - 1)*g after {t*f} for the lcm.  So a
+solve never runs the pair loop.
 
 The signature step.  Every element h it finds is congruent to u*f
 modulo I for some polynomial u; its signature is lm(u), a packed
@@ -125,11 +124,19 @@ class IdealBasis:
     """A reduced lex Groebner basis: monic, sorted by increasing lead.
 
     ``heads`` are the generators as packed ``_monic_head`` pairs, filled
-    by the core or, for a basis made from generators alone, by ``_heads``.
+    by the core or, for a basis made from generators alone, packed here
+    (a zero generator, which no reduced basis has, gets none).
     """
 
     generators: tuple
     heads: tuple = dc_field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.heads is None:
+            gens = self.generators
+            packing = _Packing(gens[0].nslots) if gens else None
+            object.__setattr__(self, "heads", tuple(
+                _monic_head(packing.pack(g.terms), g.field) for g in gens if g.terms))
 
     def __iter__(self):
         return iter(self.generators)
@@ -187,16 +194,8 @@ def _monic_head(terms: dict, field):
     return lead, tuple((m, field.mul(c, inv)) for m, c in terms.items())
 
 
-def _heads(basis: IdealBasis) -> tuple:
-    if basis.heads is None:  # a basis made from its generators alone
-        gens = basis.generators
-        packing = _Packing(gens[0].nslots) if gens else None
-        object.__setattr__(basis, "heads", tuple(
-            _monic_head(packing.pack(g.terms), g.field) for g in gens))
-    return basis.heads
-
-
 _lead_key = itemgetter(0)  # of a (lead, tail) head
+_EMPTY = IdealBasis(())  # the zero ideal, shared: a basis is immutable
 
 
 def _lcm(a: int, b: int, guard: int) -> int:
@@ -291,11 +290,6 @@ def normal_form(f: Polynomial, basis_or_gens) -> Polynomial:
     return packing.unpack(f.field, rem)
 
 
-def _unit_basis(template: Polynomial) -> IdealBasis:
-    one = Polynomial.const(template.field, template.nslots, 1)
-    return IdealBasis((one,))
-
-
 def _install(G: list, k: int, active: list, pairs: list, guard: int):
     """Gebauer & Moeller's update for the new element G[k].
 
@@ -359,11 +353,12 @@ def _adjoin(old, f: dict, field, guard: int):
     or None for 1; ``old`` itself when f (a packed term map, consumed)
     reduces to zero.
 
-    ``old`` are the heads of a reduced basis.  The new elements carry
-    signatures, packed monomials u with the element congruent to u*f plus
-    lower multiples of f modulo the old ideal; see the module docstring.
+    ``old`` are the heads of a reduced basis, possibly empty.  The new
+    elements carry signatures, packed monomials u with the element
+    congruent to u*f plus lower multiples of f modulo the old ideal; see
+    the module docstring.
     """
-    if old[0][0] == 0:
+    if old and old[0][0] == 0:
         return None
     p = field.characteristic
     G, heads = list(old), list(old)
@@ -372,7 +367,7 @@ def _adjoin(old, f: dict, field, guard: int):
     syz = []  # minimal signatures of the zero reductions
     best = {}  # signature -> least (lcm, i, j), or None when an old lead divides it
     queue, s = [], 0  # a heap of the signatures in best not yet taken
-    h = _reduce(f, old, p, guard)
+    h = _reduce(f, old, p, guard) if old else f
     if not h:
         return old
     while True:
@@ -439,13 +434,19 @@ def _adjoin(old, f: dict, field, guard: int):
         h = _reduce(_spoly(G[i], G[j], lcm, p, guard), heads, p, guard, sigs, s)
 
 
-def _finish(heads, old_at: dict, field, packing: _Packing) -> IdealBasis:
-    """The reduced basis of the closed ``heads``, all in ``packing``.
+def _finish(heads, old: IdealBasis, field, packing: _Packing, top=None) -> IdealBasis:
+    """The reduced basis of the closed ``heads``, all in ``packing``: the
+    unit basis for None, and only the leads below ``top`` when it is given.
 
     Old leads divide no other old lead or tail, and a larger lead nothing,
-    so an old element (``old_at`` maps its lead to it) is dropped or
-    reduced only for a smaller surviving new lead, else returned as is.
+    so an element of the reduced basis ``old`` is dropped or reduced only
+    for a smaller surviving new lead, else returned as is.
     """
+    if heads is None:
+        return IdealBasis((Polynomial.const(field, packing.nslots, 1),))
+    if top is not None:
+        heads = heads[:bisect_left(heads, top, key=_lead_key)]
+    old_at = dict(zip(map(_lead_key, old.heads), old.generators))
     p, guard, one = field.characteristic, packing.guard, field.one()
     reduced, leads, new_leads, out, last = [], [], [], [], None
     for head in heads:
@@ -472,44 +473,47 @@ def _finish(heads, old_at: dict, field, packing: _Packing) -> IdealBasis:
     return IdealBasis(tuple(out), tuple(reduced))
 
 
+def _intake(polys, template=None):
+    """The distinct monic nonzero ``polys``, checked against ``template``
+    (else the first of them), and a ``_Packing`` for their slots."""
+    added = dict.fromkeys(g.monic() for g in polys if not g.is_zero())
+    if not added:
+        return (), None
+    first = next(iter(added)) if template is None else template
+    for g in added:
+        first._check(g)
+    return added, _Packing(first.nslots)
+
+
 def buchberger(gens) -> IdealBasis:
     """The minimal reduced lex Groebner basis of the ideal the input spans.
 
     The zero ideal normalizes to an empty basis and the unit ideal to the
     single generator 1.  The output is independent of the input order.
+    Raw generators get one Gebauer-Moeller run.
     """
-    return _extend(IdealBasis(()), gens)
+    added, packing = _intake(gens)
+    if not added:
+        return _EMPTY
+    field = next(iter(added)).field
+    G = [_monic_head(packing.pack(g.terms), field) for g in added]
+    return _finish(_close(G, field, packing.guard), _EMPTY, field, packing)
 
 
 def _extend(basis: IdealBasis, polys) -> IdealBasis:
-    """``buchberger(basis.generators + polys)``.  The empty basis gets one
-    Gebauer-Moeller run over the polynomials; a reduced basis adjoins them
-    one at a time by signatures and comes back itself when nothing new
-    remains."""
-    old = basis.generators  # nonzero, monic and distinct already
-    added = dict.fromkeys(g.monic() for g in polys if not g.is_zero())
-    if not added:
-        return basis
-    first = old[0] if old else next(iter(added))
+    """``buchberger(basis.generators + polys)`` by the one rule: a basis,
+    the empty one included, grows by one signature step per polynomial,
+    never by the pair loop.  A polynomial in the basis already is skipped,
+    and the basis comes back itself when nothing new remains."""
+    added, packing = _intake(polys, basis.generators[0] if basis else None)
     for g in added:
-        first._check(g)
-    field = first.field
-    packing = _Packing(first.nslots)
-    if not old:
-        heads = _close([_monic_head(packing.pack(g.terms), field) for g in added],
-                       field, packing.guard)
-        return _unit_basis(first) if heads is None else _finish(heads, {}, field, packing)
-    for g in added:
-        G = _heads(basis)
-        old_at = {lead: e for (lead, _), e in zip(G, basis.generators)}
         terms = packing.pack(g.terms)
-        if old_at.get(max(terms)) == g:
+        k = bisect_left(basis.heads, max(terms), key=_lead_key)
+        if k < len(basis) and basis.generators[k] == g:
             continue
-        heads = _adjoin(G, terms, field, packing.guard)
-        if heads is None:
-            return _unit_basis(first)
-        if heads is not G:
-            basis = _finish(heads, old_at, field, packing)
+        heads = _adjoin(basis.heads, terms, g.field, packing.guard)
+        if heads is not basis.heads:
+            basis = _finish(heads, basis, g.field, packing)
     return basis
 
 
@@ -520,26 +524,24 @@ def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
     elimination ideal (the relations among the low slots alone).  It is a
     prefix: a polynomial lives in those slots exactly when its lead does.
     """
-    k = bisect_left(_heads(basis), 1 << 16 * j, key=_lead_key)
+    k = bisect_left(basis.heads, 1 << 16 * j, key=_lead_key)
     return IdealBasis(basis.generators[:k], basis.heads[:k])
 
 
 def _rabinowitsch(basis_or_gens, f: Polynomial, packing: _Packing):
     """Heads of a Groebner basis of I + <1 - t*f>, t a fresh slot above the
-    others, or None for 1, and the old elements by lead: a nonempty basis
+    others, or None for 1, and the old basis for ``_finish``: a basis
     adjoins t*f - 1 by signatures, raw generators get Gebauer-Moeller."""
     field = f.field
     guard = packing.guard | packing.top << 15
     rab = {packing.top + m: c for m, c in packing.pack(f.terms).items()}
     rab[0] = field.neg(field.one())  # t*f - 1
-    if isinstance(basis_or_gens, IdealBasis) and basis_or_gens.generators:
-        G = _heads(basis_or_gens)
-        old_at = {lead: g for (lead, _), g in zip(G, basis_or_gens.generators)}
-        return _adjoin(G, rab, field, guard), old_at
+    if isinstance(basis_or_gens, IdealBasis):
+        return _adjoin(basis_or_gens.heads, rab, field, guard), basis_or_gens
     G = [_monic_head(packing.pack(g.terms), field)
          for g in basis_or_gens if not g.is_zero()]
     G.append(_monic_head(rab, field))
-    return _close(G, field, guard), {}
+    return _close(G, field, guard), _EMPTY
 
 
 def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
@@ -548,25 +550,21 @@ def ideal_saturate(basis_or_gens, f: Polynomial) -> IdealBasis:
     if f.is_zero():
         raise ValueError("cannot saturate by the zero polynomial")
     packing = _Packing(f.nslots)
-    heads, old_at = _rabinowitsch(basis_or_gens, f, packing)
-    if heads is None:
-        return _unit_basis(f)
-    low = heads[:bisect_left(heads, packing.top, key=_lead_key)]
-    return _finish(low, old_at, f.field, packing)
+    heads, old = _rabinowitsch(basis_or_gens, f, packing)
+    return _finish(heads, old, f.field, packing, packing.top)
 
 
 def _poly_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic lcm of nonzero f and g: the generator of <f> ∩ <g>, which is
-    <t*f, (1-t)*g> with a fresh top slot t eliminated."""
+    <t*f, (1-t)*g> with a fresh top slot t eliminated.  The basis {t*f}
+    adjoins (t - 1)*g by a signature step."""
     field, packing = f.field, _Packing(f.nslots)
     top, pg = packing.top, packing.pack(g.terms)
     tf = {top + m: c for m, c in packing.pack(f.terms).items()}
     tg_g = {**{m: field.neg(c) for m, c in pg.items()},
             **{top + m: c for m, c in pg.items()}}  # (t - 1)*g
-    heads = _close([_monic_head(tf, field), _monic_head(tg_g, field)], field,
-                   packing.guard | top << 15)
-    low = heads[:bisect_left(heads, top, key=_lead_key)]
-    return _finish(low, {}, field, packing).generators[0]
+    heads = _adjoin([_monic_head(tf, field)], tg_g, field, packing.guard | top << 15)
+    return _finish(heads, _EMPTY, field, packing, top).generators[0]
 
 
 def principal_saturate(f: Polynomial, q: Polynomial) -> Polynomial:
@@ -602,18 +600,17 @@ def _eliminant(basis: IdealBasis, pos: int, g: Polynomial):
     whenever the intersection is nonzero (Cox, Little & O'Shea, ch. 3
     section 1).  When ``g`` is univariate it is the generator; otherwise
     the lex basis is recomputed with the slot moved to the bottom, where
-    the generator, if any, comes first.  That basis adjoins the permuted
-    generators one at a time, in increasing lead order: one Buchberger
-    run over all of them took minutes on some 20-element bases.
+    the generator, if any, comes first.  By the module's one rule that
+    basis grows from the empty one, a signature step per permuted
+    generator in increasing lead order: one Gebauer-Moeller run over all
+    of them took minutes on some 20-element bases.
     """
     if g.occurring_slots() <= {pos}:
         return g
     nslots = g.nslots
     order = [p for p in range(nslots) if p != pos] + [pos]
-    permuted = IdealBasis(())
-    for b in sorted((_permuted(b, order) for b in basis.generators),
-                    key=Polynomial.lead_monomial):
-        permuted = _extend(permuted, (b,))
+    permuted = _extend(_EMPTY, sorted(
+        (_permuted(b, order) for b in basis.generators), key=Polynomial.lead_monomial))
     first = permuted.generators[0]
     if not first.occurring_slots() <= {nslots - 1}:
         return None

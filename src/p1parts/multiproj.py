@@ -263,9 +263,8 @@ def root_part(problem: ProblemSpec, radical: bool = True) -> Part:
     """Node 0: the canonical constraints, a reduced basis already, extended
     by one homogenized generator at a time (seconds faster on some inputs
     than one run over all of them)."""
-    eq = IdealBasis(tuple(canonical_constraints(ProjLayout(problem.n), problem.field)))
-    for g in homogenized_generators(problem):
-        eq = _extend(eq, (g,))
+    canonical = canonical_constraints(ProjLayout(problem.n), problem.field)
+    eq = _extend(IdealBasis(tuple(canonical)), homogenized_generators(problem))
     return Part(0, -1, _closed(eq, radical), (), 0)
 
 

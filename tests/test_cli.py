@@ -334,3 +334,24 @@ def test_n7_f5_rendering_golden():
     assert len(tree.nodes) == 627
     assert hashlib.sha256(render_tree(tree, "text").encode()).hexdigest() == \
         "aee5236233d996dc2cb400a256b4b2cddb896e4599ecd96be9b8383a5cefe97e"
+
+
+# sha256 of the text rendering of the hard inputs in tests/problems that
+# the CI otherwise only solves, with the node counts
+HARD_INPUT_DIGESTS = {
+    ("found_f2.txt", True): (46, "eeca6282ca6482b7ee8e464d9d5e4409490b551eaa0dd0356e64f614ab04af4a"),
+    ("found_f2.txt", False): (46, "c916375b130664955a2d7d6165fd1952bf3da29f5a487f3237b2480b57a2387e"),
+    ("runaway_f3.txt", True): (39, "53ed3e781d81cacdc78b31108dd4f36d6f5bd54599dcbdcd5e83bbb5d4b2cc22"),
+    ("runaway_f3.txt", False): (39, "4791e87b91c54d2b1b4ef1567c1c2b6609ac717b68b738d8b8f18017757ec630"),
+    ("seed7185_qq.txt", False): (33, "ba318178bb548fdf164ef3efb08c275c7eedfe3038b6f6c9c25748c2b53a9097"),
+}
+
+
+@pytest.mark.parametrize("name,radical", sorted(HARD_INPUT_DIGESTS))
+def test_hard_input_rendering_golden(name, radical):
+    path = Path(__file__).resolve().parent / "problems" / name
+    tree = partition_variety(parse_problem(path.read_text(encoding="utf-8")),
+                             radical=radical)
+    nodes, digest = HARD_INPUT_DIGESTS[name, radical]
+    assert len(tree.nodes) == nodes
+    assert hashlib.sha256(render_tree(tree, "text").encode()).hexdigest() == digest

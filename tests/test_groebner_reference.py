@@ -20,7 +20,8 @@ be identical.
 Extending a reduced basis adjoins each new polynomial by a signature
 step that skips the S-pairs its criteria prove zero, so
 ``_extend(buchberger(gens), extra)`` must return the reference basis of
-``gens + extra``, and saturation and radical membership must not depend
+``gens + extra``, as must ``_extend`` of the empty basis, which adjoins
+every polynomial by a signature step, and saturation and radical membership must not depend
 on whether they get a reduced basis (a signature step) or the raw
 generators (Gebauer and Moeller's pairs).
 """
@@ -362,6 +363,7 @@ def test_extend_matches_reference(draw):
     expected = ref_buchberger(gens + extra)
     basis = buchberger(gens)
     assert _extend(basis, extra).generators == expected
+    assert _extend(IdealBasis(()), gens + extra).generators == expected
     f = extra[0]
     assert ideal_saturate(basis, f) == ideal_saturate(gens, f)
     assert radical_membership(f, basis) == radical_membership(f, gens)

@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 from p1parts import multiproj
 from p1parts.cli import render_tree
 from p1parts.fields import GF, QQ
-from p1parts.groebner import IdealBasis, _heads, buchberger, elimination_subbasis
+from p1parts.groebner import IdealBasis, buchberger, elimination_subbasis
 from p1parts.multiproj import (
     MaxNodesExceeded, Part, SplitFinding, _scan_key, _window, normalize_neq,
     partition_variety, reduced_lead_coefficient, split_scan,
@@ -131,7 +131,7 @@ def packed(heads):
 
 def assert_node_invariants(part):
     assert buchberger(part.eq.generators) == part.eq
-    fresh = _heads(IdealBasis(part.eq.generators))
+    fresh = IdealBasis(part.eq.generators).heads
     assert part.eq.heads is not None and packed(part.eq.heads) == packed(fresh)
     for q in part.neq:
         assert not q.is_constant() and q.lead_coeff() == q.field.one()

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -328,3 +329,18 @@ def test_random_fp_sweep():
                 failures[seed, leaf.id] = cex
     assert solved == 148  # seeds 1095 and 1097 draw only constants
     assert failures == KNOWN_EXTENSION_FAILURES
+
+
+@pytest.mark.parametrize("radical", [True, False])
+def test_found_f2_known_extension_defect(radical):
+    # a known defect, pinned until stepwise extension holds on every
+    # leaf: leaf 45 of found-f2 has a prefix that extends to no root
+    path = Path(__file__).resolve().parent / "problems" / "found_f2.txt"
+    prob = parse_problem(path.read_text(encoding="utf-8"))
+    tree = partition_variety(prob, radical=radical)
+    failures = {}
+    for leaf in leaf_parts(tree):
+        cex = check_extension(leaf, 2, prob.n)
+        if cex:
+            failures[leaf.id] = cex
+    assert failures == {45: [(4, (1, 1, 1))]}

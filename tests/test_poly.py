@@ -198,6 +198,21 @@ def test_gcd_of_a_remainder_sequence_runaway():
         "x_3^2*x_2+1/2*x_3*x_2*x_1-x_3*x_1+3/2*x_2^3+1/3*x_1", ax, QQ)
 
 
+def test_gcd_of_a_gebauer_moeller_runaway():
+    # the lcm behind this gcd, one Gebauer-Moeller run over t*c*a and
+    # (t - 1)*c*b, had not finished after 60 s; a signature step adjoining
+    # (t - 1)*c*b to {t*c*a} takes well under a second
+    y3 = Layout(("y_3", "y_2", "y_1"))
+    F7 = GF(7)
+    c, a, b = (parse_polynomial(t, y3, F7) for t in (
+        "y_3^3*y_2^3*y_1+6*y_3^3*y_1^3+y_3*y_1^3",
+        "3*y_3^4*y_1^3+3*y_3^3*y_2^4*y_1^2+y_3*y_2^4*y_1",
+        "3*y_3^3*y_2^4+3*y_3*y_2*y_1^3+6*y_2^2*y_1^2"))
+    d = poly_gcd(c * a, c * b)
+    assert d == c
+    assert d == ref_poly_gcd(c * a, c * b)
+
+
 def test_gcd_of_disjoint_slots_needs_no_lcm(monkeypatch):
     def no_lcm(f, g):
         raise AssertionError("inputs without a common slot reached the lcm")

@@ -20,7 +20,8 @@ nodes):
 - the ``to_canonical_text`` calls, one per generator and naming level;
 - the entries the signature steps push onto their J-pair queues, one per
   signature an old lead does not divide (7,270 J-pairs when every pair
-  was queued).
+  was queued); one of them is the solve's one Groebner lcm, a signature
+  step too.
 
 One more pins the ``_reduce`` calls of the ``found-f2`` root basis,
 which takes thousands when the homogenized generators and the canonical
@@ -108,7 +109,7 @@ def test_n5_f5_work_counters(monkeypatch):
     assert counts == {"reduce": 1308, "closure_lcm": 0, "lead_split": 114,
                       "poly_gcd": 402, "radical_membership": 60,
                       "to_canonical_text": 654}
-    assert len(queued) == 666
+    assert len(queued) == 667
 
 
 def reduce_results(monkeypatch):
