@@ -22,7 +22,8 @@ Gao, Volny & Wang 2016) and skip most S-pairs that reduce to zero: a
 child's equality J, the Rabinowitsch element t*f - 1, a squarefree
 eliminant, each homogenized generator at the root, each permuted
 generator of an eliminant, and (t - 1)*g after {t*f} for the lcm.  So a
-solve never runs the pair loop.
+solve never runs the pair loop.  Neither path removes repeats: a repeat
+reduces to zero, unless ``_extend`` skips it as a basis element already.
 
 The signature step.  Every element h it finds is congruent to u*f
 modulo I for some polynomial u; its signature is lm(u), a packed
@@ -125,7 +126,9 @@ class IdealBasis:
 
     ``heads`` are the generators as packed ``_monic_head`` pairs, filled
     by the core or, for a basis made from generators alone, packed here
-    (a zero generator, which no reduced basis has, gets none).
+    (a zero generator, which no reduced basis has, gets none).  Those
+    must be their own reduced lex basis, unchecked: ``ideal_saturate``,
+    ``radical_membership`` and ``_extend`` trust it.
     """
 
     generators: tuple
@@ -275,16 +278,15 @@ def normal_form(f: Polynomial, basis_or_gens) -> Polynomial:
 
     Canonical (and zero exactly on ideal members) when the basis is a
     reduced Groebner basis; for arbitrary generator lists it is only some
-    valid remainder.
+    valid remainder, by the heads ``IdealBasis`` packs in lead order.
     """
-    gens = [g for g in basis_or_gens if not g.is_zero()]
+    gens = tuple(basis_or_gens)
     if f.is_zero() or not gens:
         return f
     for g in gens:
         f._check(g)
-    gens.sort(key=lambda g: g.lead_monomial())
     packing = _Packing(f.nslots)
-    heads = [_monic_head(packing.pack(g.terms), g.field) for g in gens]
+    heads = sorted(IdealBasis(gens).heads, key=_lead_key)
     rem = _reduce(packing.pack(f.terms), heads, f.field.characteristic,
                   packing.guard)
     return packing.unpack(f.field, rem)
@@ -378,29 +380,25 @@ def _adjoin(old, f: dict, field, guard: int):
                 return None
             k = len(G)
             lg = lead | guard
-            made = []  # (signature, lcm, i, j) of each J-pair with the new element
-            for j, (lead_j, _) in enumerate(old):  # signatureless, so i is k
+            for j, (lead_j, _) in enumerate(G):
                 ge = (lg - lead_j) & guard  # _lcm(lead, lead_j, guard) inline
                 lcm = lead_j ^ ((lead ^ lead_j) & (ge | ge - (ge >> 15)))
-                if lcm != lead + lead_j:  # coprime leads: an old lead divides it
-                    made.append((lcm - lead + s, lcm, k, j))
-            for j, (lead_j, sig_j) in enumerate(sigs.items(), len(old)):  # in G's order
-                ge = (lg - lead_j) & guard
-                lcm = lead_j ^ ((lead ^ lead_j) & (ge | ge - (ge >> 15)))
                 if lcm == lead + lead_j:
+                    continue  # coprime leads
+                sig, pair = lcm - lead + s, (lcm, k, j)
+                sig_j = sigs.get(lead_j)  # None for an old element, below every signature
+                if sig_j is not None:
+                    sig_o = lcm - lead_j + sig_j
+                    if sig_o == sig:
+                        continue
+                    if sig_o > sig:
+                        sig, pair = sig_o, (lcm, j, k)
+                known = best.get(sig, ())  # sig is above s; a taken one keeps its entry
+                if known is None:
                     continue
-                sig, sig_o = lcm - lead + s, lcm - lead_j + sig_j
-                if sig_o > sig:
-                    made.append((sig_o, lcm, j, k))
-                elif sig_o < sig:
-                    made.append((sig, lcm, k, j))
-            for sig, lcm, i, j in made:  # all above s, and a taken one keeps its entry
-                pair = best.get(sig, ())
-                if pair is None:
-                    continue
-                if pair:
-                    if (lcm, i, j) < pair:
-                        best[sig] = lcm, i, j
+                if known:
+                    if pair < known:
+                        best[sig] = pair
                     continue
                 hi = sig & guard
                 sg = sig | guard | hi - (hi >> 15)  # a field past the range saturated
@@ -408,7 +406,7 @@ def _adjoin(old, f: dict, field, guard: int):
                     if z > sig or (sg - z) & guard == guard:
                         break
                 if z > sig:
-                    best[sig] = lcm, i, j
+                    best[sig] = pair
                     heapq.heappush(queue, sig)  # in range or not
                 else:  # an old lead divides it
                     best[sig] = None
@@ -473,40 +471,39 @@ def _finish(heads, old: IdealBasis, field, packing: _Packing, top=None) -> Ideal
     return IdealBasis(tuple(out), tuple(reduced))
 
 
-def _intake(polys, template=None):
-    """The distinct monic nonzero ``polys``, checked against ``template``
-    (else the first of them), and a ``_Packing`` for their slots."""
-    added = dict.fromkeys(g.monic() for g in polys if not g.is_zero())
-    if not added:
-        return (), None
-    first = next(iter(added)) if template is None else template
-    for g in added:
-        first._check(g)
-    return added, _Packing(first.nslots)
-
-
 def buchberger(gens) -> IdealBasis:
     """The minimal reduced lex Groebner basis of the ideal the input spans.
 
     The zero ideal normalizes to an empty basis and the unit ideal to the
     single generator 1.  The output is independent of the input order.
-    Raw generators get one Gebauer-Moeller run.
+    Raw generators get one Gebauer-Moeller run, in which a repeated
+    generator reduces to zero.
     """
-    added, packing = _intake(gens)
-    if not added:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         return _EMPTY
-    field = next(iter(added)).field
-    G = [_monic_head(packing.pack(g.terms), field) for g in added]
+    first = gens[0]
+    for g in gens:
+        first._check(g)
+    field, packing = first.field, _Packing(first.nslots)
+    G = [_monic_head(packing.pack(g.terms), field) for g in gens]
     return _finish(_close(G, field, packing.guard), _EMPTY, field, packing)
 
 
 def _extend(basis: IdealBasis, polys) -> IdealBasis:
     """``buchberger(basis.generators + polys)`` by the one rule: a basis,
-    the empty one included, grows by one signature step per polynomial,
-    never by the pair loop.  A polynomial in the basis already is skipped,
-    and the basis comes back itself when nothing new remains."""
-    added, packing = _intake(polys, basis.generators[0] if basis else None)
-    for g in added:
+    the empty one included, grows by one signature step per nonzero
+    polynomial, never by the pair loop.  A multiple of a basis element is
+    skipped unreduced; any other member, such as a repeat, reduces to zero
+    at once.  The basis comes back itself when nothing new remains."""
+    polys = [g.monic() for g in polys if not g.is_zero()]
+    if not polys:
+        return basis
+    first = basis.generators[0] if basis else polys[0]
+    for g in polys:
+        first._check(g)
+    packing = _Packing(first.nslots)
+    for g in polys:
         terms = packing.pack(g.terms)
         k = bisect_left(basis.heads, max(terms), key=_lead_key)
         if k < len(basis) and basis.generators[k] == g:
@@ -531,15 +528,20 @@ def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
 def _rabinowitsch(basis_or_gens, f: Polynomial, packing: _Packing):
     """Heads of a Groebner basis of I + <1 - t*f>, t a fresh slot above the
     others, or None for 1, and the old basis for ``_finish``: a basis
-    adjoins t*f - 1 by signatures, raw generators get Gebauer-Moeller."""
+    adjoins t*f - 1 by signatures, raw generators get Gebauer-Moeller.
+    f is checked against the basis's first generator or every raw one."""
     field = f.field
     guard = packing.guard | packing.top << 15
     rab = {packing.top + m: c for m, c in packing.pack(f.terms).items()}
     rab[0] = field.neg(field.one())  # t*f - 1
     if isinstance(basis_or_gens, IdealBasis):
+        for g in basis_or_gens.generators[:1]:
+            f._check(g)
         return _adjoin(basis_or_gens.heads, rab, field, guard), basis_or_gens
-    G = [_monic_head(packing.pack(g.terms), field)
-         for g in basis_or_gens if not g.is_zero()]
+    gens = [g for g in basis_or_gens if not g.is_zero()]
+    for g in gens:
+        f._check(g)
+    G = [_monic_head(packing.pack(g.terms), field) for g in gens]
     G.append(_monic_head(rab, field))
     return _close(G, field, guard), _EMPTY
 

@@ -33,8 +33,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .fields import GF
-from .groebner import principal_saturate
-from .multiproj import Part, PartTree, leaf_parts
+from .multiproj import Part, PartTree, leaf_parts, reduced_lead_coefficient
 from .poly import Polynomial, poly_gcd, support_level
 
 DEFAULT_CAP = 10**7
@@ -456,14 +455,10 @@ def _extends_into_closure(equations, exclusions):
         return False  # a nonzero constant has no root
     if any(s.is_zero() for s in exclusions):
         return False  # the inequality fails for every value
-    exclusions = [s for s in exclusions if not s.is_constant()]
     if not equations:
         return True  # infinitely many closure values, finitely many excluded
     g = equations[0]
     for e in equations[1:]:
         g = poly_gcd(g, e)
-    if g.is_constant():
-        return False  # no common root at all
-    for s in exclusions:
-        g = principal_saturate(g, s)
-    return not g.is_constant()
+    # saturated by the exclusions as the split rule saturates a coefficient
+    return not reduced_lead_coefficient(g, exclusions).is_constant()

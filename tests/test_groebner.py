@@ -83,6 +83,7 @@ def test_buchberger_single_generator():
     f = A("x_2*x_1-1")
     B = buchberger([f])
     assert B.generators == (f,)
+    assert buchberger([f, f, f.scale(2)]) == B  # repeats reduce to zero
 
 
 def test_buchberger_inconsistent():
@@ -105,6 +106,20 @@ def test_mixed_generators_rejected():
         buchberger([A("x_1"), P("y_1")])
     with pytest.raises(ValueError):
         normal_form(A("x_2"), [P("y_1")])
+
+
+def test_saturation_and_radical_reject_mixed_operands():
+    """f is checked against the ideal, given as a list or as a basis."""
+    f = parse_polynomial("y_1", PL1, GF(5))
+    other_field = parse_polynomial("y_2-y_1^2", PL1, GF(7))
+    other_slots = parse_polynomial("y_2-y_1^2", ProjLayout(2), GF(5))
+    for g, error, match in ((other_field, FieldError, "different fields"),
+                            (other_slots, ValueError, "different slot counts")):
+        for ideal in ([g], buchberger([g])):
+            with pytest.raises(error, match=match):
+                ideal_saturate(ideal, f)
+            with pytest.raises(error, match=match):
+                radical_membership(f, ideal)
 
 
 def test_exponent_overflow_raises():

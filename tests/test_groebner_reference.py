@@ -388,16 +388,20 @@ def _qq(text):
 
 
 def test_extend_skips_the_closed_pairs(reduce_calls):
-    """Adjoining a basis element reduces nothing and returns the basis."""
+    """Adjoining a basis element reduces nothing and returns the basis;
+    a polynomial given twice adds no more than given once."""
     basis = buchberger([_qq("y_4*y_1-y_2*y_3"), _qq("y_4^2-y_1"), _qq("y_3^2-y_2")])
     assert len(basis) == 6  # leading monomials share slots: pairs to redo
     extra = (basis.generators[-1],)
     reduce_calls.clear()
     assert _extend(basis, extra) is basis
     assert _extend(basis, (extra[0].scale(3),)) is basis
+    assert _extend(basis, (extra[0], extra[0].scale(3))) is basis
     assert len(reduce_calls) == 0
     assert buchberger(basis.generators + extra) == basis
     assert len(reduce_calls) > len(basis)
+    new = _qq("y_2*y_1-y_4")
+    assert _extend(basis, (new, new)) == _extend(basis, (new,)) != basis
 
 
 def test_extend_reduces_only_the_touched_tails(reduce_calls):

@@ -19,17 +19,14 @@ nodes):
   inherited inequality whose low basis is the parent's;
 - the ``to_canonical_text`` calls, one per generator and naming level;
 - the entries the signature steps push onto their J-pair queues, one per
-  signature an old lead does not divide (7,270 J-pairs when every pair
-  was queued); one of them is the solve's one Groebner lcm, a signature
-  step too.
+  signature an old lead does not divide; one of them is the solve's one
+  Groebner lcm, a signature step too.
 
 One more pins the ``_reduce`` calls of the ``found-f2`` root basis,
 which takes thousands when the homogenized generators and the canonical
 constraints go into one run, so that a change of ``root_part``'s
 insertion order shows.  The last pins the zero remainders and the queue
-of the ``n5-f5`` root basis, which the signature criteria predict:
-Gebauer and Moeller's installation reduced 437 of 547 S-pairs to zero
-there.
+of the ``n5-f5`` root basis, which the signature criteria predict.
 """
 
 import heapq
@@ -139,4 +136,4 @@ def test_n5_f5_root_zero_reductions(monkeypatch):
     assert len(root.eq) == 52
     assert len(results) == 129
     assert sum(r == {} for r in results) == 8
-    assert len(queued) == 172  # 3,349 when every J-pair was queued
+    assert len(queued) == 172
