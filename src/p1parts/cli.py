@@ -4,9 +4,9 @@ Pipeline: parse a problem file, decompose its variety into parts, render
 the part tree as text, JSON or DOT, and optionally validate the result
 against the brute-force finite-field oracle.
 
-Exit codes: 0 success, 1 input error, 2 node/enumeration/exponent limit
-exceeded, 3 failed oracle check.  Renderings go to stdout, diagnostics to
-stderr.
+Exit codes: 0 success, 1 input error (a malformed command line
+included), 2 node/enumeration/exponent limit exceeded, 3 failed oracle
+check.  Renderings go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .groebner import ExponentOverflowError
 from .multiproj import (
@@ -25,16 +23,6 @@ from .multiproj import (
 from .oracle import EnumerationCapExceeded, check_extension, check_partition
 from .parser import ParseError, ProblemError, parse_problem
 from .poly import to_canonical_text
-
-
-@dataclass
-class RunOptions:
-    input_path: str
-    format: str = "text"
-    leaves_only: bool = False
-    max_nodes: int = 10000
-    radical: bool = True
-    oracle_check: Optional[int] = None
 
 
 def _constraint_texts(part, layouts: list, texts: dict):
@@ -56,19 +44,6 @@ def _constraint_texts(part, layouts: list, texts: dict):
             [text(q, len(layouts) - 1) for q in part.neq])
 
 
-def _node_record(tree: PartTree, part, leaf_ids, layouts, texts):
-    eqs, neqs = _constraint_texts(part, layouts, texts)
-    return {
-        "id": part.id,
-        "prev": part.prev,
-        "path": list(tree.path(part.id)),
-        "frozenLevel": part.frozen_level,
-        "eq": eqs,
-        "neq": neqs,
-        "leaf": part.id in leaf_ids,
-    }
-
-
 def render_tree(tree: PartTree, format: str = "text",
                 leaves_only: bool = False) -> str:
     """Deterministic rendering of a part tree.
@@ -76,54 +51,73 @@ def render_tree(tree: PartTree, format: str = "text",
     Text lines read ``(path..., id, ideal(gen,...), {neq,...})`` with the
     full root-to-node path; JSON carries one object per node with stable
     key order; DOT emits one labelled node per part and prev->child edges.
+    All three format one list of per-node records ``(part, eqs, neqs,
+    is_leaf)``.
     """
+    if format not in ("text", "json", "dot"):
+        raise ValueError(f"unknown format {format!r}")
     leaf_ids = set(tree.leaf_ids())
-    if leaves_only:
-        nodes = [p for p in tree.nodes if p.id in leaf_ids]
-    else:
-        nodes = list(tree.nodes)
     layouts = [(tree.layout.at_level(k), {}) for k in range(tree.layout.nslots + 1)]
     texts = {}
+    records = [(part, *_constraint_texts(part, layouts, texts), part.id in leaf_ids)
+               for part in tree.nodes if not leaves_only or part.id in leaf_ids]
 
     if format == "text":
-        lines = []
-        for part in nodes:
-            path = ", ".join(str(i) for i in tree.path(part.id))
-            eqs, neqs = _constraint_texts(part, layouts, texts)
-            lines.append(f"({path}, ideal({','.join(eqs)}), {{{', '.join(neqs)}}})")
+        lines = [f"({', '.join(str(i) for i in tree.path(part.id))}, "
+                 f"ideal({','.join(eqs)}), {{{', '.join(neqs)}}})"
+                 for part, eqs, neqs, _ in records]
         return "\n".join(lines) + ("\n" if lines else "")
 
     if format == "json":
-        payload = {"nodes": [_node_record(tree, p, leaf_ids, layouts, texts)
-                             for p in nodes]}
-        return json.dumps(payload, indent=2) + "\n"
+        nodes = [{"id": part.id, "prev": part.prev,
+                  "path": list(tree.path(part.id)),
+                  "frozenLevel": part.frozen_level,
+                  "eq": eqs, "neq": neqs, "leaf": is_leaf}
+                 for part, eqs, neqs, is_leaf in records]
+        return json.dumps({"nodes": nodes}, indent=2) + "\n"
 
-    if format == "dot":
-        lines = ["digraph parts {"]
-        for part in nodes:
-            eqs, neqs = _constraint_texts(part, layouts, texts)
-            label = f"{part.id}: eq=[{','.join(eqs)}] neq={{{','.join(neqs)}}}"
-            label = label.replace("\\", "\\\\").replace('"', '\\"')
-            shape = " shape=box" if part.id in leaf_ids else ""
-            lines.append(f'  n{part.id} [label="{label}"{shape}];')
-        for part in tree.nodes:
-            if part.prev >= 0 and (not leaves_only or part.id in leaf_ids):
-                lines.append(f"  n{part.prev} -> n{part.id};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    raise ValueError(f"unknown format {format!r}")
+    lines = ["digraph parts {"]
+    for part, eqs, neqs, is_leaf in records:
+        label = f"{part.id}: eq=[{','.join(eqs)}] neq={{{','.join(neqs)}}}"
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        shape = " shape=box" if is_leaf else ""
+        lines.append(f'  n{part.id} [label="{label}"{shape}];')
+    lines += [f"  n{part.prev} -> n{part.id};" for part, *_ in records
+              if part.prev >= 0] + ["}"]
+    return "\n".join(lines) + "\n"
 
 
-def run(options: RunOptions) -> int:
-    if options.max_nodes < 1:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="p1parts",
+        description="Decompose the variety of a polynomial ideal, coordinates "
+                    "on the projective line, into disjoint equality/inequality "
+                    "parts.")
+    parser.add_argument("input", help="problem file (see README for the grammar)")
+    parser.add_argument("--format", choices=("text", "json", "dot"),
+                        default="text", help="output rendering (default: text)")
+    parser.add_argument("--leaves", action="store_true",
+                        help="render only the leaf parts")
+    parser.add_argument("--max-nodes", type=int, default=10000, metavar="N",
+                        help="node budget for the decomposition (default 10000)")
+    parser.add_argument("--no-radical", action="store_true",
+                        help="skip the radical closure of equality ideals")
+    parser.add_argument("--oracle", type=int, default=None, metavar="P",
+                        help="verify the partition by brute force over F_P")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a malformed command line is an input error
+        return 1 if exc.code else 0
+
+    if args.max_nodes < 1:
         print("error: --max-nodes must be at least 1", file=sys.stderr)
         return 1
     try:
-        with open(options.input_path, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"error: cannot read {options.input_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
 
     try:
@@ -132,8 +126,8 @@ def run(options: RunOptions) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if options.oracle_check is not None:
-        p = options.oracle_check
+    p = args.oracle
+    if p is not None:
         if problem.field.characteristic == 0:
             print("error: --oracle needs a prime-field problem, "
                   "this one has characteristic 0", file=sys.stderr)
@@ -144,8 +138,8 @@ def run(options: RunOptions) -> int:
             return 1
 
     try:
-        tree = partition_variety(problem, max_nodes=options.max_nodes,
-                                 radical=options.radical)
+        tree = partition_variety(problem, max_nodes=args.max_nodes,
+                                 radical=not args.no_radical)
     except (MaxNodesExceeded, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -153,15 +147,14 @@ def run(options: RunOptions) -> int:
     for note in tree.diagnostics:
         print(note, file=sys.stderr)
 
-    sys.stdout.write(render_tree(tree, options.format, options.leaves_only))
+    sys.stdout.write(render_tree(tree, args.format, args.leaves))
 
-    if options.oracle_check is not None:
-        p, n = options.oracle_check, problem.n
+    if p is not None:
         gens = homogenized_generators(problem)
         try:
-            report = check_partition(tree, gens, p, n)
+            report = check_partition(tree, gens, p, problem.n)
             stuck = [(leaf.id, k, prefix) for leaf in leaf_parts(tree)
-                     for k, prefix in check_extension(leaf, p, n)]
+                     for k, prefix in check_extension(leaf, p, problem.n)]
         except EnumerationCapExceeded as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -184,35 +177,6 @@ def run(options: RunOptions) -> int:
         if not report.valid or stuck:
             return 3
     return 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="p1parts",
-        description="Decompose the variety of a polynomial ideal, coordinates "
-                    "on the projective line, into disjoint equality/inequality "
-                    "parts.")
-    parser.add_argument("input", help="problem file (see README for the grammar)")
-    parser.add_argument("--format", choices=("text", "json", "dot"),
-                        default="text", help="output rendering (default: text)")
-    parser.add_argument("--leaves", action="store_true",
-                        help="render only the leaf parts")
-    parser.add_argument("--max-nodes", type=int, default=10000, metavar="N",
-                        help="node budget for the decomposition (default 10000)")
-    parser.add_argument("--no-radical", action="store_true",
-                        help="skip the radical closure of equality ideals")
-    parser.add_argument("--oracle", type=int, default=None, metavar="P",
-                        help="verify the partition by brute force over F_P")
-    args = parser.parse_args(argv)
-    options = RunOptions(
-        input_path=args.input,
-        format=args.format,
-        leaves_only=args.leaves,
-        max_nodes=args.max_nodes,
-        radical=not args.no_radical,
-        oracle_check=args.oracle,
-    )
-    return run(options)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-MAX_CHARACTERISTIC = 2**31  # residue products must fit 64-bit intermediates
+# keeps _is_prime's trial division under about 23,000 odd divisors
+MAX_CHARACTERISTIC = 2**31
 
 
 class FieldError(ValueError):

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from p1parts.cli import RunOptions, main, render_tree, run
+from p1parts.cli import main, render_tree
 from p1parts.fields import QQ
 from p1parts.multiproj import partition_variety
 from p1parts.parser import parse_polynomial, parse_problem
+from test_oracle import assert_dimension_is_most_free_levels
 
 EXAMPLE = ("char 0\nn 3\nform x\nideal:\n"
            "x_1*(x_3^2*x_2+x_3+1)\nx_3*(x_3^2*x_2+x_3+1)\n")
@@ -96,6 +97,11 @@ def test_json_empty_tree():
     assert json.loads(render_tree(tree, "json")) == {"nodes": []}
 
 
+def test_render_unknown_format(example_tree):
+    with pytest.raises(ValueError, match="unknown format 'svg'"):
+        render_tree(example_tree, "svg")
+
+
 def test_dot_rendering(example_tree):
     out = render_tree(example_tree, "dot")
     assert out.startswith("digraph")
@@ -104,42 +110,41 @@ def test_dot_rendering(example_tree):
 
 
 def test_run_text(example_file, capsys):
-    assert run(RunOptions(example_file, leaves_only=True)) == 0
+    assert main([example_file, "--leaves"]) == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 10
 
 
 def test_run_oracle_ok(example5_file, capsys):
-    opts = RunOptions(example5_file, leaves_only=True, oracle_check=5)
-    assert run(opts) == 0
+    assert main([example5_file, "--leaves", "--oracle", "5"]) == 0
     captured = capsys.readouterr()
     assert "partition valid: 216 tuples scanned" in captured.out
 
 
 def test_run_missing_file(capsys):
-    assert run(RunOptions("/nonexistent/problem.txt")) == 1
+    assert main(["/nonexistent/problem.txt"]) == 1
     assert "error" in capsys.readouterr().err
 
 
 def test_run_bad_problem(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("char 4\nn 2\nform x\nideal:\nx_1\n")
-    assert run(RunOptions(str(bad))) == 1
+    assert main([str(bad)]) == 1
     assert "not prime" in capsys.readouterr().err
 
 
 def test_run_oracle_on_char0_rejected(example_file, capsys):
-    assert run(RunOptions(example_file, oracle_check=5)) == 1
+    assert main([example_file, "--oracle", "5"]) == 1
     assert "characteristic 0" in capsys.readouterr().err
 
 
 def test_run_oracle_mismatch_rejected(example5_file, capsys):
-    assert run(RunOptions(example5_file, oracle_check=7)) == 1
+    assert main([example5_file, "--oracle", "7"]) == 1
     assert "does not match" in capsys.readouterr().err
 
 
 def test_run_max_nodes_exit(example_file, capsys):
-    assert run(RunOptions(example_file, max_nodes=3)) == 2
+    assert main([example_file, "--max-nodes", "3"]) == 2
     assert "budget" in capsys.readouterr().err
 
 
@@ -154,7 +159,7 @@ def test_main_max_nodes_below_one(example_file, capsys, budget):
 def test_run_exponent_overflow_exit(tmp_path, capsys):
     path = tmp_path / "overflow.txt"
     path.write_text("char 5\nn 1\nform x\nideal:\nx_1^32768-1\n")
-    assert run(RunOptions(str(path))) == 2
+    assert main([str(path)]) == 2
     captured = capsys.readouterr()
     assert "exponent reached 32768" in captured.err
     assert captured.out == ""
@@ -163,7 +168,7 @@ def test_run_exponent_overflow_exit(tmp_path, capsys):
 def test_run_expansion_budget_exit(tmp_path, capsys):
     path = tmp_path / "expansion.txt"
     path.write_text("char 0\nn 3\nform x\nideal:\n(x_1+x_2+x_3)^300\n")
-    assert run(RunOptions(str(path))) == 1
+    assert main([str(path)]) == 1
     captured = capsys.readouterr()
     assert "expansion could exceed" in captured.err
     assert captured.out == ""
@@ -172,10 +177,26 @@ def test_run_expansion_budget_exit(tmp_path, capsys):
 def test_run_overlong_literal_exit(tmp_path, capsys):
     path = tmp_path / "literal.txt"
     path.write_text("char 5\nn 2\nform x\nideal:\nx_1^" + "9" * 4400 + "\n")
-    assert run(RunOptions(str(path))) == 1
+    assert main([str(path)]) == 1
     captured = capsys.readouterr()
     assert "4400 digits is too long (offset 4)" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["--format", "svg"], ["--max-nodes", "ten"]])
+def test_main_malformed_command_line(example_file, capsys, argv):
+    # an input error (1), not argparse's 2, which means an exceeded limit
+    if argv:
+        argv = [example_file, *argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "usage: p1parts" in captured.err
+    assert captured.out == ""
+
+
+def test_main_help(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: p1parts" in capsys.readouterr().out
 
 
 def test_main_argv(example_file, capsys):
@@ -201,7 +222,7 @@ def test_run_oracle_failure_exit_code(example5_file, capsys, monkeypatch):
                                missing=["stub"])
 
     monkeypatch.setattr(cli_mod, "check_partition", fake_check)
-    assert run(RunOptions(example5_file, oracle_check=5)) == 3
+    assert main([example5_file, "--oracle", "5"]) == 3
     captured = capsys.readouterr()
     assert "INVALID" in captured.out
     assert "not covered" in captured.err
@@ -222,7 +243,7 @@ def test_run_oracle_unsound_exit_code(example5_file, capsys, monkeypatch):
         return tree
 
     monkeypatch.setattr(cli_mod, "partition_variety", widened)
-    assert run(RunOptions(example5_file, leaves_only=True, oracle_check=5)) == 3
+    assert main([example5_file, "--leaves", "--oracle", "5"]) == 3
     captured = capsys.readouterr()
     assert "INVALID" in captured.out
     unsound = [line for line in captured.err.splitlines()
@@ -240,7 +261,7 @@ EXTENSION_DEFECT_F3 = ("char 3\nn 3\nform x\nideal:\n"
 def test_run_oracle_reports_extension_failure(tmp_path, capsys):
     path = tmp_path / "defect.txt"
     path.write_text(EXTENSION_DEFECT_F3)
-    assert run(RunOptions(str(path), leaves_only=True, oracle_check=3)) == 3
+    assert main([str(path), "--leaves", "--oracle", "3"]) == 3
     captured = capsys.readouterr()
     assert "partition valid" in captured.out
     failures = [line for line in captured.err.splitlines()
@@ -316,6 +337,32 @@ def test_golden_digests_cover_every_demo():
     assert len(GOLDEN_DIGESTS) == 6 * len(names)
 
 
+# sha256 of render_tree(tree, format, leaves_only=True) for every demo
+# problem, radical on: pins the leaf filter of the JSON nodes and of the
+# DOT nodes and edges
+LEAVES_ONLY_DIGESTS = {
+    ("coordinate_axes_f3.txt", "dot"): "fea2d5f9c11b06e8b392b28271ca6026d1c087730439d8653a301d42b6fc2828",
+    ("coordinate_axes_f3.txt", "json"): "bb49dedd3b5d00b9a63b79c7551a038da11271023a49345ff9a87d61f2e26a92",
+    ("cusp_line.txt", "dot"): "5b80dc6aa7224682529eaea1f9f58a4a7dae047268a9d69e790022c891484947",
+    ("cusp_line.txt", "json"): "862371fc05b1339002058c9f1f32f444f1acc0e7103506a1da16afeabfa5d55d",
+    ("cusp_line_f5.txt", "dot"): "06bc97196485b76a8ef4b77825e934e21e47c0c003b802f3d2e4c240123f6c30",
+    ("cusp_line_f5.txt", "json"): "be432d5dc80165c95c01f6b17eb682375db12031f7dcb7c60eab9de80368154e",
+    ("hyperbola_f5.txt", "dot"): "3ed95aadf49485bbb000aee1fa2a7ffae4168d87fc2de4b63d89657eba2b83a6",
+    ("hyperbola_f5.txt", "json"): "068d75660c646216b09021c5c59df075df4a9320fe871b906d046b4a64b80376",
+    ("whitney_umbrella_f5.txt", "dot"): "4b2f07fd893bf6a916c2a432335c206d89974d411ca6b4607e113a5549549f54",
+    ("whitney_umbrella_f5.txt", "json"): "274cd6e3bd9b7dc8174c0ed226a3e6904c5484baae9f554329943c837eaea51e",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(LEAVES_ONLY_DIGESTS))
+def test_demo_leaves_only_renderings_golden(name, fmt):
+    tree = partition_variety(parse_problem(
+        (DEMO_PROBLEMS / name).read_text(encoding="utf-8")))
+    rendered = render_tree(tree, fmt, leaves_only=True)
+    assert hashlib.sha256(rendered.encode()).hexdigest() == \
+        LEAVES_ONLY_DIGESTS[name, fmt]
+
+
 def test_minors_n6_rendering_golden():
     # the 2x2 minors of a generic 2x3 matrix over QQ: 277 nodes, the
     # largest rational tree with a pinned rendering
@@ -337,13 +384,15 @@ def test_n7_f5_rendering_golden():
 
 
 # sha256 of the text rendering of the hard inputs in tests/problems that
-# the CI otherwise only solves, with the node counts
+# the CI otherwise only solves, with the node counts; seed7185 with the
+# radical on takes about 4 s
 HARD_INPUT_DIGESTS = {
     ("found_f2.txt", True): (46, "eeca6282ca6482b7ee8e464d9d5e4409490b551eaa0dd0356e64f614ab04af4a"),
     ("found_f2.txt", False): (46, "c916375b130664955a2d7d6165fd1952bf3da29f5a487f3237b2480b57a2387e"),
     ("runaway_f3.txt", True): (39, "53ed3e781d81cacdc78b31108dd4f36d6f5bd54599dcbdcd5e83bbb5d4b2cc22"),
     ("runaway_f3.txt", False): (39, "4791e87b91c54d2b1b4ef1567c1c2b6609ac717b68b738d8b8f18017757ec630"),
     ("seed7185_qq.txt", False): (33, "ba318178bb548fdf164ef3efb08c275c7eedfe3038b6f6c9c25748c2b53a9097"),
+    ("seed7185_qq.txt", True): (33, "58bb87562b2ff9930a04bb5ced318b8fb63770a67a5586cf38f8548f59ff9d2d"),
 }
 
 
@@ -355,3 +404,4 @@ def test_hard_input_rendering_golden(name, radical):
     nodes, digest = HARD_INPUT_DIGESTS[name, radical]
     assert len(tree.nodes) == nodes
     assert hashlib.sha256(render_tree(tree, "text").encode()).hexdigest() == digest
+    assert_dimension_is_most_free_levels(tree)

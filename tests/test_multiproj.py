@@ -347,10 +347,10 @@ def test_parts_contain_canonical_constraint_consequences():
 
 
 def test_cli_oracle_rejects_inhomogeneous_y_form(tmp_path, capsys):
-    from p1parts.cli import RunOptions, run
+    from p1parts.cli import main
     bad = tmp_path / "inhom.txt"
     bad.write_text("char 5\nn 2\nform y\nideal:\ny_4-1\n")
-    assert run(RunOptions(str(bad), oracle_check=5)) == 1
+    assert main([str(bad), "--oracle", "5"]) == 1
     assert "homogeneous" in capsys.readouterr().err
 
 

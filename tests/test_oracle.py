@@ -14,7 +14,7 @@ from p1parts.oracle import (
     enumerate_proj_space, part_members, variety_points,
 )
 from p1parts.parser import ProblemSpec, parse_polynomial, parse_problem
-from p1parts.poly import Layout, Polynomial, ProjLayout
+from p1parts.poly import Layout, Polynomial, ProjLayout, support_level
 
 PL2 = ProjLayout(2)
 PL3 = ProjLayout(3)
@@ -311,6 +311,26 @@ KNOWN_EXTENSION_FAILURES = {
 }
 
 
+def assert_dimension_is_most_free_levels(tree):
+    """The root's dimension equals the largest number of free levels of
+    any leaf (ROADMAP item 4).
+
+    The root's dimension is the size of the largest slot set S such that
+    no lex leading monomial of its equality basis has its support inside
+    S (Cox, Little & O'Shea, ch. 9), found by trying every S.  A free
+    level of a leaf is an L in 1..2n at which no equality generator has
+    support level L.  An empty tree has neither, and both read -1.
+    """
+    nslots = tree.layout.nslots
+    leads = [sum(1 << i for i, e in enumerate(g.lead_monomial()) if e)
+             for g in tree.nodes[0].eq.generators] if tree.nodes else [0]
+    dimension = max((bin(s).count("1") for s in range(1 << nslots)
+                     if all(lead & ~s for lead in leads)), default=-1)
+    free = max((nslots - len({support_level(g) for g in leaf.eq.generators} - {0})
+                for leaf in leaf_parts(tree)), default=-1)
+    assert dimension == free, (dimension, free)
+
+
 def test_random_fp_sweep():
     failures = {}
     solved = 0
@@ -323,6 +343,7 @@ def test_random_fp_sweep():
         tree = partition_variety(prob, max_nodes=400, radical=False)
         report = check_partition(tree, homogenized_generators(prob), p, prob.n)
         assert report.valid, (seed, report.summary())
+        assert_dimension_is_most_free_levels(tree)
         for leaf in leaf_parts(tree):
             cex = check_extension(leaf, p, prob.n)
             if cex:
