@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import GF
 from .multiproj import Part, PartTree, leaf_parts, reduced_lead_coefficient
-from .poly import Polynomial, poly_gcd, support_level
+from .poly import Polynomial, _check_pair_homogeneous, poly_gcd, support_level
 
 DEFAULT_CAP = 10**7
 
@@ -56,10 +56,6 @@ class ProjTuple:
     def __str__(self):
         return "(" + ",".join(f"({g}:{h})" for g, h in self.coords) + ")"
 
-    @property
-    def n(self):
-        return len(self.coords)
-
 
 def proj_line_points(p: int):
     """Canonical representatives of the projective line over F_p."""
@@ -78,19 +74,6 @@ def enumerate_proj_space(p: int, n: int) -> list:
     _check_cap(p, n)
     pts = proj_line_points(p)
     return [ProjTuple(coords) for coords in itertools.product(pts, repeat=n)]
-
-
-def _check_pair_homogeneous(g: Polynomial, n: int):
-    if g.is_zero():
-        return
-    for j in range(1, n + 1):
-        a = 2 * n - 2 * j
-        b = a + 1
-        degrees = {m[a] + m[b] for m in g.terms}
-        if len(degrees) > 1:
-            raise ValueError(
-                f"generator is not homogeneous in pair {j}; its vanishing "
-                "would depend on the representative")
 
 
 def _check_characteristic(polys, p: int, what: str):

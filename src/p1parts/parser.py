@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fields import Field, FieldError
-from .poly import Layout, Polynomial, ProjLayout
+from .poly import Layout, Polynomial, ProjLayout, _check_pair_homogeneous
 
 
 class ParseError(ValueError):
@@ -243,7 +243,7 @@ class ProblemSpec:
 
     ``form`` is ``'x'`` for affine generators in x_1..x_n (to be
     homogenized) or ``'y'`` for generators already written in the pair
-    variables y_1..y_{2n}.
+    variables y_1..y_{2n}, each homogeneous in every pair.
     """
 
     field: Field
@@ -312,7 +312,9 @@ def parse_problem(text: str) -> ProblemSpec:
     for piece, lineno in gen_texts:
         try:
             g = parse_polynomial(piece, layout, field)
-        except ParseError as exc:
+            if form == "y":
+                _check_pair_homogeneous(g, n)
+        except ValueError as exc:  # a ParseError, or a pair-inhomogeneous y form
             raise ProblemError(f"bad generator {piece!r}: {exc}", lineno) from None
         gens.append(g)
     return ProblemSpec(field, n, form, tuple(gens), layout)

@@ -3,6 +3,8 @@
 Monomials are exponent tuples indexed by variable slot, slot 0 being the
 lex-greatest variable, so plain tuple comparison is exactly the lex order.
 Polynomials are immutable term maps; all operations are pure functions.
+Like terms merge in ``_accumulate`` alone: construction, sums, products
+and exact division all add a coefficient into a term map through it.
 
 The gcd is Euclid's on dense coefficient lists in one slot, and f*g
 divided by the lcm otherwise, with the lcm taken from the Groebner core.
@@ -100,6 +102,16 @@ def _mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _accumulate(out, mono, c, field):
+    """Add c into the term map's entry for mono, dropping a zero sum."""
+    if mono in out:
+        c = field.add(out[mono], c)
+    if c:
+        out[mono] = c
+    else:
+        out.pop(mono, None)
+
+
 class Polynomial:
     """Immutable sparse polynomial: a term map exponent-tuple -> coefficient.
 
@@ -120,13 +132,7 @@ class Polynomial:
                     raise ValueError("exponent tuple length does not match slot count")
                 if any(e < 0 for e in mono):
                     raise ValueError("negative exponent")
-                v = field.coerce(c)
-                if mono in clean:
-                    v = field.add(clean[mono], v)
-                if v:
-                    clean[mono] = v
-                elif mono in clean:
-                    del clean[mono]
+                _accumulate(clean, mono, field.coerce(c), field)
         self.terms = clean
         self._lead = None
         self._squarefree = False
@@ -157,6 +163,8 @@ class Polynomial:
 
     @classmethod
     def var(cls, field, nslots, pos, exp=1):
+        if not 0 <= pos < nslots:
+            raise ValueError(f"slot position {pos} out of range")
         mono = tuple(exp if i == pos else 0 for i in range(nslots))
         return cls(field, nslots, {mono: 1})
 
@@ -209,11 +217,7 @@ class Polynomial:
         field = self.field
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            v = field.add(out.get(mono, 0), c) if mono in out else c
-            if v:
-                out[mono] = v
-            elif mono in out:
-                del out[mono]
+            _accumulate(out, mono, c, field)
         return Polynomial._raw(field, self.nslots, out)
 
     def __sub__(self, other):
@@ -227,19 +231,10 @@ class Polynomial:
     def __mul__(self, other):
         self._check(other)
         field = self.field
-        if not self.terms or not other.terms:
-            return Polynomial.zero(field, self.nslots)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                v = field.mul(c1, c2)
-                if mono in out:
-                    v = field.add(out[mono], v)
-                if v:
-                    out[mono] = v
-                elif mono in out:
-                    del out[mono]
+                _accumulate(out, _mono_mul(m1, m2), field.mul(c1, c2), field)
         return Polynomial._raw(field, self.nslots, out)
 
     def __pow__(self, k: int):
@@ -333,6 +328,17 @@ def support_level(f: Polynomial) -> int:
     return 0
 
 
+def _check_pair_homogeneous(g: Polynomial, n: int):
+    """Raise ValueError unless g, in the slots of ``ProjLayout(n)``, is
+    homogeneous in each pair (y_{2j}, y_{2j-1})."""
+    for j in range(1, n + 1):
+        a = 2 * n - 2 * j
+        if len({m[a] + m[a + 1] for m in g.terms}) > 1:
+            raise ValueError(
+                f"generator is not homogeneous in pair {j}; its vanishing "
+                "would depend on the representative")
+
+
 def lead_split(f: Polynomial, first_frozen_pos: int):
     """Leading data with respect to an unfrozen/frozen slot split.
 
@@ -347,6 +353,8 @@ def lead_split(f: Polynomial, first_frozen_pos: int):
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no leading data")
+    if not 0 <= first_frozen_pos <= f.nslots:
+        raise ValueError(f"split position {first_frozen_pos} out of range")
     live = f.lead_monomial()[:first_frozen_pos]
     zeros_head = (0,) * first_frozen_pos
     coeff_terms = {zeros_head + mono[first_frozen_pos:]: c
@@ -366,13 +374,8 @@ def derivative(f: Polynomial, pos: int) -> Polynomial:
         v = field.mul(c, field.coerce(e))
         if not v:
             continue
-        m = mono[:pos] + (e - 1,) + mono[pos + 1:]
-        if m in out:
-            v = field.add(out[m], v)
-        if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
+        # lowering one exponent keeps distinct monomials distinct
+        out[mono[:pos] + (e - 1,) + mono[pos + 1:]] = v
     return Polynomial._raw(field, f.nslots, out)
 
 
@@ -385,7 +388,7 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_constant():
         return f.scale(field.inv(g.constant_value()))
     lm_g = g.lead_monomial()
-    lc_g = g.lead_coeff()
+    inv_lc = field.inv(g.lead_coeff())
     work = dict(f.terms)
     quot = {}
     while work:
@@ -393,15 +396,10 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
         if not _mono_divides(lm_g, m):
             raise ValueError("not an exact division")
         q_mono = _mono_div(m, lm_g)
-        q_coeff = field.div(work[m], lc_g)
-        quot[q_mono] = q_coeff
+        q = quot[q_mono] = field.mul(work[m], inv_lc)
+        minus_q = field.neg(q)
         for mono, c in g.terms.items():
-            t = _mono_mul(mono, q_mono)
-            v = field.sub(work.get(t, field.zero()), field.mul(c, q_coeff))
-            if v:
-                work[t] = v
-            elif t in work:
-                del work[t]
+            _accumulate(work, _mono_mul(mono, q_mono), field.mul(c, minus_q), field)
     return Polynomial._raw(field, f.nslots, quot)
 
 

@@ -92,7 +92,7 @@ def test_json_rendering_round_trips(example_tree):
 
 
 def test_json_empty_tree():
-    prob = parse_problem("char 0\nn 1\nform y\nideal:\ny_1\ny_1-1\n")
+    prob = parse_problem("char 0\nn 1\nform y\nideal:\ny_1\ny_2\n")
     tree = partition_variety(prob)
     assert json.loads(render_tree(tree, "json")) == {"nodes": []}
 

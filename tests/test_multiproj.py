@@ -302,7 +302,7 @@ def test_partition_max_nodes_below_one(budget):
 
 
 def test_partition_inconsistent_root():
-    prob = parse_problem("char 0\nn 1\nform y\nideal:\ny_1\ny_1-1\n")
+    prob = parse_problem("char 0\nn 1\nform y\nideal:\ny_1\ny_2\n")
     tree = partition_variety(prob)
     assert tree.nodes == []
     assert tree.diagnostics
@@ -352,6 +352,8 @@ def test_cli_oracle_rejects_inhomogeneous_y_form(tmp_path, capsys):
     bad.write_text("char 5\nn 2\nform y\nideal:\ny_4-1\n")
     assert main([str(bad), "--oracle", "5"]) == 1
     assert "homogeneous" in capsys.readouterr().err
+    assert main([str(bad)]) == 1  # refused at parse time, oracle or not
+    assert "line 5" in capsys.readouterr().err
 
 
 def test_theorem3_reduction_property():

@@ -45,6 +45,7 @@ from p1parts.poly import (
     Layout, Polynomial, lead_split, squarefree_part, support_level,
 )
 from test_groebner_reference import FIELDS, polynomials
+from test_oracle import assert_dimension_is_most_free_levels
 
 DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
@@ -216,7 +217,10 @@ def test_random_renders_unchanged():
     for seed in RANDOM_SEEDS:
         problem = random_problem(seed)
         for radical in (True, False):
-            rendered = render_tree(tree(problem, radical), "text")
+            built = tree(problem, radical)
+            if problem.generators:
+                assert_dimension_is_most_free_levels(built)
+            rendered = render_tree(built, "text")
             digest.update(f"{seed} {radical}\n{rendered}\n".encode())
     assert digest.hexdigest() == RANDOM_RENDER_DIGEST
 

@@ -352,6 +352,15 @@ def test_random_fp_sweep():
     assert failures == KNOWN_EXTENSION_FAILURES
 
 
+def test_random_fp_sweep_dimension_with_radical():
+    # the radical closure changes the leaves, not the root's dimension
+    for seed in SWEEP_SEEDS:
+        prob = random_fp_problem(seed)
+        if prob.generators:
+            assert_dimension_is_most_free_levels(
+                partition_variety(prob, max_nodes=400))
+
+
 @pytest.mark.parametrize("radical", [True, False])
 def test_found_f2_known_extension_defect(radical):
     # a known defect, pinned until stepwise extension holds on every

@@ -166,6 +166,15 @@ def test_parse_problem_y_form():
     assert prob.generators[0].nslots == 4
 
 
+def test_parse_problem_rejects_inhomogeneous_y_form():
+    # the vanishing of y_4-1 depends on the representative of pair 2
+    with pytest.raises(ProblemError, match="homogeneous in pair 2") as info:
+        parse_problem("char 5\nn 2\nform y\nideal:\ny_4*y_1-y_3*y_2\ny_4-1\n")
+    assert info.value.line == 6
+    with pytest.raises(ProblemError, match="homogeneous in pair 1"):
+        parse_problem("char 0\nn 1\nform y\nideal:\ny_1\ny_1-1\n")
+
+
 def test_parse_problem_errors():
     with pytest.raises(ProblemError, match="not prime"):
         parse_problem("char 4\nn 2\nform x\nideal:\nx_1\n")

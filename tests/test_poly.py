@@ -36,6 +36,12 @@ def test_projective_layout_slots():
         ProjLayout(3, 7)
 
 
+@pytest.mark.parametrize("pos", [-1, 3, 5])
+def test_var_rejects_out_of_range_position(pos):
+    with pytest.raises(ValueError, match="out of range"):
+        Polynomial.var(QQ, 3, pos)
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 def test_mul():
@@ -81,6 +87,12 @@ def test_lead_split():
 
     with pytest.raises(ValueError):
         lead_split(Polynomial.zero(QQ, 6), boundary)
+
+
+@pytest.mark.parametrize("pos", [-1, 7])
+def test_lead_split_rejects_out_of_range_position(pos):
+    with pytest.raises(ValueError, match="out of range"):
+        lead_split(P("y_6-1"), pos)
 
 
 def test_lead_split_level_zero_is_ordinary_lead():
