@@ -6,21 +6,23 @@ set, so a prefix that fails one is dropped with every assignment that
 extends it.  One walk carries several systems of constraints at once,
 and drops a prefix only when every system fails it.  Before the walk,
 each distinct constraint is compiled once, into its terms grouped by
-the exponent of its top slot, and at each slot the systems are grouped
-by the constraints they test there.  Once the lower slots are set, each
-group specializes its constraints of the next slot to their univariate
-fibres in that slot and finds the candidate values that pass, once for
-all its systems; a group whose constraints involve no lower slot finds
-them once, before the walk.  Variety points and part members walk the
-canonical representatives (y_{2j-1} in {0, 1}, and y_{2j} = 1 after a
-0) for one system; the stepwise extension check walks all of F_p at
-every slot for one part and examines each prefix that no value extends,
-on the same fibres.  The partition check walks the variety and every
-leaf together and tallies each tuple as it is reached: it counts the
-variety and the covered points, and builds a tuple only for a point
-that is missing, off the variety or covered twice.  A part's frozen
-slots are evaluated like any other: freezing only renames the slots
-that have already been chosen.
+the exponent of its top slot.  A test whose constraints involve no
+lower slot passes the same values for every prefix: the roots in F_p of
+those constraints are found once, and each slot folds such tests into
+one sparse mask of the systems each value passes.  The other tests are
+grouped by the systems that make them; once the lower slots are set,
+each group specializes its constraints to their univariate fibres in
+the next slot and finds the candidate values that pass, once for all
+its systems.  Variety points and part members walk the canonical
+representatives (y_{2j-1} in {0, 1}, and y_{2j} = 1 after a 0) for one
+system.  The stepwise extension check tries all of F_p at every slot
+for one part, up to the last slot where a prefix can die, and examines
+each prefix that no value extends, on the same fibres.  The partition
+check walks the variety and every leaf together and tallies each tuple
+as it is reached, building a tuple only for a point that is missing,
+off the variety or covered twice.  A part's frozen slots are evaluated
+like any other: freezing only renames the slots already chosen.
+Nothing of the size of F_p is built.
 
 Every enumeration first compares the (p+1)^n canonical tuples with the
 constant ``DEFAULT_CAP`` and raises EnumerationCapExceeded, before any
@@ -118,10 +120,10 @@ def _canonical(p: int, n: int):
     return candidates
 
 
-def _point(vals, n: int) -> tuple:
-    """A full canonical assignment as indices into ``proj_line_points``,
-    x_n first: (y_{2j}, y_{2j-1}) = (g, h) is point h*(g+1)."""
-    return tuple(vals[i + 1] * (vals[i] + 1) for i in range(0, 2 * n, 2))
+def _point(vals, n: int) -> ProjTuple:
+    """A full canonical assignment as a tuple: the pair of x_j is
+    (y_{2j}, y_{2j-1})."""
+    return ProjTuple(tuple((vals[i], vals[i + 1]) for i in range(0, 2 * n, 2)))
 
 
 def _members(system, p: int, n: int) -> list:
@@ -130,9 +132,10 @@ def _members(system, p: int, n: int) -> list:
     found = []
     _walk([system], p, n, _canonical(p, n),
           leaf=lambda vals, alive: found.append(_point(vals, n)))
-    found.sort()  # x_n varies slowest, as in enumerate_proj_space
-    pts = proj_line_points(p)
-    return [ProjTuple(tuple(pts[i] for i in idx)) for idx in found]
+    # x_n varies slowest, as in enumerate_proj_space; (g, h) is point
+    # h*(g+1) of proj_line_points
+    found.sort(key=lambda t: [h * (g + 1) for g, h in t.coords])
+    return found
 
 
 def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
@@ -141,49 +144,54 @@ def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
 
     Sets y_1, ..., y_{2n} in turn, y_k to each value of
     ``candidates(k, vals)``; a prefix that every system fails is never
-    extended.  In ``vals`` position 2n - i holds y_i.  ``_plan`` groups
-    the systems, slot by slot, by the constraints they test there.  Once
-    y_1, ..., y_{k-1} are set, each group of surviving systems at slot k
+    extended.  In ``vals`` position 2n - i holds y_i.  ``_plan`` folds
+    the tests that involve no lower slot into one mask per slot, and
+    groups the other tests by the systems that make them.  Once y_1,
+    ..., y_{k-1} are set, each such group of surviving systems at slot k
     finds the candidates that pass its tests, once for all its systems.
     Each full assignment goes to ``leaf(vals, alive)``, where bit i of
     ``alive`` is set when ``systems[i]`` holds.  When no candidate at
     slot k extends a group, ``dead(k, eqs, neqs, vals)`` sees the
     group's fibres, as polynomials in y_k, with y_1, ..., y_{k-1} still
-    set in ``vals``.
+    set in ``vals``.  A walk with no ``leaf`` looks only for dead
+    prefixes, and its candidates must be all of F_p at every slot: it
+    stops at the last slot where a prefix can die, since a prefix that
+    passes it has a passing value at every slot above.
     """
     _check_cap(p, n)
     nslots = 2 * n
-    start, groups = _plan(systems, p, nslots)
+    start, slots, last = _plan(systems, p, nslots)
+    top = nslots if leaf is not None else last
     vals = [0] * nslots
 
     def extend(k, alive):  # y_1, ..., y_{k-1} are set
         pos = nslots - k
         values = candidates(k, vals)
+        base, at, varying, groups = slots[k]
         live = []
-        for members, eqs, neqs, passing in groups[k]:
+        for members, eqs, neqs in varying:
             members &= alive
             if members:
-                required, excluded = passing or _passing(
+                live.append((members, *_passing(
                     [_specialize(f, vals, p) for f in eqs],
-                    [_specialize(f, vals, p) for f in neqs], values, p)
-                live.append((members, required, excluded, eqs, neqs))
+                    [_specialize(f, vals, p) for f in neqs], values, p)))
         reached = 0
         for a in values:
-            held = 0
-            for members, required, excluded, _, _ in live:
+            held = at.get(a, base) & alive
+            for members, required, excluded in live:
                 if a in required and a not in excluded:
                     held |= members
             if held:
                 reached |= held
                 vals[pos] = a
-                if k < nslots:
+                if k < top:
                     extend(k + 1, held)
                 elif leaf is not None:
                     leaf(vals, held)
         if dead is not None and reached != alive:
             field = GF(p)
-            for members, _, _, eqs, neqs in live:
-                if not members & reached:
+            for members, eqs, neqs in groups:
+                if members & alive and not members & reached:
                     dead(k, [_as_polynomial(_specialize(f, vals, p), field,
                                             nslots, pos) for f in eqs],
                          [_as_polynomial(_specialize(f, vals, p), field,
@@ -191,23 +199,29 @@ def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
 
     if not start:
         return
-    if nslots:
+    if top:
         extend(1, start)
     elif leaf is not None:
         leaf(vals, start)  # the one assignment of no slots
 
 
 def _plan(systems, p: int, nslots: int):
-    """The walk's tests: the systems it starts with, as a bit mask, and
-    for each slot k a list of groups (systems, eqs, neqs, passing).
+    """The walk's tests: the systems it starts with, as a bit mask, for
+    each slot k a tuple (base, at, varying, groups), and the last slot
+    where a prefix can die when all of F_p is tried, or 0.
 
-    The systems of a group test the same constraints at slot k, ``eqs``
-    and ``neqs``, each compiled once by ``_compile``.  A system with a
-    failing constant never starts; one with no test at slot k joins the
-    group there that passes every value.  When no constraint of a group
-    involves a slot below k, its fibres are the same for every prefix,
-    and ``passing`` holds their ``_passing`` over all of F_p; otherwise
-    it is None, and the walk specializes the fibres at each prefix.
+    A system with a failing constant never starts.  At slot k the
+    systems are grouped by the constraints they test there, each
+    compiled once as ``_compile`` does; ``groups`` lists every group as
+    (systems, eqs, neqs).  The tests whose constraints involve no lower
+    slot pass the same values for every prefix, so they are folded into
+    one sparse mask, from the roots in F_p of each such constraint: a
+    value a passes the systems ``at.get(a, base)``, where ``base`` holds
+    the systems that test nothing or only such inequalities there, and
+    ``at`` has an entry only at a root.  ``varying`` lists the other
+    groups, which the walk specializes at each prefix.  A prefix can die
+    at slot k only if ``varying`` is not empty or some system passes no
+    value of F_p.
     """
     for eq, neq in systems:
         for f in (*eq, *neq):
@@ -215,8 +229,8 @@ def _plan(systems, p: int, nslots: int):
                 raise ValueError(
                     f"constraint has {f.nslots} slots, expected {nslots}")
     index = {}  # distinct constraint -> its place in the two lists below
-    compiled, fixed = [], []  # fixed: the fibre, if no prefix changes it
-    by_tests = {}  # (slot, eq places, neq places) -> systems
+    compiled, roots = [], []  # roots: in F_p, if no prefix changes the fibre
+    by_tests = [{} for _ in range(nslots + 1)]  # (eq, neq places) -> systems
     start = 0
     for i, (eq, neq) in enumerate(systems):
         if any(g.is_constant() and not g.is_zero() for g in eq) or \
@@ -231,30 +245,50 @@ def _plan(systems, p: int, nslots: int):
                     continue  # the other constants hold for every assignment
                 c = index.setdefault(f, len(compiled))
                 if c == len(compiled):
-                    g = _compile(f, nslots - k)
-                    compiled.append(g)
-                    fixed.append(None if any(
-                        factors for _, terms in g for _, factors in terms)
-                        else _specialize(g, (), p))
+                    pos = nslots - k
+                    if any(sum(mono) != mono[pos] for mono in f.terms):
+                        compiled.append(_compile(f, pos))
+                        roots.append(None)
+                    else:  # f involves no lower slot: its fibre is f
+                        fibre = [(mono[pos], v) for mono, v in f.terms.items()]
+                        compiled.append(
+                            tuple((e, ((v, ()),)) for e, v in fibre))
+                        roots.append({a for a in range(p)
+                                      if _holds((fibre,), (), a, p)})
                 tests.setdefault(k, ([], []))[bucket].append(c)
         for k, (eqs, neqs) in tests.items():
-            key = (k, tuple(eqs), tuple(neqs))
-            by_tests[key] = by_tests.get(key, 0) | 1 << i
-    everything = range(p)
-    groups = [[] for _ in range(nslots + 1)]
-    untested = [start] * (nslots + 1)  # slot -> systems with no test there
-    for (k, eqs, neqs), members in by_tests.items():
-        untested[k] &= ~members
-        passing = None
-        if all(fixed[c] is not None for c in (*eqs, *neqs)):
-            passing = _passing([fixed[c] for c in eqs],
-                               [fixed[c] for c in neqs], everything, p)
-        groups[k].append((members, [compiled[c] for c in eqs],
-                          [compiled[c] for c in neqs], passing))
+            key = (tuple(eqs), tuple(neqs))
+            by_tests[k][key] = by_tests[k].get(key, 0) | 1 << i
+    slots = [(start, {}, (), ())] * (nslots + 1)
+    last = 0
     for k in range(1, nslots + 1):
-        if untested[k]:
-            groups[k].append((untested[k], (), (), (everything, ())))
-    return start, groups
+        if not by_tests[k]:
+            continue  # every system passes every value
+        base, add, drop, varying, groups = start, {}, {}, [], []
+        for (eqs, neqs), members in by_tests[k].items():
+            group = (members, [compiled[c] for c in eqs],
+                     [compiled[c] for c in neqs])
+            groups.append(group)
+            if any(roots[c] is None for c in (*eqs, *neqs)):
+                varying.append(group)
+                base &= ~members
+            elif eqs:  # passes at the common roots of eqs that no neq has
+                base &= ~members
+                for a in set.intersection(*[roots[c] for c in eqs]).difference(
+                        *[roots[c] for c in neqs]):
+                    add[a] = add.get(a, 0) | members
+            else:  # passes everywhere but at the roots of neqs
+                for c in neqs:
+                    for a in roots[c]:
+                        drop[a] = drop.get(a, 0) | members
+        at = {a: base & ~drop.get(a, 0) | add.get(a, 0) for a in {*add, *drop}}
+        slots[k] = (base, at, varying, groups)
+        passing = base if len(at) < p else 0
+        for held in at.values():
+            passing |= held
+        if varying or start & ~passing:
+            last = k
+    return start, slots, last
 
 
 def _compile(f: Polynomial, pos: int):
@@ -361,7 +395,6 @@ def check_partition(tree: PartTree, gens, p: int, n: int) -> PartitionReport:
             f"cannot check against F_{p}")
     leaves = leaf_parts(tree)
     systems = [_variety(gens, p, n)] + [_system(part, p) for part in leaves]
-    pts = proj_line_points(p)
     variety_size = covered = 0
     double, unsound, missing = [], [], []
 
@@ -373,7 +406,7 @@ def check_partition(tree: PartTree, gens, p: int, n: int) -> PartitionReport:
             covered += 1
             if not parts & (parts - 1):
                 return  # covered exactly once
-        t = ProjTuple(tuple(pts[i] for i in _point(vals, n)))
+        t = _point(vals, n)
         if not parts:
             missing.append(t)
             return
@@ -397,16 +430,19 @@ def check_partition(tree: PartTree, gens, p: int, n: int) -> PartitionReport:
 def check_extension(part: Part, p: int, n: int) -> list:
     """Counterexamples to stepwise extension inside one part, or [].
 
-    Walks all of F_p at every slot, bottom-up, over the partial
+    Tries all of F_p at every slot, bottom-up, over the partial
     assignments satisfying the constraints supported so far.  A prefix
     that no value in F_p extends to slot k still extends if the slot-k
     constraints, with the prefix plugged in, admit a root over the
     algebraic closure outside the inequality exclusions; that case is
     certified exactly (gcd of the equalities, saturated by the
     inequalities, stays nonconstant) since closure points cannot be
-    enumerated.  Returns the failing (k, (y_1, ..., y_{k-1})) sorted.
-    Raises EnumerationCapExceeded when the canonical tuples or the values
-    the walk tries pass ``DEFAULT_CAP``.
+    enumerated.  A prefix can die only at a slot whose tests involve a
+    lower slot, or whose tests no value of F_p passes, so the walk stops
+    at the last such slot, and does not start when there is none.
+    Returns the failing (k, (y_1, ..., y_{k-1})) sorted.  Raises
+    EnumerationCapExceeded when the canonical tuples or the values the
+    walk tries pass ``DEFAULT_CAP``.
     """
     system = _system(part, p)
     nslots = 2 * n

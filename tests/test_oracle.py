@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -239,12 +240,25 @@ def test_check_extension_cap(no_evaluation):
 
 
 def test_check_extension_walk_cap(monkeypatch):
-    # 6^4 = 1,296 canonical tuples pass a cap of 10^4, but with only y_1
-    # constrained the walk would try about 10^5 values of F_5
+    # 6^4 = 1,296 canonical tuples pass a cap of 10^4, but y_8 - y_1 can
+    # fail at slot 8, so the walk would try 5^8 values of F_5 to get there
     monkeypatch.setattr(oracle, "DEFAULT_CAP", 10**4)
-    loose = part_from_texts(["y_1"], [], ProjLayout(4), F5, 0)
+    loose = part_from_texts(["y_8-y_1"], [], ProjLayout(4), F5, 0)
     with pytest.raises(EnumerationCapExceeded, match="tried more than 10000"):
         check_extension(loose, 5, 4)
+    # with only y_1 constrained no prefix can die, so nothing is walked
+    free_above = part_from_texts(["y_1"], [], ProjLayout(4), F5, 0)
+    assert check_extension(free_above, 5, 4) == []
+
+
+def test_check_extension_stops_on_values_of_f_p():
+    # y_2^2 - 2 has no root in F_5, only in the closure, so the walk must
+    # reach slot 2; its prefixes extend there into the closure alone
+    layout = ProjLayout(1)
+    closure = part_from_texts(["y_2^2-2"], [], layout, F5, 0)
+    assert check_extension(closure, 5, 1) == []
+    nowhere = part_from_texts(["y_2^2-2", "y_2^2-3"], [], layout, F5, 0)
+    assert check_extension(nowhere, 5, 1) == [(2, (a,)) for a in range(5)]
 
 
 def test_check_extension_clean_fixture():
@@ -271,6 +285,26 @@ def test_check_extension_empty_part_has_no_counterexamples():
     for empty in (unit, zero):
         assert part_members(empty, 5, 2) == []
         assert check_extension(empty, 5, 2) == []
+
+
+def test_oracle_memory_independent_of_p():
+    # n = 1 lets p reach the cap; no call may build a table of F_p
+    p = 100003
+    problem = parse_problem(f"char {p}\nn 1\nform x\nideal:\nx_1^2-5\n")
+    tree = partition_variety(problem)
+    gens = homogenized_generators(problem)
+    calls = [lambda: check_partition(tree, gens, p, 1),
+             lambda: variety_points(gens, p, 1)]
+    calls += [lambda leaf=leaf: check_extension(leaf, p, 1)
+              for leaf in leaf_parts(tree)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # -- a fixed sweep of random F_p problems ----------------------------------------

@@ -25,17 +25,22 @@ nodes):
 One more pins the ``_reduce`` calls of the ``found-f2`` root basis,
 which takes thousands when the homogenized generators and the canonical
 constraints go into one run, so that a change of ``root_part``'s
-insertion order shows.  The last pins the zero remainders and the queue
-of the ``n5-f5`` root basis, which the signature criteria predict.
+insertion order shows.  Another pins the zero remainders and the queue
+of the ``n5-f5`` root basis, which the signature criteria predict.  The
+last pins the nodes the oracle walks visit over the ``n5-f5`` tree: the
+extension check walks a leaf only up to the last slot where a prefix
+can die, and most leaves have no such slot.
 """
 
 import heapq
 import sys
 from types import SimpleNamespace
 
-from p1parts import cli, groebner, multiproj, poly
+from p1parts import cli, groebner, multiproj, oracle, poly
 from p1parts.cli import render_tree
-from p1parts.multiproj import partition_variety, root_part
+from p1parts.multiproj import (
+    homogenized_generators, leaf_parts, partition_variety, root_part,
+)
 from p1parts.parser import parse_problem
 
 N5_F5 = "char 5\nn 5\nform x\nideal:\nx_5*x_1-x_2*x_3+x_4\n"
@@ -137,3 +142,29 @@ def test_n5_f5_root_zero_reductions(monkeypatch):
     assert len(results) == 129
     assert sum(r == {} for r in results) == 8
     assert len(queued) == 172
+
+
+def test_n5_f5_oracle_walk_nodes(monkeypatch):
+    # one count per walk: the calls of its ``candidates``, one per node
+    walks = []
+    real_walk = oracle._walk
+
+    def counting_walk(systems, p, n, candidates, **callbacks):
+        walks.append(0)
+
+        def counted(k, vals):
+            walks[-1] += 1
+            return candidates(k, vals)
+        return real_walk(systems, p, n, counted, **callbacks)
+
+    monkeypatch.setattr(oracle, "_walk", counting_walk)
+    problem = parse_problem(N5_F5)
+    tree = partition_variety(problem)
+    oracle.check_partition(tree, homogenized_generators(problem), 5, 5)
+    assert walks == [4665]
+    walks.clear()
+    for leaf in leaf_parts(tree):
+        oracle.check_extension(leaf, 5, 5)
+    assert len(walks) == 61
+    assert sum(walks) == 1416
+    assert sum(map(bool, walks)) == 5
