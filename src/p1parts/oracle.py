@@ -4,19 +4,22 @@ Every question is answered by one depth-first walk over the slots, from
 y_1 up to y_{2n}: each constraint is tested as soon as its top slot is
 set, so a prefix that fails one is dropped with every assignment that
 extends it.  One walk carries several systems of constraints at once,
-and drops a prefix only when every system fails it.  Before the walk,
-each distinct constraint is compiled once, into its terms grouped by
-the exponent of its top slot.  A test whose constraints involve no
-lower slot passes the same values for every prefix: the roots in F_p of
-those constraints are found once, and each slot folds such tests into
-one sparse mask of the systems each value passes.  The other tests are
-grouped by the systems that make them; once the lower slots are set,
-each group specializes its constraints to their univariate fibres in
-the next slot and finds the candidate values that pass, once for all
-its systems.  Variety points and part members walk the canonical
-representatives (y_{2j-1} in {0, 1}, and y_{2j} = 1 after a 0) for one
-system.  The stepwise extension check tries all of F_p at every slot
-for one part, up to the last slot where a prefix can die, and examines
+and drops a prefix only when every system fails it.  What the walk
+needs of a constraint is found once per constraint object and kept on
+it: its top slot, its terms grouped by the exponent of that slot, and,
+when it involves no lower slot, its roots in F_p.  Equal constraints in
+one walk share these facts, and the walks of one tree, which share most
+constraint objects, find each root set once.  A test whose constraints
+involve no lower slot passes the same values for every prefix, so each
+slot folds such tests into one sparse mask of the systems each value
+passes.  The other tests are grouped by the systems that make them;
+once the lower slots are set, each group specializes its constraints to
+their univariate fibres in the next slot and finds the candidate values
+that pass, once for all its systems.  Variety points and part members
+walk the canonical representatives (y_{2j-1} in {0, 1}, and y_{2j} = 1
+after a 0) for one system.  The stepwise extension check tries all of
+F_p at every slot for one part.  Before any plan it finds the last slot
+where a prefix can die, plans and walks only up to it, and examines
 each prefix that no value extends, on the same fibres.  The partition
 check walks the variety and every leaf together and tallies each tuple
 as it is reached, building a tuple only for a point that is missing,
@@ -155,13 +158,22 @@ def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
     group's fibres, as polynomials in y_k, with y_1, ..., y_{k-1} still
     set in ``vals``.  A walk with no ``leaf`` looks only for dead
     prefixes, and its candidates must be all of F_p at every slot: it
-    stops at the last slot where a prefix can die, since a prefix that
-    passes it has a passing value at every slot above.
+    first finds the last slot where a prefix can die (``_last_slot``),
+    since a prefix that passes it has a passing value at every slot
+    above, and plans and walks only up to it, or not at all when there
+    is none.
     """
     _check_cap(p, n)
     nslots = 2 * n
-    start, slots, last = _plan(systems, p, nslots)
-    top = nslots if leaf is not None else last
+    start, tests = _tests(systems, nslots)
+    if not start:
+        return
+    top = nslots if leaf is not None else _last_slot(tests, p)
+    if not top:
+        if leaf is not None:
+            leaf([], start)  # the one assignment of no slots
+        return
+    slots = _plan(start, tests, p, top)
     vals = [0] * nslots
 
     def extend(k, alive):  # y_1, ..., y_{k-1} are set
@@ -197,98 +209,149 @@ def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
                          [_as_polynomial(_specialize(f, vals, p), field,
                                          nslots, pos) for f in neqs], vals)
 
-    if not start:
-        return
-    if top:
-        extend(1, start)
-    elif leaf is not None:
-        leaf(vals, start)  # the one assignment of no slots
+    extend(1, start)
 
 
-def _plan(systems, p: int, nslots: int):
-    """The walk's tests: the systems it starts with, as a bit mask, for
-    each slot k a tuple (base, at, varying, groups), and the last slot
-    where a prefix can die when all of F_p is tried, or 0.
+def _tests(systems, nslots: int):
+    """The systems a walk starts with, as a bit mask, and for each slot k
+    a dict from the tests made there, a pair (eqs, neqs) of tuples of
+    the ``_Facts`` of the constraints whose top slot is k, to the
+    systems that make them.
 
-    A system with a failing constant never starts.  At slot k the
-    systems are grouped by the constraints they test there, each
-    compiled once as ``_compile`` does; ``groups`` lists every group as
-    (systems, eqs, neqs).  The tests whose constraints involve no lower
-    slot pass the same values for every prefix, so they are folded into
-    one sparse mask, from the roots in F_p of each such constraint: a
-    value a passes the systems ``at.get(a, base)``, where ``base`` holds
-    the systems that test nothing or only such inequalities there, and
-    ``at`` has an entry only at a root.  ``varying`` lists the other
-    groups, which the walk specializes at each prefix.  A prefix can die
-    at slot k only if ``varying`` is not empty or some system passes no
-    value of F_p.
+    A system with a failing constant never starts.  Equal constraints
+    share one ``_Facts``, so equal tests are made once, and what one
+    walk finds about a constraint serves every equal one.
     """
     for eq, neq in systems:
         for f in (*eq, *neq):
             if f.nslots != nslots:
                 raise ValueError(
                     f"constraint has {f.nslots} slots, expected {nslots}")
-    index = {}  # distinct constraint -> its place in the two lists below
-    compiled, roots = [], []  # roots: in F_p, if no prefix changes the fibre
-    by_tests = [{} for _ in range(nslots + 1)]  # (eq, neq places) -> systems
+    by_tests = [{} for _ in range(nslots + 1)]
+    first = {}  # constraint -> the first equal one in this walk
     start = 0
     for i, (eq, neq) in enumerate(systems):
         if any(g.is_constant() and not g.is_zero() for g in eq) or \
                 any(q.is_zero() for q in neq):
             continue  # a constant fails for every assignment
         start |= 1 << i
-        tests = {}  # slot -> (eq places, neq places)
+        tests = {}  # slot -> (eqs, neqs)
         for bucket, constraints in enumerate((eq, neq)):
             for f in constraints:
-                k = support_level(f)
-                if not k:
-                    continue  # the other constants hold for every assignment
-                c = index.setdefault(f, len(compiled))
-                if c == len(compiled):
-                    pos = nslots - k
-                    if any(sum(mono) != mono[pos] for mono in f.terms):
-                        compiled.append(_compile(f, pos))
-                        roots.append(None)
-                    else:  # f involves no lower slot: its fibre is f
-                        fibre = [(mono[pos], v) for mono, v in f.terms.items()]
-                        compiled.append(
-                            tuple((e, ((v, ()),)) for e, v in fibre))
-                        roots.append({a for a in range(p)
-                                      if _holds((fibre,), (), a, p)})
-                tests.setdefault(k, ([], []))[bucket].append(c)
+                facts = f._oracle = _facts(first.setdefault(f, f))
+                if facts.level:  # the other constants hold everywhere
+                    tests.setdefault(facts.level, ([], []))[bucket].append(facts)
         for k, (eqs, neqs) in tests.items():
             key = (tuple(eqs), tuple(neqs))
             by_tests[k][key] = by_tests[k].get(key, 0) | 1 << i
-    slots = [(start, {}, (), ())] * (nslots + 1)
-    last = 0
-    for k in range(1, nslots + 1):
-        if not by_tests[k]:
+    return start, by_tests
+
+
+def _last_slot(tests, p: int) -> int:
+    """The last slot where a walk that tries all of F_p at every slot can
+    drop a prefix, or 0.
+
+    A prefix can die at slot k only if some system there tests a
+    constraint that involves a lower slot, which decides at once, or
+    makes tests that no value of F_p passes.  Only the second needs root
+    sets, and only above the highest slot of the first.
+    """
+    for k in range(len(tests) - 1, 0, -1):
+        if any(c.fibre is None for eqs, neqs in tests[k] for c in (*eqs, *neqs)):
+            return k
+        for eqs, neqs in tests[k]:
+            passing, excluded = _fixed(eqs, neqs, p)
+            if passing == set() or len(excluded) == p:
+                return k
+    return 0
+
+
+def _plan(start, tests, p: int, top: int):
+    """The walk's tests at each slot k up to ``top``, as a tuple (base,
+    at, varying, groups), from the tests that ``_tests`` found there.
+
+    ``groups`` lists every group of systems as (systems, eqs, neqs), its
+    constraints compiled as ``_compile`` does.  The tests whose
+    constraints involve no lower slot pass the same values for every
+    prefix, so they are folded into one sparse mask: a value a passes
+    the systems ``at.get(a, base)``, where ``base`` holds the systems
+    that test nothing or only such inequalities there, and ``at`` has an
+    entry only at a root.  ``varying`` lists the other groups, which the
+    walk specializes at each prefix.
+    """
+    slots = [(start, {}, (), ())] * (top + 1)
+    for k in range(1, top + 1):
+        if not tests[k]:
             continue  # every system passes every value
         base, add, drop, varying, groups = start, {}, {}, [], []
-        for (eqs, neqs), members in by_tests[k].items():
-            group = (members, [compiled[c] for c in eqs],
-                     [compiled[c] for c in neqs])
+        for (eqs, neqs), members in tests[k].items():
+            group = (members, [c.compiled for c in eqs],
+                     [c.compiled for c in neqs])
             groups.append(group)
-            if any(roots[c] is None for c in (*eqs, *neqs)):
+            if any(c.fibre is None for c in (*eqs, *neqs)):
                 varying.append(group)
                 base &= ~members
-            elif eqs:  # passes at the common roots of eqs that no neq has
+                continue
+            passing, excluded = _fixed(eqs, neqs, p)
+            if passing is None:  # passes everywhere but at excluded
+                for a in excluded:
+                    drop[a] = drop.get(a, 0) | members
+            else:
                 base &= ~members
-                for a in set.intersection(*[roots[c] for c in eqs]).difference(
-                        *[roots[c] for c in neqs]):
+                for a in passing:
                     add[a] = add.get(a, 0) | members
-            else:  # passes everywhere but at the roots of neqs
-                for c in neqs:
-                    for a in roots[c]:
-                        drop[a] = drop.get(a, 0) | members
         at = {a: base & ~drop.get(a, 0) | add.get(a, 0) for a in {*add, *drop}}
         slots[k] = (base, at, varying, groups)
-        passing = base if len(at) < p else 0
-        for held in at.values():
-            passing |= held
-        if varying or start & ~passing:
-            last = k
-    return start, slots, last
+    return slots
+
+
+class _Facts:
+    """What the walk needs of a constraint f, found once and kept in f's
+    ``_oracle`` slot.
+
+    ``level`` is f's top slot k, 0 for a constant, and ``compiled`` holds
+    f's terms as ``_compile`` groups them.  When f involves no lower
+    slot, its fibre is f itself: ``fibre`` lists its pairs (e, c), and
+    ``roots`` is None until ``root_set`` finds its roots in F_p.  When f
+    involves a lower slot, both stay None.
+    """
+
+    __slots__ = ("level", "compiled", "fibre", "roots")
+
+    def __init__(self, f: Polynomial):
+        k = self.level = support_level(f)
+        pos = f.nslots - k
+        self.compiled = self.fibre = self.roots = None
+        if k and any(sum(mono) != mono[pos] for mono in f.terms):
+            self.compiled = _compile(f, pos)
+        elif k:
+            self.fibre = [(mono[pos], c) for mono, c in f.terms.items()]
+            self.compiled = tuple((e, ((c, ()),)) for e, c in self.fibre)
+
+    def root_set(self, p: int) -> set:
+        if self.roots is None:
+            self.roots = {a for a in range(p) if _holds((self.fibre,), (), a, p)}
+        return self.roots
+
+
+def _facts(f: Polynomial) -> _Facts:
+    try:
+        return f._oracle
+    except AttributeError:
+        f._oracle = _Facts(f)
+        return f._oracle
+
+
+def _fixed(eqs, neqs, p: int):
+    """The values of F_p that pass tests whose constraints involve no
+    lower slot, as a pair (passing, excluded): with equalities, passing
+    holds their common roots that no inequality has; without, passing
+    is None and every value passes but the roots of the inequalities,
+    which ``excluded`` holds."""
+    excluded = set().union(*[c.root_set(p) for c in neqs])
+    if not eqs:
+        return None, excluded
+    return set.intersection(*[c.root_set(p) for c in eqs]) - excluded, excluded
 
 
 def _compile(f: Polynomial, pos: int):
@@ -439,7 +502,8 @@ def check_extension(part: Part, p: int, n: int) -> list:
     inequalities, stays nonconstant) since closure points cannot be
     enumerated.  A prefix can die only at a slot whose tests involve a
     lower slot, or whose tests no value of F_p passes, so the walk stops
-    at the last such slot, and does not start when there is none.
+    at the last such slot, and nothing is planned or walked when there
+    is none.
     Returns the failing (k, (y_1, ..., y_{k-1})) sorted.  Raises
     EnumerationCapExceeded when the canonical tuples or the values the
     walk tries pass ``DEFAULT_CAP``.

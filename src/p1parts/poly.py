@@ -117,9 +117,12 @@ class Polynomial:
 
     Construction normalizes (zero coefficients dropped, values coerced to
     the field's canonical form).  Never mutate ``terms`` after creation.
+    ``_hash`` and ``_oracle`` (facts the finite-field oracle finds about
+    the object) are filled on first use; no constructor sets them.
     """
 
-    __slots__ = ("field", "nslots", "terms", "_lead", "_squarefree")
+    __slots__ = ("field", "nslots", "terms", "_lead", "_squarefree", "_hash",
+                 "_oracle")
 
     def __init__(self, field: Field, nslots: int, terms=None):
         self.field = field
@@ -299,7 +302,12 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.field, self.nslots, frozenset(self.terms.items())))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.field, self.nslots,
+                               frozenset(self.terms.items())))
+            return self._hash
 
     def __bool__(self):
         return bool(self.terms)

@@ -16,13 +16,15 @@ compiled constraints must specialize to the same fibre and agree with
 variety and one per leaf, cross-tabulated afterwards; ``check_partition``
 walks the variety and every leaf at once and must give an equal report,
 on sound trees and on trees broken by dropping, duplicating or widening
-a leaf.
+a leaf.  ``ref_last_slot`` is the earlier rule for the last slot where
+an extension walk can drop a prefix, read off a plan of every slot with
+every root set; ``_last_slot`` finds it before any plan and must agree.
 """
 
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from p1parts.fields import GF, FieldError
 from p1parts.groebner import IdealBasis, principal_saturate
@@ -30,15 +32,18 @@ from p1parts.multiproj import (
     Part, PartTree, homogenized_generators, leaf_parts, partition_variety,
 )
 from p1parts.oracle import (
-    PartitionReport, _as_polynomial, _check_characteristic, _compile, _holds,
-    _specialize, check_extension, check_partition, enumerate_proj_space,
-    part_members, variety_points,
+    PartitionReport, _as_polynomial, _check_characteristic, _compile, _facts,
+    _holds, _last_slot, _specialize, _system, _tests, check_extension,
+    check_partition, enumerate_proj_space, part_members, variety_points,
 )
 from p1parts.parser import parse_problem
-from p1parts.poly import Polynomial, poly_gcd, support_level
-from test_oracle import random_fp_problem, slot_values
+from p1parts.poly import Polynomial, ProjLayout, poly_gcd, support_level
+from test_oracle import (
+    SWEEP_SEEDS, part_from_texts, random_fp_problem, slot_values,
+)
 
-DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
+HERE = Path(__file__).resolve().parent
+DEMO_PROBLEMS = HERE.parent / "demos" / "problems"
 
 
 # -- reference implementation ----------------------------------------------------
@@ -232,6 +237,65 @@ def ref_fibre(g: Polynomial, vals, pos: int) -> Polynomial:
     return Polynomial(field, g.nslots, terms)
 
 
+def ref_last_slot(systems, p: int, nslots: int) -> int:
+    """The last slot where a walk that tries all of F_p at every slot can
+    drop a prefix, or 0, as the walk's plan found it before
+    ``_last_slot``: the roots in F_p of every constraint that involves
+    no lower slot, and at each slot a mask of the systems each value
+    passes; a slot counts when a test there involves a lower slot or a
+    system passes no value."""
+    roots = {}  # constraint -> its roots in F_p, None if it has lower slots
+    by_tests = [{} for _ in range(nslots + 1)]
+    start = 0
+    for i, (eq, neq) in enumerate(systems):
+        if any(g.is_constant() and not g.is_zero() for g in eq) or \
+                any(q.is_zero() for q in neq):
+            continue
+        start |= 1 << i
+        tests = {}
+        for bucket, constraints in enumerate((eq, neq)):
+            for f in constraints:
+                k = support_level(f)
+                if not k:
+                    continue
+                pos = nslots - k
+                if f not in roots:
+                    lower = any(sum(m) != m[pos] for m in f.terms)
+                    roots[f] = None if lower else {
+                        a for a in range(p) if f.evaluate([a] * nslots) == 0}
+                tests.setdefault(k, ([], []))[bucket].append(f)
+        for k, (eqs, neqs) in tests.items():
+            key = (tuple(eqs), tuple(neqs))
+            by_tests[k][key] = by_tests[k].get(key, 0) | 1 << i
+    last = 0
+    for k in range(1, nslots + 1):
+        base, add, drop, varying = start, {}, {}, False
+        for (eqs, neqs), members in by_tests[k].items():
+            if any(roots[c] is None for c in (*eqs, *neqs)):
+                varying = True
+                base &= ~members
+            elif eqs:
+                base &= ~members
+                for a in set.intersection(*[roots[c] for c in eqs]).difference(
+                        *[roots[c] for c in neqs]):
+                    add[a] = add.get(a, 0) | members
+            else:
+                for c in neqs:
+                    for a in roots[c]:
+                        drop[a] = drop.get(a, 0) | members
+        at = {a: base & ~drop.get(a, 0) | add.get(a, 0) for a in {*add, *drop}}
+        passing = base if len(at) < p else 0
+        for held in at.values():
+            passing |= held
+        if varying or start & ~passing:
+            last = k
+    return last
+
+
+def last_slot(systems, p: int, nslots: int) -> int:
+    return _last_slot(_tests(systems, nslots)[1], p)
+
+
 # -- strategies ----------------------------------------------------------------
 
 PRIMES = (2, 3, 5)
@@ -293,6 +357,26 @@ def fibre_cases(draw):
     return p, f, pos, vals
 
 
+ROOT_PRIMES = (2, 3, 5, 7, 11, 101, 65537, 100003)
+
+
+@st.composite
+def top_slot_only(draw):
+    """A nonconstant polynomial in one slot alone, over a prime from 2 to
+    100,003."""
+    p = draw(st.sampled_from(ROOT_PRIMES))
+    nslots = draw(st.integers(1, 6))
+    pos = draw(st.integers(0, nslots - 1))
+    terms = {}
+    for e in draw(st.lists(st.integers(0, 6), min_size=1, max_size=4)):
+        mono = [0] * nslots
+        mono[pos] = e
+        terms[tuple(mono)] = draw(st.integers(1, p - 1))
+    f = Polynomial(GF(p), nslots, terms)
+    assume(not f.is_constant())
+    return p, f
+
+
 # -- properties ----------------------------------------------------------------
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -322,6 +406,53 @@ def test_part_members_matches_reference(drawn):
 def test_check_extension_matches_reference(drawn):
     p, n, part = drawn
     assert check_extension(part, p, n) == ref_check_extension(part, p, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(parts(nonconstant=True))
+def test_last_slot_matches_reference(drawn):
+    p, n, part = drawn
+    systems = [_system(part, p)]
+    assert last_slot(systems, p, 2 * n) == ref_last_slot(systems, p, 2 * n)
+
+
+@pytest.mark.parametrize("eqs, neqs, last", [
+    (["y_1"], ["z_3"], 0),  # y_3 = 1 passes
+    (["y_1"], ["z_3^2+z_3"], 3),  # the inequality's roots cover F_2
+    (["y_2", "y_2+1"], ["z_3"], 2),  # the equalities share no root
+    (["y_4-y_3"], ["z_1^2+z_1"], 4),  # y_4 - y_3 involves a lower slot
+])
+def test_last_slot_where_no_value_passes(eqs, neqs, last):
+    part = part_from_texts(eqs, neqs, ProjLayout(2), GF(2), 0)
+    systems = [_system(part, 2)]
+    assert last_slot(systems, 2, 4) == ref_last_slot(systems, 2, 4) == last
+
+
+@pytest.mark.parametrize("radical", [True, False])
+def test_last_slot_matches_reference_on_sweep(radical):
+    for seed in SWEEP_SEEDS:
+        problem = random_fp_problem(seed)
+        if not problem.generators:
+            continue
+        p, nslots = problem.field.characteristic, 2 * problem.n
+        tree = partition_variety(problem, max_nodes=400, radical=radical)
+        for part in leaf_parts(tree):
+            systems = [_system(part, p)]
+            assert last_slot(systems, p, nslots) == \
+                ref_last_slot(systems, p, nslots), (seed, part.id)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(top_slot_only())
+def test_root_set_matches_evaluation(drawn):
+    p, f = drawn
+    pos = f.nslots - support_level(f)
+    fresh = {a for a in range(p)
+             if sum(c * pow(a, m[pos], p) for m, c in f.terms.items()) % p == 0}
+    facts = _facts(f)
+    assert facts is _facts(f)  # found once per object
+    assert facts.root_set(p) == fresh
+    assert facts.root_set(p) is facts.roots  # and kept there
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -355,9 +486,8 @@ def test_demo_leaves_match_reference(name, radical):
         assert part_members(part, p, n) == ref_part_members(part, p, n)
 
 
-EXT_DEFECT_F3 = ("char 3\nn 3\nform x\nideal:\n"
-                 "x_1*x_2^2*x_3+x_1^2+2*x_2\n"
-                 "x_1*x_3+x_1*x_2*x_3+2*x_1^2*x_3\n")
+EXT_DEFECT_F3 = (HERE / "problems" / "ext_defect_f3.txt").read_text(
+    encoding="utf-8")
 
 
 @pytest.mark.parametrize("radical", [True, False])

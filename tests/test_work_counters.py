@@ -27,9 +27,13 @@ which takes thousands when the homogenized generators and the canonical
 constraints go into one run, so that a change of ``root_part``'s
 insertion order shows.  Another pins the zero remainders and the queue
 of the ``n5-f5`` root basis, which the signature criteria predict.  The
-last pins the nodes the oracle walks visit over the ``n5-f5`` tree: the
-extension check walks a leaf only up to the last slot where a prefix
-can die, and most leaves have no such slot.
+last pin the oracle's work over the ``n5-f5`` tree: the nodes its walks
+visit, since the extension check walks a leaf only up to the last slot
+where a prefix can die, and most leaves have no such slot; the root sets
+in F_p it computes, once per constraint object rather than once per
+walk; and the slot tables its plans build, none for a leaf that walks
+nothing.  A second solve and verify computes as many root sets as the
+first, so no fact carries from one solve to the next.
 """
 
 import heapq
@@ -168,3 +172,46 @@ def test_n5_f5_oracle_walk_nodes(monkeypatch):
     assert len(walks) == 61
     assert sum(walks) == 1416
     assert sum(map(bool, walks)) == 5
+
+
+def oracle_work(monkeypatch):
+    """Counts that grow with the root sets in F_p the oracle computes and
+    with the slot tables its plans build."""
+    counts = {"root_sets": 0, "slot_tables": 0}
+    real_root_set, real_plan = oracle._Facts.root_set, oracle._plan
+
+    def root_set(facts, p):
+        counts["root_sets"] += facts.roots is None
+        return real_root_set(facts, p)
+
+    def plan(start, tests, p, top):
+        counts["slot_tables"] += sum(map(bool, tests[1:top + 1]))
+        return real_plan(start, tests, p, top)
+
+    monkeypatch.setattr(oracle._Facts, "root_set", root_set)
+    monkeypatch.setattr(oracle, "_plan", plan)
+    return counts
+
+
+def verify_n5_f5():
+    """Solve ``n5-f5`` and check its partition and every leaf."""
+    problem = parse_problem(N5_F5)
+    tree = partition_variety(problem)
+    oracle.check_partition(tree, homogenized_generators(problem), 5, 5)
+    for leaf in leaf_parts(tree):
+        oracle.check_extension(leaf, 5, 5)
+
+
+def test_n5_f5_oracle_plan_work(monkeypatch):
+    # 553 root sets and 548 slot tables when every walk planned afresh
+    counts = oracle_work(monkeypatch)
+    verify_n5_f5()
+    assert counts == {"root_sets": 20, "slot_tables": 47}
+
+
+def test_n5_f5_oracle_facts_do_not_carry_across_solves(monkeypatch):
+    counts = oracle_work(monkeypatch)
+    verify_n5_f5()
+    assert counts["root_sets"] == 20
+    verify_n5_f5()
+    assert counts["root_sets"] == 40
