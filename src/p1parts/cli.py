@@ -21,7 +21,7 @@ from .multiproj import (
     partition_variety,
 )
 from .oracle import EnumerationCapExceeded, check_extension, check_partition
-from .parser import ParseError, ProblemError, parse_problem
+from .parser import ParseError, ProblemError, _integer, parse_problem
 from .poly import to_canonical_text
 
 
@@ -98,11 +98,11 @@ def main(argv=None) -> int:
                         default="text", help="output rendering (default: text)")
     parser.add_argument("--leaves", action="store_true",
                         help="render only the leaf parts")
-    parser.add_argument("--max-nodes", type=int, default=10000, metavar="N",
+    parser.add_argument("--max-nodes", type=_integer, default=10000, metavar="N",
                         help="node budget for the decomposition (default 10000)")
     parser.add_argument("--no-radical", action="store_true",
                         help="skip the radical closure of equality ideals")
-    parser.add_argument("--oracle", type=int, default=None, metavar="P",
+    parser.add_argument("--oracle", type=_integer, default=None, metavar="P",
                         help="verify the partition by brute force over F_P")
     try:
         args = parser.parse_args(argv)

@@ -147,16 +147,17 @@ def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
 
     Sets y_1, ..., y_{2n} in turn, y_k to each value of
     ``candidates(k, vals)``; a prefix that every system fails is never
-    extended.  In ``vals`` position 2n - i holds y_i.  ``_plan`` folds
-    the tests that involve no lower slot into one mask per slot, and
-    groups the other tests by the systems that make them.  Once y_1,
-    ..., y_{k-1} are set, each such group of surviving systems at slot k
-    finds the candidates that pass its tests, once for all its systems.
-    Each full assignment goes to ``leaf(vals, alive)``, where bit i of
-    ``alive`` is set when ``systems[i]`` holds.  When no candidate at
-    slot k extends a group, ``dead(k, eqs, neqs, vals)`` sees the
-    group's fibres, as polynomials in y_k, with y_1, ..., y_{k-1} still
-    set in ``vals``.  A walk with no ``leaf`` looks only for dead
+    extended.  In ``vals`` position 2n - i holds y_i.  ``_tests`` groups
+    the systems by the tests they make at each slot; ``_plan`` folds the
+    groups whose tests involve no lower slot into one mask per slot, and
+    lists the others.  Once y_1, ..., y_{k-1} are set, each listed group
+    of surviving systems at slot k finds the candidates that pass its
+    tests, once for all its systems.  Each full assignment goes to
+    ``leaf(vals, alive)``, where bit i of ``alive`` is set when
+    ``systems[i]`` holds.  When no candidate at slot k extends a group,
+    ``dead(k, eqs, neqs, vals)`` sees the fibres of the group's tests,
+    as polynomials in y_k, with y_1, ..., y_{k-1} still set in
+    ``vals``.  A walk with no ``leaf`` looks only for dead
     prefixes, and its candidates must be all of F_p at every slot: it
     first finds the last slot where a prefix can die (``_last_slot``),
     since a prefix that passes it has a passing value at every slot
@@ -176,10 +177,10 @@ def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
     slots = _plan(start, tests, p, top)
     vals = [0] * nslots
 
-    def extend(k, alive):  # y_1, ..., y_{k-1} are set
+    def extend(extend, k, alive):  # y_1, ..., y_{k-1} are set
         pos = nslots - k
         values = candidates(k, vals)
-        base, at, varying, groups = slots[k]
+        base, at, varying = slots[k]
         live = []
         for members, eqs, neqs in varying:
             members &= alive
@@ -197,19 +198,19 @@ def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
                 reached |= held
                 vals[pos] = a
                 if k < top:
-                    extend(k + 1, held)
+                    extend(extend, k + 1, held)
                 elif leaf is not None:
                     leaf(vals, held)
         if dead is not None and reached != alive:
             field = GF(p)
-            for members, eqs, neqs in groups:
+            for (eqs, neqs), members in tests[k].items():
                 if members & alive and not members & reached:
-                    dead(k, [_as_polynomial(_specialize(f, vals, p), field,
-                                            nslots, pos) for f in eqs],
-                         [_as_polynomial(_specialize(f, vals, p), field,
-                                         nslots, pos) for f in neqs], vals)
+                    dead(k, [_as_polynomial(_specialize(c.compiled, vals, p),
+                                            field, nslots, pos) for c in eqs],
+                         [_as_polynomial(_specialize(c.compiled, vals, p),
+                                         field, nslots, pos) for c in neqs], vals)
 
-    extend(1, start)
+    extend(extend, 1, start)  # no closure cycle keeps the plan alive
 
 
 def _tests(systems, nslots: int):
@@ -268,28 +269,26 @@ def _last_slot(tests, p: int) -> int:
 
 def _plan(start, tests, p: int, top: int):
     """The walk's tests at each slot k up to ``top``, as a tuple (base,
-    at, varying, groups), from the tests that ``_tests`` found there.
+    at, varying), from the tests that ``_tests`` found there.
 
-    ``groups`` lists every group of systems as (systems, eqs, neqs), its
-    constraints compiled as ``_compile`` does.  The tests whose
-    constraints involve no lower slot pass the same values for every
-    prefix, so they are folded into one sparse mask: a value a passes
-    the systems ``at.get(a, base)``, where ``base`` holds the systems
-    that test nothing or only such inequalities there, and ``at`` has an
-    entry only at a root.  ``varying`` lists the other groups, which the
-    walk specializes at each prefix.
+    The tests whose constraints involve no lower slot pass the same
+    values for every prefix, so they are folded into one sparse mask: a
+    value a passes the systems ``at.get(a, base)``, where ``base`` holds
+    the systems that test nothing or only such inequalities there, and
+    ``at`` has an entry only at a root.  ``varying`` lists the other
+    groups of systems as (systems, eqs, neqs), their constraints
+    compiled as ``_compile`` does, which the walk specializes at each
+    prefix.
     """
-    slots = [(start, {}, (), ())] * (top + 1)
+    slots = [(start, {}, ())] * (top + 1)
     for k in range(1, top + 1):
         if not tests[k]:
             continue  # every system passes every value
-        base, add, drop, varying, groups = start, {}, {}, [], []
+        base, add, drop, varying = start, {}, {}, []
         for (eqs, neqs), members in tests[k].items():
-            group = (members, [c.compiled for c in eqs],
-                     [c.compiled for c in neqs])
-            groups.append(group)
             if any(c.fibre is None for c in (*eqs, *neqs)):
-                varying.append(group)
+                varying.append((members, [c.compiled for c in eqs],
+                                [c.compiled for c in neqs]))
                 base &= ~members
                 continue
             passing, excluded = _fixed(eqs, neqs, p)
@@ -301,7 +300,7 @@ def _plan(start, tests, p: int, top: int):
                 for a in passing:
                     add[a] = add.get(a, 0) | members
         at = {a: base & ~drop.get(a, 0) | add.get(a, 0) for a in {*add, *drop}}
-        slots[k] = (base, at, varying, groups)
+        slots[k] = (base, at, varying)
     return slots
 
 

@@ -6,11 +6,14 @@ Expression grammar (whitespace insensitive):
     term    := unary ('*' unary)*
     unary   := '-' unary | power
     power   := atom ('^' INT)?
-    atom    := NUMBER | VARIABLE | '(' expr ')'
+    atom    := INT ('/' INT)? | VARIABLE | '(' expr ')'
+    INT     := [0-9]+
 
-Variables are subscripted names like ``x_1``, ``y_6``, ``z_4`` (the
-underscore is mandatory); which letters are legal depends on the layout.
-``a/b`` is a rational literal, accepted only in characteristic 0.
+INT is ASCII decimal digits only: no other Unicode digit, no superscript,
+``_`` or sign.  Variables are subscripted names like ``x_1``, ``y_6``,
+``z_4`` (a letter, ``_`` and an INT); which letters are legal depends on
+the layout.  ``a/b`` is a rational literal, accepted only in
+characteristic 0.
 Implicit multiplication is not allowed.  Every malformed input yields a
 positioned diagnostic, never an unexplained crash.  Products and powers
 are expanded as they are parsed, so each ``*`` and ``^`` whose result
@@ -29,12 +32,15 @@ Problem files are line oriented::
     x_3*(x_3^2*x_2+x_3+1)
 
 The three headers may come in any order; generators follow ``ideal:``,
-one per line (``;`` also separates generators on a single line).
+one per line (``;`` also separates generators on a single line).  The
+``char`` and ``n`` values are ``'-'? INT``, so that a negative value gets
+the message of any other out-of-range one.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,7 +66,12 @@ class ProblemError(ValueError):
         self.line = line
 
 
-_OPS = set("+-*^()/")
+_INT = "[0-9]+"
+_SIGNED_INT = re.compile(f"-?{_INT}")
+# [^\W\d_] is the letters and also numerals such as superscripts, which
+# _tokenize refuses
+_TOKEN = re.compile(rf"(?P<int>{_INT})|(?P<var>[^\W\d_]_{_INT})|(?P<op>[-+*^()/])"
+                    rf"|(?P<letter>[^\W\d_])|(?P<char>\S)")
 
 MAX_EXPANSION_TERMS = 500
 MAX_COEFFICIENT_BITS = 1 << 16
@@ -82,6 +93,13 @@ def _int_literal(digits: str, offset: int) -> int:
                          offset) from None
 
 
+def _integer(text: str) -> int:
+    """Value of ``'-'? INT``; ValueError for anything else."""
+    if not _SIGNED_INT.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _coefficient_bits(f: Polynomial) -> int:
     """Bits of the largest numerator or denominator, 0 for coefficients +-1."""
     return max((max(abs(c.numerator), c.denominator).bit_length() - 1
@@ -90,38 +108,16 @@ def _coefficient_bits(f: Polynomial) -> int:
 
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            j = i + 1
-            if j < n and text[j] == "_":
-                j += 1
-                k = j
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k > j:
-                    tokens.append(("var", text[i:k], i))
-                    i = k
-                    continue
+    for m in _TOKEN.finditer(text):  # whitespace matches nothing and is skipped
+        kind, value, i = m.lastgroup, m[0], m.start()
+        if kind in ("var", "letter") and not value[0].isalpha():
+            kind = "char"  # a numeral such as a superscript is no letter
+        if kind == "letter":
             raise ParseError(f"malformed variable near {text[i:i + 3]!r}", i)
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+        if kind == "char":
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        tokens.append((value if kind == "op" else kind, value, i))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -284,7 +280,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
     value, lineno = headers["char"]
     try:
-        char = int(value)
+        char = _integer(value)
     except ValueError:
         raise ProblemError(f"invalid characteristic {value!r}", lineno) from None
     try:
@@ -294,7 +290,7 @@ def parse_problem(text: str) -> ProblemSpec:
 
     value, lineno = headers["n"]
     try:
-        n = int(value)
+        n = _integer(value)
     except ValueError:
         raise ProblemError(f"invalid coordinate count {value!r}", lineno) from None
     if n < 1:

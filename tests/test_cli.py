@@ -183,7 +183,8 @@ def test_run_overlong_literal_exit(tmp_path, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [[], ["--format", "svg"], ["--max-nodes", "ten"]])
+@pytest.mark.parametrize("argv", [[], ["--format", "svg"], ["--max-nodes", "ten"],
+                                  ["--oracle", "\u0665"], ["--max-nodes", "1_0"]])
 def test_main_malformed_command_line(example_file, capsys, argv):
     # an input error (1), not argparse's 2, which means an exceeded limit
     if argv:
@@ -191,6 +192,71 @@ def test_main_malformed_command_line(example_file, capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert "usage: p1parts" in captured.err
+    assert captured.out == ""
+
+
+def problem_text(body="x_1", char="5", n="2", form="x"):
+    return f"char {char}\nn {n}\nform {form}\nideal:\n{body}\n"
+
+
+# (text, exit code, the one stderr line after "error: ")
+MALFORMED_PROBLEMS = {
+    "n zero": (problem_text(n="0"), 1,
+               "line 2: coordinate count must be at least 1"),
+    "n negative": (problem_text(n="-2"), 1,
+                   "line 2: coordinate count must be at least 1"),
+    "char not prime": (problem_text(char="4"), 1,
+                       "line 1: characteristic 4 is not prime"),
+    "duplicate header": ("char 5\n" + problem_text(), 1,
+                         "line 2: duplicate header 'char'"),
+    "no ideal": ("char 5\nn 2\nform x\n", 1,
+                 "line 0: empty ideal (no generators after 'ideal:')"),
+    "empty file": ("", 1, "line 0: missing header 'char'"),
+    "float": (problem_text("x_1+1.5", char="0"), 1, "line 5: bad generator "
+              "'x_1+1.5': unexpected character '.' (offset 5)"),
+    "slash in char p": (problem_text("1/2*x_1"), 1, "line 5: bad generator "
+                        "'1/2*x_1': rational coefficients require "
+                        "characteristic 0 (offset 1)"),
+    "slash after variable": (problem_text("x_1/2", char="0"), 1, "line 5: bad "
+                             "generator 'x_1/2': unexpected '/' (offset 3)"),
+    "negative exponent": (problem_text("x_1^-2"), 1, "line 5: bad generator "
+                          "'x_1^-2': expected 'int' (offset 4)"),
+    "unknown variable": (problem_text("x_3"), 1, "line 5: bad generator "
+                         "'x_3': unknown variable 'x_3' (offset 0)"),
+    "subscript digit": (problem_text("x_\u2081"), 1, "line 5: bad generator "
+                        "'x_\u2081': malformed variable near 'x_\u2081' (offset 0)"),
+    "form z": (problem_text(form="z"), 1,
+               "line 3: form must be 'x' or 'y', got 'z'"),
+    "expansion budget": (problem_text("(x_1+x_2+1)^100", char="0"), 1,
+                         "line 5: bad generator '(x_1+x_2+1)^100': "
+                         "expansion could exceed 500 terms (offset 11)"),
+    "exponent overflow": (problem_text("x_1^40000", n="1"), 2, "exponent "
+                          "reached 32768, the limit of a packed monomial slot"),
+    "arabic-indic literal": (problem_text("\u0663*x_1"), 1, "line 5: bad "
+                             "generator '\u0663*x_1': unexpected character "
+                             "'\u0663' (offset 0)"),
+    "superscript": (problem_text("2\u00b2*x_1"), 1, "line 5: bad generator "
+                    "'2\u00b2*x_1': unexpected character '\u00b2' (offset 1)"),
+    "arabic-indic n": (problem_text(n="\u0662"), 1,
+                       "line 2: invalid coordinate count '\u0662'"),
+    "plus sign n": (problem_text(n="+2"), 1,
+                    "line 2: invalid coordinate count '+2'"),
+    "underscore n": (problem_text(n="1_0"), 1,
+                     "line 2: invalid coordinate count '1_0'"),
+    "underscore char": (problem_text(char="1_1"), 1,
+                        "line 1: invalid characteristic '1_1'"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_PROBLEMS)
+def test_main_refuses_malformed_problem(tmp_path, capsys, name):
+    text, code, message = MALFORMED_PROBLEMS[name]
+    path = tmp_path / "problem.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main([str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

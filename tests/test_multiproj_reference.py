@@ -23,6 +23,7 @@ solving gets the same inequalities whether or not ``normalize_neq``
 may take the verdicts of inherited ones from the parent.
 """
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -45,7 +46,7 @@ from p1parts.poly import (
     Layout, Polynomial, lead_split, squarefree_part, support_level,
 )
 from test_groebner_reference import FIELDS, polynomials
-from test_oracle import assert_dimension_is_most_free_levels
+from test_oracle import assert_dimension_is_most_free_levels, random_fp_problem
 
 DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
@@ -223,6 +224,41 @@ def test_random_renders_unchanged():
             rendered = render_tree(built, "text")
             digest.update(f"{seed} {radical}\n{rendered}\n".encode())
     assert digest.hexdigest() == RANDOM_RENDER_DIGEST
+
+
+# Fixed like RANDOM_SEEDS: a mismatch must be mended, never re-seeded away.
+INVARIANCE_FP_SEEDS = range(1000, 1020)
+
+
+def same_ideal_variant(problem, seed):
+    """The problem with other generators of the same ideal: reversed,
+    rescaled, or with the redundant f_first*f_last + f_first added."""
+    gens = list(problem.generators)
+    if seed % 3 == 0:
+        gens.reverse()
+    elif seed % 3 == 1:
+        c = Fraction(-3, 2) if problem.field.characteristic == 0 else -1
+        gens = [g.scale(c) for g in gens]
+    else:
+        gens.append(gens[0] * gens[-1] + gens[0])
+    return dataclasses.replace(problem, generators=tuple(gens))
+
+
+def test_tree_is_a_function_of_the_ideal():
+    # the reduced basis is unique, the radical closure is a unique
+    # fixpoint and the split rule reads only the basis
+    problems = [(seed, random_problem(seed)) for seed in RANDOM_SEEDS]
+    problems += [(seed, random_fp_problem(seed)) for seed in INVARIANCE_FP_SEEDS]
+    checked = 0
+    for seed, problem in problems:
+        if not problem.generators:
+            continue
+        variant = same_ideal_variant(problem, seed)
+        for radical in (True, False):
+            assert render_tree(tree(variant, radical)) == \
+                render_tree(tree(problem, radical)), (seed, radical)
+        checked += 1
+    assert checked >= 110
 
 
 # -- the lemma ---------------------------------------------------------------------

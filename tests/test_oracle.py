@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from pathlib import Path
@@ -335,6 +336,24 @@ def test_oracle_memory_independent_of_p():
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def test_oracle_walks_leave_no_cycles():
+    # a walk whose recursion closed over its own name kept each plan
+    # alive until the cyclic collector ran
+    prob = parse_problem(EXAMPLE5)
+    tree = partition_variety(prob)
+    gens = homogenized_generators(prob)
+    gc.collect()
+    gc.disable()
+    try:
+        check_partition(tree, gens, 5, 3)
+        variety_points(gens, 5, 3)
+        for part in leaf_parts(tree):
+            check_extension(part, 5, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- a fixed sweep of random F_p problems ----------------------------------------
