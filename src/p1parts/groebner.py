@@ -148,7 +148,8 @@ class IdealBasis:
         return len(self.generators)
 
     def is_unit(self) -> bool:
-        return any(g.is_constant() and not g.is_zero() for g in self.generators)
+        # a reduced basis of the unit ideal is (1,), whose packed lead is 0
+        return bool(self.heads) and self.heads[0][0] == 0
 
     def is_zero_ideal(self) -> bool:
         return not self.generators
@@ -631,13 +632,32 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
     that some leading monomial is a pure power of can have an eliminant;
     one pass over the leads finds, for each such slot, the first
     generator leading with a pure power of it.
+
+    A slot proved squarefree stays so in every larger ideal: if I <= I'
+    and m generates I meet k[slot], then m lies in I', so the eliminant
+    of I' divides m, and a divisor of a squarefree polynomial is
+    squarefree (Gianni, Trager & Zacharias 1988).  So a rescan after an
+    adjunction skips the slots already proved, and ``_radical_closure``
+    takes the proved slots of a smaller ideal, such as a parent part's,
+    to skip from the start.  Those slots are a fact about one ideal and
+    what contains it: two sibling parts share basis objects but not
+    ideals, so the set travels with the part, never on a ``Polynomial``.
     """
+    return _radical_closure(basis)[0]
+
+
+def _radical_closure(basis: IdealBasis, proved=frozenset()):
+    """``heuristic_radical(basis)`` and the slots whose eliminant is proved
+    squarefree for it.  ``proved`` are slots already proved squarefree for
+    an ideal that ``basis`` contains, such as a parent part's; their
+    eliminants are never computed."""
+    proved = set(proved)
     while not (basis.is_zero_ideal() or basis.is_unit()):
         firsts = {}  # slot -> first generator leading with a pure power of it
         for g in basis.generators:
             lead = g.lead_monomial()
             pos = next(i for i, e in enumerate(lead) if e)
-            if lead[pos] == sum(lead):
+            if lead[pos] == sum(lead) and pos not in proved:
                 firsts.setdefault(pos, g)
         for pos in sorted(firsts, reverse=True):
             m = _eliminant(basis, pos, firsts[pos])
@@ -647,6 +667,7 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
             if s != m:
                 basis = _extend(basis, (s,))
                 break
+            proved.add(pos)
         else:
             break
-    return basis
+    return basis, frozenset(proved)

@@ -20,6 +20,8 @@ reduced coefficient J as an equality, the other saturates it away and
 records J as an inequality.  A part where every leading coefficient at
 every level is certified nonzero is a leaf: values for the low slots
 then always extend to roots of the lowest generator in the next slot.
+A child inherits from its parent the slots whose eliminant the parent's
+radical closure proved squarefree, since its ideal contains the parent's.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 
 from .fields import Field
 from .groebner import (  # buchberger stays bound: perfbench traces it here
-    IdealBasis, _extend, buchberger, elimination_subbasis, heuristic_radical,
+    IdealBasis, _extend, _radical_closure, buchberger, elimination_subbasis,
     ideal_saturate, principal_saturate, radical_membership,
 )
 from .parser import ProblemSpec
@@ -53,7 +55,9 @@ class Part:
     ``eq`` is a reduced basis, printed with the slots at or below
     ``frozen_level`` named z_k; ``neq`` holds monic, squarefree, pairwise
     distinct constraints in frozen slots (printed all in z names) that
-    must stay nonzero on the part.
+    must stay nonzero on the part.  ``proved`` holds the slots whose
+    eliminant the part's radical closure proved squarefree, none with the
+    closure off; the closures of its children start from them.
     """
 
     id: int
@@ -61,6 +65,7 @@ class Part:
     eq: IdealBasis
     neq: tuple
     frozen_level: int
+    proved: frozenset = dc_field(default=frozenset(), compare=False, repr=False)
 
 
 @dataclass
@@ -176,11 +181,22 @@ def _window(g: Polynomial, nslots: int):
     return nslots - last, support_level(g)
 
 
+def _cached_window(g: Polynomial):
+    """``_window`` of g, found once per object and kept in its slot."""
+    try:
+        return g._window
+    except AttributeError:
+        g._window = window = _window(g, g.nslots)
+        return window
+
+
 def split_scan(part: Part) -> Optional[SplitFinding]:
     """Find the first freezing level whose lead coefficients force a split.
 
     Levels are tried bottom-up, and within a level the generators in
-    basis order, skipping the fully frozen ones.  Saturating a coefficient
+    basis order, each only inside its ``_window``: generators with an
+    empty window are never visited, and the levels run from the lowest
+    window start to the highest window end.  Saturating a coefficient
     by the inequality constraints at or below the level certifies it
     nonzero when a constant remains; higher ones may not certify, since
     the extension step starts from partial solutions that meet only the
@@ -200,13 +216,14 @@ def split_scan(part: Part) -> Optional[SplitFinding]:
     basis forbids that, and ``part.eq`` is a reduced basis: it comes from
     ``_extend``, ``ideal_saturate`` or ``heuristic_radical``.
     """
-    gens = part.eq.generators
-    if not gens:
+    windows = [(g, lo, hi) for g in part.eq.generators
+               for lo, hi in (_cached_window(g),) if lo < hi]
+    if not windows:
         return None
-    nslots = gens[0].nslots
-    windows = [(g, *_window(g, nslots)) for g in gens]
+    nslots = windows[0][0].nslots
     neq_levels = [(q, support_level(q)) for q in part.neq]
-    for level in range(1, nslots):
+    for level in range(min(lo for _, lo, _ in windows),
+                       max(hi for _, _, hi in windows)):
         low_neq = [q for q, lvl in neq_levels if lvl <= level]
         for g, lo, hi in windows:
             if lo <= level < hi:
@@ -255,8 +272,10 @@ def normalize_neq(neq, eq: IdealBasis, parent: Optional[Part] = None):
     return tuple(out)
 
 
-def _closed(basis: IdealBasis, radical: bool) -> IdealBasis:
-    return heuristic_radical(basis) if radical else basis
+def _closed(basis: IdealBasis, radical: bool, proved=frozenset()):
+    """The part's basis, closed when ``radical``, and the slots proved
+    squarefree for it, starting from the ``proved`` slots of its parent."""
+    return _radical_closure(basis, proved) if radical else (basis, proved)
 
 
 def root_part(problem: ProblemSpec, radical: bool = True) -> Part:
@@ -265,7 +284,8 @@ def root_part(problem: ProblemSpec, radical: bool = True) -> Part:
     than one run over all of them)."""
     canonical = canonical_constraints(ProjLayout(problem.n), problem.field)
     eq = _extend(IdealBasis(tuple(canonical)), homogenized_generators(problem))
-    return Part(0, -1, _closed(eq, radical), (), 0)
+    eq, proved = _closed(eq, radical)
+    return Part(0, -1, eq, (), 0, proved)
 
 
 def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
@@ -277,6 +297,10 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
     deterministic.  Children that collapse to the unit ideal or whose
     inequality set is unsatisfiable are discarded and counted.  The root
     counts against ``max_nodes``, which must be at least 1.
+
+    Both children of a split contain their parent's ideal, so each
+    child's radical closure starts from the slots its parent proved
+    squarefree, the parent's ``proved``.
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
@@ -288,7 +312,8 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
         return tree
     tree.nodes.append(root)
 
-    def append_child(parent: Part, eq: IdealBasis, neq, level: int, branch: str):
+    def append_child(parent: Part, eq: IdealBasis, proved, neq, level: int,
+                     branch: str):
         if eq.is_unit():
             tree.discarded_unit += 1
             tree.diagnostics.append(
@@ -302,7 +327,8 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
             return
         if len(tree.nodes) >= max_nodes:
             raise MaxNodesExceeded(tree)
-        tree.nodes.append(Part(len(tree.nodes), parent.id, eq, cleaned, level))
+        tree.nodes.append(Part(len(tree.nodes), parent.id, eq, cleaned, level,
+                               proved))
 
     current = 0
     while current < len(tree.nodes):
@@ -310,10 +336,10 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
         finding = split_scan(part)
         if finding is not None:
             level, J = finding.level, finding.J
-            eq_a = _closed(_extend(part.eq, (J,)), radical)
-            append_child(part, eq_a, part.neq, level, "equality")
-            eq_b = _closed(ideal_saturate(part.eq, J), radical)
-            append_child(part, eq_b, part.neq + (J,), level, "inequality")
+            eq_a = _closed(_extend(part.eq, (J,)), radical, part.proved)
+            append_child(part, *eq_a, part.neq, level, "equality")
+            eq_b = _closed(ideal_saturate(part.eq, J), radical, part.proved)
+            append_child(part, *eq_b, part.neq + (J,), level, "inequality")
         current += 1
     return tree
 

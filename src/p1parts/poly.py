@@ -117,12 +117,13 @@ class Polynomial:
 
     Construction normalizes (zero coefficients dropped, values coerced to
     the field's canonical form).  Never mutate ``terms`` after creation.
-    ``_hash`` and ``_oracle`` (facts the finite-field oracle finds about
+    ``_hash``, ``_window`` (the levels at which the split scan looks at
+    the object) and ``_oracle`` (facts the finite-field oracle finds about
     the object) are filled on first use; no constructor sets them.
     """
 
     __slots__ = ("field", "nslots", "terms", "_lead", "_squarefree", "_hash",
-                 "_oracle")
+                 "_window", "_oracle")
 
     def __init__(self, field: Field, nslots: int, terms=None):
         self.field = field
@@ -489,9 +490,7 @@ def squarefree_part(f: Polynomial) -> Polynomial:
 
     The result is marked squarefree, and a marked polynomial comes back
     as itself at once.  Polynomials are immutable and every constructor
-    starts unmarked, so the mark is a proved fact about the object: a
-    basis element that a parent part's radical closure checked reaches
-    its children's closures as the same object, already marked.
+    starts unmarked, so the mark is a proved fact about the object.
     """
     if f._squarefree:
         return f

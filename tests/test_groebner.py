@@ -92,6 +92,17 @@ def test_buchberger_inconsistent():
     assert B.generators == (P("1"),)
 
 
+def test_is_unit_reads_the_first_head():
+    # a reduced basis is the unit ideal exactly when it is (1,)
+    zero = Polynomial.zero(QQ, 2)
+    assert not IdealBasis(()).is_unit()
+    assert buchberger([A("1")]).is_unit()
+    assert buchberger([A("3")]).generators == (A("1"),)
+    assert not IdealBasis((zero,)).is_unit()  # no head, so not the unit ideal
+    assert not buchberger([A("x_2*x_1-1"), A("x_1^2-2")]).is_unit()
+    assert not buchberger([A("x_1^2-x_1"), A("x_2-1")]).is_unit()
+
+
 def test_buchberger_degenerate():
     assert buchberger([]).generators == ()
     assert buchberger([Polynomial.zero(QQ, 6)]).generators == ()

@@ -20,7 +20,9 @@ generators and carries the packed heads of exactly those generators,
 and each ``neq`` is monic, squarefree, nonconstant, pairwise
 distinct and sorted by the scan key.  Every child appended while
 solving gets the same inequalities whether or not ``normalize_neq``
-may take the verdicts of inherited ones from the parent.
+may take the verdicts of inherited ones from the parent, and the same
+basis whether or not its radical closure skips the slots the parent
+proved squarefree.
 """
 
 import dataclasses
@@ -36,7 +38,9 @@ from hypothesis import given, settings, strategies as st
 from p1parts import multiproj
 from p1parts.cli import render_tree
 from p1parts.fields import GF, QQ
-from p1parts.groebner import IdealBasis, buchberger, elimination_subbasis
+from p1parts.groebner import (
+    IdealBasis, _eliminant, buchberger, elimination_subbasis, heuristic_radical,
+)
 from p1parts.multiproj import (
     MaxNodesExceeded, Part, SplitFinding, _scan_key, _window, normalize_neq,
     partition_variety, reduced_lead_coefficient, split_scan,
@@ -47,6 +51,7 @@ from p1parts.poly import (
 )
 from test_groebner_reference import FIELDS, polynomials
 from test_oracle import assert_dimension_is_most_free_levels, random_fp_problem
+from test_work_counters import N5_F5
 
 DEMO_PROBLEMS = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
@@ -306,3 +311,57 @@ def test_window_bounds(data):
         mono, lc = lead_split(g, nslots - level)
         assert (not lc.is_constant()) == (lo <= level), level
         assert (not any(mono)) == (level >= hi), level
+
+
+def test_cached_windows_are_fresh():
+    for part in partition_variety(parse_problem(N5_F5)).nodes:
+        for g in part.eq:
+            assert g._window == _window(g, g.nslots), part.id
+
+
+# -- inherited closure slots -------------------------------------------------------
+
+SEGRE_QQ = "char 0\nn 4\nform x\nideal:\nx_1*x_4-x_2*x_3\n"
+
+
+def first_pure_power(basis, pos):
+    """The first generator leading with a power of the slot, 1 included."""
+    for g in basis:
+        lead = g.lead_monomial()
+        if lead[pos] == sum(lead):
+            return g
+    return None
+
+
+def closure_calls(monkeypatch, problem):
+    """(basis, inherited slots, closed basis) of every child closure."""
+    calls = []
+    real_closure = multiproj._radical_closure
+
+    def recording(basis, proved=frozenset()):
+        closed = real_closure(basis, proved)
+        calls.append((basis, proved, closed[0]))
+        return closed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(multiproj, "_radical_closure", recording)
+        tree(problem, True)
+    return calls[1:]  # the root inherits nothing
+
+
+def test_children_inherit_only_squarefree_slots(monkeypatch):
+    # a child's ideal contains its parent's, so the eliminant in each slot
+    # the parent proved squarefree divides the parent's and is squarefree
+    problems = [random_problem(seed) for seed in RANDOM_SEEDS]
+    problems += [random_fp_problem(seed) for seed in INVARIANCE_FP_SEEDS]
+    problems += [parse_problem(N5_F5), parse_problem(SEGRE_QQ)]
+    inherited = 0
+    for problem in problems:
+        for basis, proved, closed in closure_calls(monkeypatch, problem):
+            for pos in proved:
+                g = first_pure_power(basis, pos)
+                m = g and _eliminant(basis, pos, g)
+                assert m is not None and squarefree_part(m) == m, pos
+            inherited += len(proved)
+            assert closed.generators == heuristic_radical(basis).generators
+    assert inherited >= 5000

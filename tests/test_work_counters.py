@@ -8,13 +8,16 @@ nodes):
 
 - the ``_reduce`` calls, which an extension spends only on what its new
   polynomials change;
-- the Groebner lcm runs made inside ``heuristic_radical``, none since
+- the ``_eliminant`` calls of the radical closures, none for a slot that
+  the part's parent, or an earlier pass of the same closure, proved
+  squarefree;
+- the Groebner lcm runs made inside the radical closures, none since
   every eliminant there is univariate and ``poly_gcd`` takes it through
   the dense Euclid;
 - the ``lead_split`` calls of ``split_scan``, made only inside each
   generator's level window;
-- the ``poly_gcd`` calls, few since a squarefree basis element reaches a
-  child's closure already marked;
+- the ``poly_gcd`` calls, few since a child's closure takes no squarefree
+  part of an eliminant its parent proved squarefree;
 - the ``radical_membership`` calls of ``normalize_neq``, none for an
   inherited inequality whose low basis is the parent's;
 - the ``to_canonical_text`` calls, one per generator and naming level;
@@ -73,25 +76,30 @@ def queue_pushes(monkeypatch):
 
 
 def test_n5_f5_work_counters(monkeypatch):
-    counts = dict.fromkeys(("reduce", "closure_lcm") + COUNTED, 0)
+    counts = dict.fromkeys(("reduce", "eliminant", "closure_lcm") + COUNTED, 0)
     queued = queue_pushes(monkeypatch)
     in_closure = []
     real_reduce = groebner._reduce
+    real_eliminant = groebner._eliminant
     real_lcm = groebner._poly_lcm
-    real_radical = multiproj.heuristic_radical
+    real_closure = multiproj._radical_closure
 
     def counting_reduce(*args):
         counts["reduce"] += 1
         return real_reduce(*args)
 
+    def counting_eliminant(*args):
+        counts["eliminant"] += 1
+        return real_eliminant(*args)
+
     def counting_lcm(*args):
         counts["closure_lcm"] += bool(in_closure)
         return real_lcm(*args)
 
-    def marked_radical(basis):
+    def marked_radical(*args):
         in_closure.append(True)
         try:
-            return real_radical(basis)
+            return real_closure(*args)
         finally:
             in_closure.pop()
 
@@ -102,8 +110,9 @@ def test_n5_f5_work_counters(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(groebner, "_reduce", counting_reduce)
+    monkeypatch.setattr(groebner, "_eliminant", counting_eliminant)
     monkeypatch.setattr(groebner, "_poly_lcm", counting_lcm)
-    monkeypatch.setattr(multiproj, "heuristic_radical", marked_radical)
+    monkeypatch.setattr(multiproj, "_radical_closure", marked_radical)
     for name in COUNTED:
         modules = [m for m in (poly, groebner, multiproj, cli) if hasattr(m, name)]
         wrapper = counting(name, getattr(modules[0], name))
@@ -112,10 +121,13 @@ def test_n5_f5_work_counters(monkeypatch):
     tree = partition_variety(parse_problem(N5_F5))
     render_tree(tree)
     assert len(tree.nodes) == 121
-    assert counts == {"reduce": 1308, "closure_lcm": 0, "lead_split": 114,
-                      "poly_gcd": 402, "radical_membership": 60,
-                      "to_canonical_text": 654}
-    assert len(queued) == 667
+    # 912 eliminants, 1308 reductions and 402 gcds when every closure
+    # re-proved its parent's squarefree slots
+    assert counts == {"reduce": 1268, "eliminant": 80, "closure_lcm": 0,
+                      "lead_split": 114, "poly_gcd": 279,
+                      "radical_membership": 60, "to_canonical_text": 654}
+    # 667 when the skipped permuted eliminants ran their signature steps
+    assert len(queued) == 659
 
 
 def reduce_results(monkeypatch):
