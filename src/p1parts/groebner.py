@@ -8,7 +8,14 @@ and eliminate it, from I + <1 - t*f> for the first two and from
 
 An ``IdealBasis`` is always such a reduced basis: the core makes one in
 ``_finish``, and a caller that builds one from generators (``root_part``
-from the canonical constraints) must hand over a reduced basis.
+from the canonical constraints) must hand over a reduced basis.  Its
+``proved`` slots, whose eliminant is squarefree, are trusted like its
+heads: ``heuristic_radical`` sets them, and ``_finish`` passes them on
+from the old basis to a basis of a larger ideal (``_extend``, and
+``ideal_saturate`` of a basis).  Every other basis, from ``buchberger``,
+``elimination_subbasis`` or a caller, starts with none.  A reduced basis
+is one ideal, yet two equal bases may carry different, equally valid
+sets.
 
 One rule picks the algorithm.  A list of generators from outside
 (``buchberger``, and ``ideal_saturate`` or ``radical_membership`` of a
@@ -129,10 +136,17 @@ class IdealBasis:
     (a zero generator, which no reduced basis has, gets none).  Those
     must be their own reduced lex basis, unchecked: ``ideal_saturate``,
     ``radical_membership`` and ``_extend`` trust it.
+
+    ``proved`` holds slots whose eliminant is proved squarefree for the
+    ideal, trusted like ``heads``: ``heuristic_radical`` sets it, and
+    ``_finish`` passes the old basis's set on to a basis of a larger
+    ideal.  It is empty unless given.  Two bases of one ideal may carry
+    different, equally valid sets, so it takes no part in equality.
     """
 
     generators: tuple
     heads: tuple = dc_field(default=None, compare=False, repr=False)
+    proved: frozenset = dc_field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.heads is None:
@@ -439,7 +453,8 @@ def _finish(heads, old: IdealBasis, field, packing: _Packing, top=None) -> Ideal
 
     Old leads divide no other old lead or tail, and a larger lead nothing,
     so an element of the reduced basis ``old`` is dropped or reduced only
-    for a smaller surviving new lead, else returned as is.
+    for a smaller surviving new lead, else returned as is.  Every caller's
+    ideal contains ``old``'s, so the result carries ``old.proved``.
     """
     if heads is None:
         return IdealBasis((Polynomial.const(field, packing.nslots, 1),))
@@ -469,7 +484,7 @@ def _finish(heads, old: IdealBasis, field, packing: _Packing, top=None) -> Ideal
         reduced.append(head)
         leads.append(lead)
         out.append(g)
-    return IdealBasis(tuple(out), tuple(reduced))
+    return IdealBasis(tuple(out), tuple(reduced), old.proved)
 
 
 def buchberger(gens) -> IdealBasis:
@@ -636,22 +651,14 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
     A slot proved squarefree stays so in every larger ideal: if I <= I'
     and m generates I meet k[slot], then m lies in I', so the eliminant
     of I' divides m, and a divisor of a squarefree polynomial is
-    squarefree (Gianni, Trager & Zacharias 1988).  So a rescan after an
-    adjunction skips the slots already proved, and ``_radical_closure``
-    takes the proved slots of a smaller ideal, such as a parent part's,
-    to skip from the start.  Those slots are a fact about one ideal and
-    what contains it: two sibling parts share basis objects but not
-    ideals, so the set travels with the part, never on a ``Polynomial``.
+    squarefree (Gianni, Trager & Zacharias 1988).  So the closure starts
+    from ``basis.proved``, a rescan after an adjunction skips the slots
+    already proved, no eliminant is computed for a proved slot, and the
+    result carries every slot proved for it.  The set lives on a basis,
+    which has one ideal, never on a ``Polynomial``: bases of different
+    ideals, such as two sibling parts', share generator objects.
     """
-    return _radical_closure(basis)[0]
-
-
-def _radical_closure(basis: IdealBasis, proved=frozenset()):
-    """``heuristic_radical(basis)`` and the slots whose eliminant is proved
-    squarefree for it.  ``proved`` are slots already proved squarefree for
-    an ideal that ``basis`` contains, such as a parent part's; their
-    eliminants are never computed."""
-    proved = set(proved)
+    proved = set(basis.proved)
     while not (basis.is_zero_ideal() or basis.is_unit()):
         firsts = {}  # slot -> first generator leading with a pure power of it
         for g in basis.generators:
@@ -670,4 +677,4 @@ def _radical_closure(basis: IdealBasis, proved=frozenset()):
             proved.add(pos)
         else:
             break
-    return basis, frozenset(proved)
+    return IdealBasis(basis.generators, basis.heads, frozenset(proved))

@@ -20,8 +20,9 @@ reduced coefficient J as an equality, the other saturates it away and
 records J as an inequality.  A part where every leading coefficient at
 every level is certified nonzero is a leaf: values for the low slots
 then always extend to roots of the lowest generator in the next slot.
-A child inherits from its parent the slots whose eliminant the parent's
-radical closure proved squarefree, since its ideal contains the parent's.
+A child's basis carries the slots whose eliminant the parent's radical
+closure proved squarefree, since its ideal contains the parent's, so the
+child's closure computes no eliminant for them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional
 
 from .fields import Field
 from .groebner import (  # buchberger stays bound: perfbench traces it here
-    IdealBasis, _extend, _radical_closure, buchberger, elimination_subbasis,
+    IdealBasis, _extend, buchberger, elimination_subbasis, heuristic_radical,
     ideal_saturate, principal_saturate, radical_membership,
 )
 from .parser import ProblemSpec
@@ -55,9 +56,9 @@ class Part:
     ``eq`` is a reduced basis, printed with the slots at or below
     ``frozen_level`` named z_k; ``neq`` holds monic, squarefree, pairwise
     distinct constraints in frozen slots (printed all in z names) that
-    must stay nonzero on the part.  ``proved`` holds the slots whose
-    eliminant the part's radical closure proved squarefree, none with the
-    closure off; the closures of its children start from them.
+    must stay nonzero on the part.  With the radical closure on, ``eq``
+    carries the slots the closure proved squarefree as ``eq.proved``;
+    the closures of the part's children start from them.
     """
 
     id: int
@@ -65,7 +66,6 @@ class Part:
     eq: IdealBasis
     neq: tuple
     frozen_level: int
-    proved: frozenset = dc_field(default=frozenset(), compare=False, repr=False)
 
 
 @dataclass
@@ -272,10 +272,9 @@ def normalize_neq(neq, eq: IdealBasis, parent: Optional[Part] = None):
     return tuple(out)
 
 
-def _closed(basis: IdealBasis, radical: bool, proved=frozenset()):
-    """The part's basis, closed when ``radical``, and the slots proved
-    squarefree for it, starting from the ``proved`` slots of its parent."""
-    return _radical_closure(basis, proved) if radical else (basis, proved)
+def _closed(basis: IdealBasis, radical: bool) -> IdealBasis:
+    """The part's basis, closed when ``radical``."""
+    return heuristic_radical(basis) if radical else basis
 
 
 def root_part(problem: ProblemSpec, radical: bool = True) -> Part:
@@ -284,8 +283,7 @@ def root_part(problem: ProblemSpec, radical: bool = True) -> Part:
     than one run over all of them)."""
     canonical = canonical_constraints(ProjLayout(problem.n), problem.field)
     eq = _extend(IdealBasis(tuple(canonical)), homogenized_generators(problem))
-    eq, proved = _closed(eq, radical)
-    return Part(0, -1, eq, (), 0, proved)
+    return Part(0, -1, _closed(eq, radical), (), 0)
 
 
 def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
@@ -299,8 +297,8 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
     counts against ``max_nodes``, which must be at least 1.
 
     Both children of a split contain their parent's ideal, so each
-    child's radical closure starts from the slots its parent proved
-    squarefree, the parent's ``proved``.
+    child's basis carries the slots its parent proved squarefree
+    (``IdealBasis.proved``), and its radical closure starts from them.
     """
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be at least 1, got {max_nodes}")
@@ -312,8 +310,7 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
         return tree
     tree.nodes.append(root)
 
-    def append_child(parent: Part, eq: IdealBasis, proved, neq, level: int,
-                     branch: str):
+    def append_child(parent: Part, eq: IdealBasis, neq, level: int, branch: str):
         if eq.is_unit():
             tree.discarded_unit += 1
             tree.diagnostics.append(
@@ -327,8 +324,7 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
             return
         if len(tree.nodes) >= max_nodes:
             raise MaxNodesExceeded(tree)
-        tree.nodes.append(Part(len(tree.nodes), parent.id, eq, cleaned, level,
-                               proved))
+        tree.nodes.append(Part(len(tree.nodes), parent.id, eq, cleaned, level))
 
     current = 0
     while current < len(tree.nodes):
@@ -336,10 +332,10 @@ def partition_variety(problem: ProblemSpec, *, max_nodes: int = 10000,
         finding = split_scan(part)
         if finding is not None:
             level, J = finding.level, finding.J
-            eq_a = _closed(_extend(part.eq, (J,)), radical, part.proved)
-            append_child(part, *eq_a, part.neq, level, "equality")
-            eq_b = _closed(ideal_saturate(part.eq, J), radical, part.proved)
-            append_child(part, *eq_b, part.neq + (J,), level, "inequality")
+            eq_a = _closed(_extend(part.eq, (J,)), radical)
+            append_child(part, eq_a, part.neq, level, "equality")
+            eq_b = _closed(ideal_saturate(part.eq, J), radical)
+            append_child(part, eq_b, part.neq + (J,), level, "inequality")
         current += 1
     return tree
 

@@ -114,15 +114,6 @@ def part_members(part: Part, p: int, n: int) -> list:
     return _members(_system(part, p), p, n)
 
 
-def _canonical(p: int, n: int):
-    """The walk's candidates for canonical representatives."""
-    def candidates(k, vals):
-        if k % 2:
-            return (0, 1)  # y_{2j-1}
-        return range(p) if vals[2 * n - k + 1] else (1,)  # y_{2j}
-    return candidates
-
-
 def _point(vals, n: int) -> ProjTuple:
     """A full canonical assignment as a tuple: the pair of x_j is
     (y_{2j}, y_{2j-1})."""
@@ -133,36 +124,38 @@ def _members(system, p: int, n: int) -> list:
     """The canonical tuples satisfying one system, in
     ``enumerate_proj_space`` order."""
     found = []
-    _walk([system], p, n, _canonical(p, n),
-          leaf=lambda vals, alive: found.append(_point(vals, n)))
+    _walk([system], p, n, leaf=lambda vals, alive: found.append(_point(vals, n)))
     # x_n varies slowest, as in enumerate_proj_space; (g, h) is point
     # h*(g+1) of proj_line_points
     found.sort(key=lambda t: [h * (g + 1) for g, h in t.coords])
     return found
 
 
-def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
+def _walk(systems, p: int, n: int, *, leaf=None, dead=None):
     """Walk the slot assignments where, for some system (eq, neq) of
     ``systems``, every ``eq`` vanishes and every ``neq`` does not.
 
-    Sets y_1, ..., y_{2n} in turn, y_k to each value of
-    ``candidates(k, vals)``; a prefix that every system fails is never
-    extended.  In ``vals`` position 2n - i holds y_i.  ``_tests`` groups
-    the systems by the tests they make at each slot; ``_plan`` folds the
-    groups whose tests involve no lower slot into one mask per slot, and
-    lists the others.  Once y_1, ..., y_{k-1} are set, each listed group
-    of surviving systems at slot k finds the candidates that pass its
-    tests, once for all its systems.  Each full assignment goes to
-    ``leaf(vals, alive)``, where bit i of ``alive`` is set when
-    ``systems[i]`` holds.  When no candidate at slot k extends a group,
-    ``dead(k, eqs, neqs, vals)`` sees the fibres of the group's tests,
-    as polynomials in y_k, with y_1, ..., y_{k-1} still set in
-    ``vals``.  A walk with no ``leaf`` looks only for dead
-    prefixes, and its candidates must be all of F_p at every slot: it
-    first finds the last slot where a prefix can die (``_last_slot``),
-    since a prefix that passes it has a passing value at every slot
-    above, and plans and walks only up to it, or not at all when there
-    is none.
+    Sets y_1, ..., y_{2n} in turn, y_k to each candidate value; a prefix
+    that every system fails is never extended.  A walk with a ``leaf``
+    tries the canonical representatives (y_{2j-1} in {0, 1}, and
+    y_{2j} = 1 after a 0).  In ``vals`` position 2n - i holds y_i.
+    ``_tests`` groups the systems by the tests they make at each slot;
+    ``_plan`` folds the groups whose tests involve no lower slot into one
+    mask per slot, and lists the others.  Once y_1, ..., y_{k-1} are
+    set, each listed group of surviving systems at slot k finds the
+    candidates that pass its tests, once for all its systems.  Each full
+    assignment goes to ``leaf(vals, alive)``, where bit i of ``alive`` is
+    set when ``systems[i]`` holds.  When no candidate at slot k extends
+    a group, ``dead(k, eqs, neqs, vals)`` sees the fibres of the group's
+    tests, as polynomials in y_k, with y_1, ..., y_{k-1} still set in
+    ``vals``.  A walk with no ``leaf`` looks only for dead prefixes and
+    tries all of F_p at every slot, which is what makes ``_last_slot``
+    sound: it first finds the last slot where a prefix can die, since a
+    prefix that passes it has a passing value at every slot above, and
+    plans and walks only up to it, or not at all when there is none.
+    The (p+1)^n cap does not bound its p^(2n) prefixes, so it raises
+    EnumerationCapExceeded once it has tried more than ``DEFAULT_CAP``
+    values.
     """
     _check_cap(p, n)
     nslots = 2 * n
@@ -176,10 +169,21 @@ def _walk(systems, p: int, n: int, candidates, *, leaf=None, dead=None):
         return
     slots = _plan(start, tests, p, top)
     vals = [0] * nslots
+    every, tried = range(p), 0
 
     def extend(extend, k, alive):  # y_1, ..., y_{k-1} are set
+        nonlocal tried
         pos = nslots - k
-        values = candidates(k, vals)
+        if leaf is None:
+            values = every
+            tried += p
+            if tried > DEFAULT_CAP:
+                raise EnumerationCapExceeded(
+                    f"the extension walk tried more than {DEFAULT_CAP} values")
+        elif k % 2:
+            values = (0, 1)  # y_{2j-1}
+        else:
+            values = every if vals[pos + 1] else (1,)  # y_{2j}
         base, at, varying = slots[k]
         live = []
         for members, eqs, neqs in varying:
@@ -478,7 +482,7 @@ def check_partition(tree: PartTree, gens, p: int, n: int) -> PartitionReport:
         if not on_variety:
             unsound.extend((part_id, t) for part_id in ids)
 
-    _walk(systems, p, n, _canonical(p, n), leaf=leaf)
+    _walk(systems, p, n, leaf=leaf)
     return PartitionReport(
         variety_size=variety_size,
         tuples_scanned=(p + 1) ** n,
@@ -510,22 +514,13 @@ def check_extension(part: Part, p: int, n: int) -> list:
     system = _system(part, p)
     nslots = 2 * n
     counterexamples = []
-    values, tried = range(p), 0
-
-    def candidates(k, vals):  # the (p+1)^n cap does not bound p^(2n) prefixes
-        nonlocal tried
-        tried += p
-        if tried > DEFAULT_CAP:
-            raise EnumerationCapExceeded(
-                f"the extension walk tried more than {DEFAULT_CAP} values")
-        return values
 
     def dead(k, eqs, neqs, vals):
         if not _extends_into_closure(eqs, neqs):
             prefix = tuple(vals[nslots - i] for i in range(1, k))
             counterexamples.append((k, prefix))
 
-    _walk([system], p, n, candidates, dead=dead)
+    _walk([system], p, n, dead=dead)
     return sorted(counterexamples)
 
 

@@ -122,8 +122,8 @@ class Polynomial:
     the object) are filled on first use; no constructor sets them.
     """
 
-    __slots__ = ("field", "nslots", "terms", "_lead", "_squarefree", "_hash",
-                 "_window", "_oracle")
+    __slots__ = ("field", "nslots", "terms", "_lead", "_hash", "_window",
+                 "_oracle")
 
     def __init__(self, field: Field, nslots: int, terms=None):
         self.field = field
@@ -139,7 +139,6 @@ class Polynomial:
                 _accumulate(clean, mono, field.coerce(c), field)
         self.terms = clean
         self._lead = None
-        self._squarefree = False
 
     # -- constructors ------------------------------------------------------
 
@@ -151,7 +150,6 @@ class Polynomial:
         p.nslots = nslots
         p.terms = terms
         p._lead = None
-        p._squarefree = False
         return p
 
     @classmethod
@@ -487,20 +485,11 @@ def squarefree_part(f: Polynomial) -> Polynomial:
     first, and factors whose multiplicity the derivatives miss are
     recovered recursively.  A polynomial in one slot only ever meets the
     dense univariate Euclid of ``poly_gcd``.
-
-    The result is marked squarefree, and a marked polynomial comes back
-    as itself at once.  Polynomials are immutable and every constructor
-    starts unmarked, so the mark is a proved fact about the object.
     """
-    if f._squarefree:
-        return f
     if f.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
     f = f.monic()
-    if not f.is_constant():
-        f = _squarefree_monic(f)
-    f._squarefree = True
-    return f
+    return f if f.is_constant() else _squarefree_monic(f)
 
 
 def _squarefree_monic(f: Polynomial) -> Polynomial:

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
+from p1parts import groebner
 from p1parts.fields import GF, QQ, FieldError
 from p1parts.groebner import (
     ExponentOverflowError, IdealBasis, _extend, buchberger,
     elimination_subbasis, heuristic_radical, ideal_saturate, normal_form,
     principal_saturate, radical_membership,
 )
-from p1parts.poly import Layout, Polynomial, ProjLayout
+from p1parts.poly import Layout, Polynomial, ProjLayout, squarefree_part
 from p1parts.parser import parse_polynomial
 
 AX2 = Layout.affine(2)
@@ -440,3 +441,70 @@ def test_heuristic_radical_contract():
             assert normal_form(g, J).is_zero()  # I <= J
         for g in J.generators:
             assert radical_membership(g, B)  # J <= sqrt(I)
+
+
+# -- proved squarefree slots ---------------------------------------------------------
+
+# y_1 and, once (y_2-1)^2 gives way to y_2-1, y_2 have squarefree
+# eliminants; y_4^2-y_3 leads with a pure power but has no eliminant
+CLOSABLE = ["y_1^2-y_1", "(y_2-1)^2", "y_4^2-y_3"]
+Y1, Y2 = PL3.y_pos(1), PL3.y_pos(2)
+
+
+def test_proved_is_empty_unless_a_closure_sets_it():
+    B = buchberger([P(t) for t in CLOSABLE])
+    assert B.proved == frozenset()
+    assert elimination_subbasis(B, 2).proved == frozenset()
+    assert IdealBasis(B.generators).proved == frozenset()
+    assert heuristic_radical(B).proved == {Y1, Y2}
+    # the same ideal, rebuilt from its generators, starts with none
+    assert buchberger(heuristic_radical(B).generators).proved == frozenset()
+
+
+def test_heuristic_radical_proves_the_slots_it_found_squarefree(monkeypatch):
+    rng = random.Random(7)
+    ax3 = Layout.affine(3)
+    found, real_eliminant = set(), groebner._eliminant
+
+    def recording(basis, pos, g):
+        m = real_eliminant(basis, pos, g)
+        if m is not None and squarefree_part(m) == m:
+            found.add(pos)
+        return m
+
+    monkeypatch.setattr(groebner, "_eliminant", recording)
+    proved = 0
+    for field in (GF(5), QQ):
+        for _ in range(30):
+            B = buchberger(random_ideal(rng, ax3, field))
+            found.clear()
+            J = heuristic_radical(B)
+            assert J.proved == found
+            proved += len(found)
+    assert proved >= 25
+
+
+def test_extension_and_saturation_carry_proved():
+    closed = heuristic_radical(buchberger([P(t) for t in CLOSABLE]))
+    grown = _extend(closed, (P("y_3-y_1"),))
+    assert grown != closed and grown.proved == closed.proved
+    saturated = ideal_saturate(closed, P("y_1"))
+    assert saturated != closed and saturated.proved == closed.proved
+    # a raw list saturates with nothing proved
+    assert ideal_saturate(closed.generators, P("y_1")).proved == frozenset()
+
+
+def test_closure_of_an_extension_skips_carried_slots(monkeypatch):
+    closed = heuristic_radical(buchberger([P(t) for t in CLOSABLE]))
+    slots, real_eliminant = [], groebner._eliminant
+
+    def counting(basis, pos, g):
+        slots.append(pos)
+        return real_eliminant(basis, pos, g)
+
+    monkeypatch.setattr(groebner, "_eliminant", counting)
+    for child in (_extend(closed, (P("y_3-y_1"),)), ideal_saturate(closed, P("y_1"))):
+        slots.clear()
+        J = heuristic_radical(child)
+        assert slots and not closed.proved & set(slots)
+        assert J.proved >= closed.proved

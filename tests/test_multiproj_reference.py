@@ -336,15 +336,15 @@ def first_pure_power(basis, pos):
 def closure_calls(monkeypatch, problem):
     """(basis, inherited slots, closed basis) of every child closure."""
     calls = []
-    real_closure = multiproj._radical_closure
+    real_closure = multiproj.heuristic_radical
 
-    def recording(basis, proved=frozenset()):
-        closed = real_closure(basis, proved)
-        calls.append((basis, proved, closed[0]))
+    def recording(basis):
+        closed = real_closure(basis)
+        calls.append((basis, basis.proved, closed))
         return closed
 
     with monkeypatch.context() as patch:
-        patch.setattr(multiproj, "_radical_closure", recording)
+        patch.setattr(multiproj, "heuristic_radical", recording)
         tree(problem, True)
     return calls[1:]  # the root inherits nothing
 
@@ -363,5 +363,6 @@ def test_children_inherit_only_squarefree_slots(monkeypatch):
                 m = g and _eliminant(basis, pos, g)
                 assert m is not None and squarefree_part(m) == m, pos
             inherited += len(proved)
-            assert closed.generators == heuristic_radical(basis).generators
+            unproved = IdealBasis(basis.generators, basis.heads)
+            assert closed.generators == heuristic_radical(unproved).generators
     assert inherited >= 5000

@@ -8,6 +8,9 @@ nodes):
 
 - the ``_reduce`` calls, which an extension spends only on what its new
   polynomials change;
+- the radical closures, one at the root and two per split, made
+  through the public ``heuristic_radical``, so that a tracer wrapping
+  that name sees them;
 - the ``_eliminant`` calls of the radical closures, none for a slot that
   the part's parent, or an earlier pass of the same closure, proved
   squarefree;
@@ -76,13 +79,14 @@ def queue_pushes(monkeypatch):
 
 
 def test_n5_f5_work_counters(monkeypatch):
-    counts = dict.fromkeys(("reduce", "eliminant", "closure_lcm") + COUNTED, 0)
+    counts = dict.fromkeys(
+        ("reduce", "eliminant", "closure_lcm", "heuristic_radical") + COUNTED, 0)
     queued = queue_pushes(monkeypatch)
     in_closure = []
     real_reduce = groebner._reduce
     real_eliminant = groebner._eliminant
     real_lcm = groebner._poly_lcm
-    real_closure = multiproj._radical_closure
+    real_closure = multiproj.heuristic_radical
 
     def counting_reduce(*args):
         counts["reduce"] += 1
@@ -97,6 +101,7 @@ def test_n5_f5_work_counters(monkeypatch):
         return real_lcm(*args)
 
     def marked_radical(*args):
+        counts["heuristic_radical"] += 1
         in_closure.append(True)
         try:
             return real_closure(*args)
@@ -112,7 +117,7 @@ def test_n5_f5_work_counters(monkeypatch):
     monkeypatch.setattr(groebner, "_reduce", counting_reduce)
     monkeypatch.setattr(groebner, "_eliminant", counting_eliminant)
     monkeypatch.setattr(groebner, "_poly_lcm", counting_lcm)
-    monkeypatch.setattr(multiproj, "_radical_closure", marked_radical)
+    monkeypatch.setattr(multiproj, "heuristic_radical", marked_radical)
     for name in COUNTED:
         modules = [m for m in (poly, groebner, multiproj, cli) if hasattr(m, name)]
         wrapper = counting(name, getattr(modules[0], name))
@@ -124,7 +129,7 @@ def test_n5_f5_work_counters(monkeypatch):
     # 912 eliminants, 1308 reductions and 402 gcds when every closure
     # re-proved its parent's squarefree slots
     assert counts == {"reduce": 1268, "eliminant": 80, "closure_lcm": 0,
-                      "lead_split": 114, "poly_gcd": 279,
+                      "heuristic_radical": 121, "lead_split": 114, "poly_gcd": 279,
                       "radical_membership": 60, "to_canonical_text": 654}
     # 667 when the skipped permuted eliminants ran their signature steps
     assert len(queued) == 659
@@ -161,26 +166,32 @@ def test_n5_f5_root_zero_reductions(monkeypatch):
 
 
 def test_n5_f5_oracle_walk_nodes(monkeypatch):
-    # one count per walk: the calls of its ``candidates``, one per node
+    # one count per walk: the calls of its nested ``extend``, one per node
     walks = []
     real_walk = oracle._walk
+    extend = next(c for c in real_walk.__code__.co_consts
+                  if getattr(c, "co_name", None) == "extend")
 
-    def counting_walk(systems, p, n, candidates, **callbacks):
+    def counting_walk(*args, **callbacks):
         walks.append(0)
+        return real_walk(*args, **callbacks)
 
-        def counted(k, vals):
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is extend:
             walks[-1] += 1
-            return candidates(k, vals)
-        return real_walk(systems, p, n, counted, **callbacks)
 
     monkeypatch.setattr(oracle, "_walk", counting_walk)
     problem = parse_problem(N5_F5)
     tree = partition_variety(problem)
-    oracle.check_partition(tree, homogenized_generators(problem), 5, 5)
-    assert walks == [4665]
-    walks.clear()
-    for leaf in leaf_parts(tree):
-        oracle.check_extension(leaf, 5, 5)
+    sys.setprofile(profile)
+    try:
+        oracle.check_partition(tree, homogenized_generators(problem), 5, 5)
+        assert walks == [4665]
+        walks.clear()
+        for leaf in leaf_parts(tree):
+            oracle.check_extension(leaf, 5, 5)
+    finally:
+        sys.setprofile(None)
     assert len(walks) == 61
     assert sum(walks) == 1416
     assert sum(map(bool, walks)) == 5
