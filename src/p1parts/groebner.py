@@ -84,8 +84,10 @@ exceeds it in some field, so its int is at least the lcm's whatever the
 lower fields carry.
 
 The core works on packed monomials (Monagan & Pearce 2007): each
-exponent tuple becomes one int with 16 bits per slot, slot 0 in the
+exponent tuple becomes one int with 16 bits per slot, position 0 in the
 highest field and bit 15 of every field a guard bit that stays clear.
+So slot k, counted from the bottom as the levels are (position
+nslots - k), is the k-th 16-bit field from the bottom.
 Lex order is then int order and multiplying monomials is adding ints.
 Divisibility is one masked subtraction: a divides b exactly when
 ``((b | guard) - a) & guard == guard``, because a field keeps its guard
@@ -541,6 +543,18 @@ def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
     return IdealBasis(basis.generators[:k], basis.heads[:k])
 
 
+def _lead_spans(basis: IdealBasis) -> list:
+    """(lowest, highest) slot of each generator's leading monomial, in
+    basis order, (0, 0) for 1: the lowest and highest nonzero 16-bit
+    field of its packed lead.  Raises ValueError when the heads do not
+    match the generators, as for a basis built holding a zero polynomial.
+    """
+    if len(basis.heads) != len(basis.generators):
+        raise ValueError("zero polynomial has no leading monomial")
+    return [(((lead & -lead).bit_length() + 15) >> 4, (lead.bit_length() + 15) >> 4)
+            for lead, _ in basis.heads]
+
+
 def _rabinowitsch(basis_or_gens, f: Polynomial, packing: _Packing):
     """Heads of a Groebner basis of I + <1 - t*f>, t a fresh slot above the
     others, or None for 1, and the old basis for ``_finish``: a basis
@@ -644,9 +658,9 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
     is the least ideal J containing I with that property, whatever the
     scan order; slots with no eliminant are skipped, so J only satisfies
     I <= J <= sqrt(I), which is all the callers rely on.  Only a slot
-    that some leading monomial is a pure power of can have an eliminant;
-    one pass over the leads finds, for each such slot, the first
-    generator leading with a pure power of it.
+    that some leading monomial is a pure power of can have an eliminant:
+    one whose lowest and highest slot agree in ``_lead_spans``.  The
+    first generator leading with such a power is the one used.
 
     A slot proved squarefree stays so in every larger ideal: if I <= I'
     and m generates I meet k[slot], then m lies in I', so the eliminant
@@ -660,12 +674,11 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
     """
     proved = set(basis.proved)
     while not (basis.is_zero_ideal() or basis.is_unit()):
-        firsts = {}  # slot -> first generator leading with a pure power of it
-        for g in basis.generators:
-            lead = g.lead_monomial()
-            pos = next(i for i, e in enumerate(lead) if e)
-            if lead[pos] == sum(lead) and pos not in proved:
-                firsts.setdefault(pos, g)
+        nslots = basis.generators[0].nslots
+        firsts = {}  # position -> first generator leading with a pure power of it
+        for g, (lo, hi) in zip(basis.generators, _lead_spans(basis)):
+            if 0 < lo == hi and nslots - hi not in proved:
+                firsts.setdefault(nslots - hi, g)
         for pos in sorted(firsts, reverse=True):
             m = _eliminant(basis, pos, firsts[pos])
             if m is None:

@@ -18,8 +18,11 @@ remains could still be zero or nonzero on the part, the part does not
 extend uniformly and is split in two: one child adjoins the squarefree
 reduced coefficient J as an equality, the other saturates it away and
 records J as an inequality.  A part where every leading coefficient at
-every level is certified nonzero is a leaf: values for the low slots
-then always extend to roots of the lowest generator in the next slot.
+every level is certified nonzero is a leaf, and that is what a leaf
+certifies: every frozen leading coefficient is nonzero on the part.
+Values for the low slots are meant to extend to roots of the lowest
+generator in the next slot, yet on some known leaves they do not
+(ROADMAP item 2); ``p1parts --oracle`` checks stepwise extension.
 A child's basis carries the slots whose eliminant the parent's radical
 closure proved squarefree, since its ideal contains the parent's, so the
 child's closure computes no eliminant for them.
@@ -32,8 +35,8 @@ from typing import Optional
 
 from .fields import Field
 from .groebner import (  # buchberger stays bound: perfbench traces it here
-    IdealBasis, _extend, buchberger, elimination_subbasis, heuristic_radical,
-    ideal_saturate, principal_saturate, radical_membership,
+    IdealBasis, _extend, _lead_spans, buchberger, elimination_subbasis,
+    heuristic_radical, ideal_saturate, principal_saturate, radical_membership,
 )
 from .parser import ProblemSpec
 from .poly import (
@@ -165,48 +168,29 @@ def _scan_key(g: Polynomial):
     return (g.lead_monomial(), sorted(g.terms.items()))
 
 
-def _window(g: Polynomial, nslots: int):
-    """The levels [lo, hi) at which ``split_scan`` must look at g: those
-    with a frozen and a live factor in the leading monomial.
-
-    At level L the slots k <= L are frozen.  From hi = ``support_level(g)``
-    up, g is fully frozen.  Below lo, the lowest slot index in the lead,
-    the lead has no frozen factor, and then its frozen coefficient is the
-    constant leading coefficient: a term sharing the lead's live part
-    agrees with the lead wherever the lead is nonzero and is no smaller
-    anywhere else, so it is the lead.  From lo up, the frozen factor makes
-    the coefficient nonconstant.
-    """
-    last = max((i for i, e in enumerate(g.lead_monomial()) if e), default=-1)
-    return nslots - last, support_level(g)
-
-
-def _cached_window(g: Polynomial):
-    """``_window`` of g, found once per object and kept in its slot."""
-    try:
-        return g._window
-    except AttributeError:
-        g._window = window = _window(g, g.nslots)
-        return window
-
-
 def split_scan(part: Part) -> Optional[SplitFinding]:
     """Find the first freezing level whose lead coefficients force a split.
 
     Levels are tried bottom-up, and within a level the generators in
-    basis order, each only inside its ``_window``: generators with an
-    empty window are never visited, and the levels run from the lowest
-    window start to the highest window end.  Saturating a coefficient
-    by the inequality constraints at or below the level certifies it
-    nonzero when a constant remains; higher ones may not certify, since
-    the extension step starts from partial solutions that meet only the
-    constraints down there.  Returns None, making the part a leaf, when
-    every coefficient at every level is certified.
+    basis order, each only inside its window: the levels [lo, hi) from
+    the lowest to the highest slot of its leading monomial, read off the
+    packed lead by ``_lead_spans``.  Generators with an empty window are
+    never visited, and the levels run from the lowest window start to the
+    highest window end.  Saturating a coefficient by the inequality
+    constraints at or below the level certifies it nonzero when a
+    constant remains; higher ones may not certify, since the extension
+    step starts from partial solutions that meet only the constraints
+    down there.  Returns None, making the part a leaf, when every
+    coefficient at every level is certified.
 
-    Only levels inside a generator's ``_window`` are split off: a frozen
-    coefficient that is constant at level L stays constant below L, where
-    fewer slots are frozen, and a constant certifies itself.  It is
-    constant exactly when the leading monomial has no frozen factor.
+    The window holds every level at which the leading monomial has a
+    frozen and a live factor; at level L the slots k <= L are frozen.
+    From hi = ``support_level(g)`` up, g is fully frozen.  Below lo the
+    lead has no frozen factor, and then its frozen coefficient is the
+    constant leading coefficient, which certifies itself: a term sharing
+    the lead's live part agrees with the lead wherever the lead is
+    nonzero and is no smaller anywhere else, so it is the lead.  From lo
+    up, the frozen factor makes the coefficient nonconstant.
 
     The low equalities could certify nothing more.  Say g = M*r*m + (terms
     of smaller live monomial), m the nonconstant saturated coefficient.
@@ -216,8 +200,8 @@ def split_scan(part: Part) -> Optional[SplitFinding]:
     basis forbids that, and ``part.eq`` is a reduced basis: it comes from
     ``_extend``, ``ideal_saturate`` or ``heuristic_radical``.
     """
-    windows = [(g, lo, hi) for g in part.eq.generators
-               for lo, hi in (_cached_window(g),) if lo < hi]
+    spans = zip(part.eq.generators, _lead_spans(part.eq))
+    windows = [(g, lo, hi) for g, (lo, hi) in spans if lo < hi]
     if not windows:
         return None
     nslots = windows[0][0].nslots

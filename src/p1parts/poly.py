@@ -117,13 +117,11 @@ class Polynomial:
 
     Construction normalizes (zero coefficients dropped, values coerced to
     the field's canonical form).  Never mutate ``terms`` after creation.
-    ``_hash``, ``_window`` (the levels at which the split scan looks at
-    the object) and ``_oracle`` (facts the finite-field oracle finds about
+    ``_hash`` and ``_oracle`` (facts the finite-field oracle finds about
     the object) are filled on first use; no constructor sets them.
     """
 
-    __slots__ = ("field", "nslots", "terms", "_lead", "_hash", "_window",
-                 "_oracle")
+    __slots__ = ("field", "nslots", "terms", "_lead", "_hash", "_oracle")
 
     def __init__(self, field: Field, nslots: int, terms=None):
         self.field = field

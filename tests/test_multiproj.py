@@ -7,7 +7,7 @@ import pytest
 
 from p1parts import groebner
 from p1parts.fields import GF, QQ
-from p1parts.groebner import IdealBasis, buchberger
+from p1parts.groebner import IdealBasis, _lead_spans, buchberger, heuristic_radical
 from p1parts.multiproj import (
     MaxNodesExceeded, Part, canonical_constraints, homogenized_generators,
     leaf_parts, multihomogenize, normalize_neq, partition_variety,
@@ -194,6 +194,18 @@ def test_split_scan_certified_by_equalities():
     part = Part(0, -1, eq, (P("z_2", 2),), 2)
     assert split_scan(part) is None
     assert split_scan(Part(0, -1, eq, (), 2)).J == P("z_2", 2)
+
+
+def test_misaligned_basis_is_refused():
+    # a basis built holding a zero polynomial has no head for it, so its
+    # heads do not line up with its generators
+    pl1 = ProjLayout(1)
+    basis = IdealBasis((Polynomial.zero(QQ, 2), P("y_1^2-y_1", layout=pl1),
+                        P("y_2*y_1-y_1^2", layout=pl1)))
+    with pytest.raises(ValueError):
+        split_scan(Part(0, -1, basis, (), 0))
+    with pytest.raises(ValueError):
+        heuristic_radical(basis)
 
 
 # -- inequality normalization ------------------------------------------------------
@@ -406,3 +418,18 @@ def test_solve_never_runs_gebauer_moeller(path, radical, monkeypatch):
     tree = partition_variety(parse_problem(path.read_text(encoding="utf-8")),
                              radical=radical)
     assert tree.nodes
+
+
+def lowest_lead_slot(g):
+    return min((g.nslots - i for i, e in enumerate(g.lead_monomial()) if e), default=0)
+
+
+@pytest.mark.parametrize("path,radical", SOLVES,
+                         ids=[f"{path.name}-{radical}" for path, radical in SOLVES])
+def test_lead_spans_are_the_lead_slots(path, radical):
+    # the packed heads give the lowest and highest slot of every lead
+    tree = partition_variety(parse_problem(path.read_text(encoding="utf-8")),
+                             radical=radical)
+    for part in tree.nodes:
+        assert _lead_spans(part.eq) == [
+            (lowest_lead_slot(g), support_level(g)) for g in part.eq], part.id

@@ -12,7 +12,8 @@ docstring, checked directly by ``test_no_saturated_coefficient_is_a_unit``).
 ``full_split_scan`` is the scan before level windows: it splits off the
 lead coefficient of every generator at every level.  So ``split_scan``
 must return both references' finding on every part the engine builds,
-and ``test_window_bounds`` checks the windows themselves.
+and ``test_window_bounds`` checks the windows themselves, as
+``_lead_spans`` reads them off the packed leads.
 
 The same nodes also carry the invariants the engine relies on without
 re-establishing them: each ``eq`` is the reduced basis of its own
@@ -39,10 +40,11 @@ from p1parts import multiproj
 from p1parts.cli import render_tree
 from p1parts.fields import GF, QQ
 from p1parts.groebner import (
-    IdealBasis, _eliminant, buchberger, elimination_subbasis, heuristic_radical,
+    IdealBasis, _eliminant, _lead_spans, buchberger, elimination_subbasis,
+    heuristic_radical,
 )
 from p1parts.multiproj import (
-    MaxNodesExceeded, Part, SplitFinding, _scan_key, _window, normalize_neq,
+    MaxNodesExceeded, Part, SplitFinding, _scan_key, normalize_neq,
     partition_variety, reduced_lead_coefficient, split_scan,
 )
 from p1parts.parser import ProblemSpec, parse_problem
@@ -306,17 +308,20 @@ def test_window_bounds(data):
     field = data.draw(st.sampled_from(FIELDS))
     nslots = data.draw(st.integers(1, 6))
     g = data.draw(polynomials(field, nslots))
-    lo, hi = _window(g, nslots)
+    pos = data.draw(st.sampled_from((None, 0, nslots - 1)))
+    if pos is not None:
+        # the lead's exponent in the highest or lowest slot becomes
+        # 2^15 - 1, which sets the top bit of its packed field
+        e = g.lead_monomial()[pos]
+        shift = (1 << 15) - 1 - e
+        g = Polynomial(field, nslots, {
+            m[:pos] + (m[pos] + shift,) + m[pos + 1:]: c
+            for m, c in g.terms.items() if m[pos] <= e})
+    [(lo, hi)] = _lead_spans(IdealBasis((g,)))
     for level in range(nslots + 1):
         mono, lc = lead_split(g, nslots - level)
         assert (not lc.is_constant()) == (lo <= level), level
         assert (not any(mono)) == (level >= hi), level
-
-
-def test_cached_windows_are_fresh():
-    for part in partition_variety(parse_problem(N5_F5)).nodes:
-        for g in part.eq:
-            assert g._window == _window(g, g.nslots), part.id
 
 
 # -- inherited closure slots -------------------------------------------------------
