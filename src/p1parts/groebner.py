@@ -6,16 +6,14 @@ lcm behind ``poly_gcd`` ride on one mechanism: adjoin a fresh top slot t
 and eliminate it, from I + <1 - t*f> for the first two and from
 <t*f, (1-t)*g> for the lcm.
 
-An ``IdealBasis`` is always such a reduced basis: the core makes one in
-``_finish``, and a caller that builds one from generators (``root_part``
-from the canonical constraints) must hand over a reduced basis.  Its
-``proved`` slots, whose eliminant is squarefree, are trusted like its
-heads: ``heuristic_radical`` sets them, and ``_finish`` passes them on
-from the old basis to a basis of a larger ideal (``_extend``, and
-``ideal_saturate`` of a basis).  Every other basis, from ``buchberger``,
-``elimination_subbasis`` or a caller, starts with none.  A reduced basis
-is one ideal, yet two equal bases may carry different, equally valid
-sets.
+An ``IdealBasis`` is always such a reduced basis, since only the core
+makes one: ``_finish``, or a prefix or a re-marking of a basis it made.
+Its ``proved`` slots, whose eliminant is squarefree, come from
+``heuristic_radical``, and ``_finish`` passes them on from the old basis
+to a basis of a larger ideal (``_extend``, and ``ideal_saturate`` of a
+basis).  Every other basis, from ``buchberger`` or
+``elimination_subbasis``, starts with none.  A reduced basis is one
+ideal, yet two equal bases may carry different, equally valid sets.
 
 One rule picks the algorithm.  A list of generators from outside
 (``buchberger``, and ``ideal_saturate`` or ``radical_membership`` of a
@@ -27,10 +25,11 @@ A reduced basis G of an ideal I, the empty one included, grows by
 signature steps that adjoin one polynomial f at a time (Faugere 2002;
 Gao, Volny & Wang 2016) and skip most S-pairs that reduce to zero: a
 child's equality J, the Rabinowitsch element t*f - 1, a squarefree
-eliminant, each homogenized generator at the root, each permuted
-generator of an eliminant, and (t - 1)*g after {t*f} for the lcm.  So a
-solve never runs the pair loop.  Neither path removes repeats: a repeat
-reduces to zero, unless ``_extend`` skips it as a basis element already.
+eliminant, each canonical constraint and homogenized generator at the
+root, each permuted generator of an eliminant, and (t - 1)*g after
+{t*f} for the lcm.  So a solve never runs the pair loop.  Neither path
+removes repeats: a repeat reduces to zero, unless ``_extend`` skips it
+as a basis element already.
 
 The signature step.  Every element h it finds is congruent to u*f
 modulo I for some polynomial u; its signature is lm(u), a packed
@@ -133,29 +132,18 @@ def _overflow():
 class IdealBasis:
     """A reduced lex Groebner basis: monic, sorted by increasing lead.
 
-    ``heads`` are the generators as packed ``_monic_head`` pairs, filled
-    by the core or, for a basis made from generators alone, packed here
-    (a zero generator, which no reduced basis has, gets none).  Those
-    must be their own reduced lex basis, unchecked: ``ideal_saturate``,
-    ``radical_membership`` and ``_extend`` trust it.
-
+    Made by the core only; a caller with generators calls ``buchberger``.
+    ``heads`` are the generators as packed ``_monic_head`` pairs.
     ``proved`` holds slots whose eliminant is proved squarefree for the
-    ideal, trusted like ``heads``: ``heuristic_radical`` sets it, and
-    ``_finish`` passes the old basis's set on to a basis of a larger
-    ideal.  It is empty unless given.  Two bases of one ideal may carry
-    different, equally valid sets, so it takes no part in equality.
+    ideal: ``heuristic_radical`` sets it, and ``_finish`` passes the old
+    basis's set on to a basis of a larger ideal.  It is empty unless
+    given.  Two bases of one ideal may carry different, equally valid
+    sets, so it takes no part in equality.
     """
 
     generators: tuple
-    heads: tuple = dc_field(default=None, compare=False, repr=False)
+    heads: tuple = dc_field(compare=False, repr=False)
     proved: frozenset = dc_field(default=frozenset(), compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.heads is None:
-            gens = self.generators
-            packing = _Packing(gens[0].nslots) if gens else None
-            object.__setattr__(self, "heads", tuple(
-                _monic_head(packing.pack(g.terms), g.field) for g in gens if g.terms))
 
     def __iter__(self):
         return iter(self.generators)
@@ -215,7 +203,7 @@ def _monic_head(terms: dict, field):
 
 
 _lead_key = itemgetter(0)  # of a (lead, tail) head
-_EMPTY = IdealBasis(())  # the zero ideal, shared: a basis is immutable
+_EMPTY = IdealBasis((), ())  # the zero ideal, shared: a basis is immutable
 
 
 def _lcm(a: int, b: int, guard: int) -> int:
@@ -293,19 +281,26 @@ def _reduce(work: dict, heads, p: int, guard: int, sigs=None, bound=0):
 def normal_form(f: Polynomial, basis_or_gens) -> Polynomial:
     """Remainder of multivariate division of f by the basis.
 
-    Canonical (and zero exactly on ideal members) when the basis is a
-    reduced Groebner basis; for arbitrary generator lists it is only some
-    valid remainder, by the heads ``IdealBasis`` packs in lead order.
+    Canonical (and zero exactly on ideal members) for an ``IdealBasis``;
+    for a list of generators it is only some valid remainder, by their
+    nonzero elements made monic and sorted by lead.
     """
-    gens = tuple(basis_or_gens)
-    if f.is_zero() or not gens:
+    if f.is_zero():
         return f
-    for g in gens:
-        f._check(g)
     packing = _Packing(f.nslots)
-    heads = sorted(IdealBasis(gens).heads, key=_lead_key)
-    rem = _reduce(packing.pack(f.terms), heads, f.field.characteristic,
-                  packing.guard)
+    if isinstance(basis_or_gens, IdealBasis):
+        for g in basis_or_gens.generators[:1]:
+            f._check(g)
+        heads = basis_or_gens.heads
+    else:
+        gens = [g for g in basis_or_gens if not g.is_zero()]
+        for g in gens:
+            f._check(g)
+        heads = sorted((_monic_head(packing.pack(g.terms), g.field) for g in gens),
+                       key=_lead_key)
+    if not heads:
+        return f
+    rem = _reduce(packing.pack(f.terms), heads, f.field.characteristic, packing.guard)
     return packing.unpack(f.field, rem)
 
 
@@ -459,7 +454,7 @@ def _finish(heads, old: IdealBasis, field, packing: _Packing, top=None) -> Ideal
     ideal contains ``old``'s, so the result carries ``old.proved``.
     """
     if heads is None:
-        return IdealBasis((Polynomial.const(field, packing.nslots, 1),))
+        return IdealBasis((Polynomial.const(field, packing.nslots, 1),), ((0, ()),))
     if top is not None:
         heads = heads[:bisect_left(heads, top, key=_lead_key)]
     old_at = dict(zip(map(_lead_key, old.heads), old.generators))
@@ -546,11 +541,8 @@ def elimination_subbasis(basis: IdealBasis, j: int) -> IdealBasis:
 def _lead_spans(basis: IdealBasis) -> list:
     """(lowest, highest) slot of each generator's leading monomial, in
     basis order, (0, 0) for 1: the lowest and highest nonzero 16-bit
-    field of its packed lead.  Raises ValueError when the heads do not
-    match the generators, as for a basis built holding a zero polynomial.
+    field of its packed lead.
     """
-    if len(basis.heads) != len(basis.generators):
-        raise ValueError("zero polynomial has no leading monomial")
     return [(((lead & -lead).bit_length() + 15) >> 4, (lead.bit_length() + 15) >> 4)
             for lead, _ in basis.heads]
 

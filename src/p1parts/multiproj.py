@@ -35,7 +35,7 @@ from typing import Optional
 
 from .fields import Field
 from .groebner import (  # buchberger stays bound: perfbench traces it here
-    IdealBasis, _extend, _lead_spans, buchberger, elimination_subbasis,
+    _EMPTY, IdealBasis, _extend, _lead_spans, buchberger, elimination_subbasis,
     heuristic_radical, ideal_saturate, principal_saturate, radical_membership,
 )
 from .parser import ProblemSpec
@@ -197,8 +197,7 @@ def split_scan(part: Part) -> Optional[SplitFinding]:
     If u*m = 1 modulo I meet k[slots <= level], then u*g - M*r*(u*m - 1)
     lies in I and leads with M*LM(r), a proper divisor of LM(g), so
     another basis element's leading monomial divides LM(g).  A minimal
-    basis forbids that, and ``part.eq`` is a reduced basis: it comes from
-    ``_extend``, ``ideal_saturate`` or ``heuristic_radical``.
+    basis forbids that, and ``part.eq`` is a reduced basis.
     """
     spans = zip(part.eq.generators, _lead_spans(part.eq))
     windows = [(g, lo, hi) for g, (lo, hi) in spans if lo < hi]
@@ -262,11 +261,11 @@ def _closed(basis: IdealBasis, radical: bool) -> IdealBasis:
 
 
 def root_part(problem: ProblemSpec, radical: bool = True) -> Part:
-    """Node 0: the canonical constraints, a reduced basis already, extended
-    by one homogenized generator at a time (seconds faster on some inputs
-    than one run over all of them)."""
+    """Node 0: the empty basis extended by the canonical constraints, then
+    by the homogenized generators, one signature step each (seconds faster
+    on some inputs than one run over all of them)."""
     canonical = canonical_constraints(ProjLayout(problem.n), problem.field)
-    eq = _extend(IdealBasis(tuple(canonical)), homogenized_generators(problem))
+    eq = _extend(_EMPTY, canonical + homogenized_generators(problem))
     return Part(0, -1, _closed(eq, radical), (), 0)
 
 

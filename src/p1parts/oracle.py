@@ -87,11 +87,19 @@ def _check_characteristic(polys, p: int, what: str):
             raise ValueError(f"{what} over {f.field}, expected F_{p}")
 
 
+def _check_slots(polys, nslots: int):
+    for f in polys:
+        if f.nslots != nslots:
+            raise ValueError(f"constraint has {f.nslots} slots, expected {nslots}")
+
+
 def _variety(gens, p: int, n: int):
     """The generators as a system with no inequalities, once they are
-    known to lie over F_p and to be homogeneous in every pair."""
+    known to lie over F_p, in the 2n slots, and to be homogeneous in
+    every pair."""
     gens = tuple(gens)
     _check_characteristic(gens, p, "generators are")
+    _check_slots(gens, 2 * n)
     for g in gens:
         _check_pair_homogeneous(g, n)
     return gens, ()
@@ -228,10 +236,7 @@ def _tests(systems, nslots: int):
     walk finds about a constraint serves every equal one.
     """
     for eq, neq in systems:
-        for f in (*eq, *neq):
-            if f.nslots != nslots:
-                raise ValueError(
-                    f"constraint has {f.nslots} slots, expected {nslots}")
+        _check_slots((*eq, *neq), nslots)
     by_tests = [{} for _ in range(nslots + 1)]
     first = {}  # constraint -> the first equal one in this walk
     start = 0

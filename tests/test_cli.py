@@ -296,15 +296,15 @@ def test_run_oracle_failure_exit_code(example5_file, capsys, monkeypatch):
 
 def test_run_oracle_unsound_exit_code(example5_file, capsys, monkeypatch):
     import p1parts.cli as cli_mod
-    from p1parts.groebner import IdealBasis
     from p1parts.multiproj import Part
+    from test_oracle import Equalities
 
     def widened(problem, **kwargs):
         # leaf 17 (x_3^2 + x_3 = 0) without that equality
         tree = partition_variety(problem, **kwargs)
         leaf = tree.nodes[17]
         tree.nodes[17] = Part(leaf.id, leaf.prev,
-                              IdealBasis(leaf.eq.generators[:-1]), leaf.neq,
+                              Equalities(leaf.eq.generators[:-1]), leaf.neq,
                               leaf.frozen_level)
         return tree
 

@@ -304,7 +304,8 @@ def test_normal_form_matches_reference(data):
     f = data.draw(polynomials(field, nslots, max_terms=5, max_degree=5))
     expected = ref_normal_form(f, gens)
     assert normal_form(f, gens) == expected
-    assert normal_form(f, IdealBasis(tuple(gens))) == expected
+    basis = buchberger(gens)
+    assert normal_form(f, basis) == ref_normal_form(f, basis.generators)
 
 
 # Derandomized: a rare random ideal makes both closures' permuted-order
@@ -363,7 +364,7 @@ def test_extend_matches_reference(draw):
     expected = ref_buchberger(gens + extra)
     basis = buchberger(gens)
     assert _extend(basis, extra).generators == expected
-    assert _extend(IdealBasis(()), gens + extra).generators == expected
+    assert _extend(buchberger(()), gens + extra).generators == expected
     f = extra[0]
     assert ideal_saturate(basis, f) == ideal_saturate(gens, f)
     assert radical_membership(f, basis) == radical_membership(f, gens)

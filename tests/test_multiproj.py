@@ -7,7 +7,7 @@ import pytest
 
 from p1parts import groebner
 from p1parts.fields import GF, QQ
-from p1parts.groebner import IdealBasis, _lead_spans, buchberger, heuristic_radical
+from p1parts.groebner import IdealBasis, _lead_spans, buchberger, radical_membership
 from p1parts.multiproj import (
     MaxNodesExceeded, Part, canonical_constraints, homogenized_generators,
     leaf_parts, multihomogenize, normalize_neq, partition_variety,
@@ -182,7 +182,7 @@ def test_split_scan_leaf():
 
 def test_split_scan_certified_by_neq():
     # sole nonconstant lead coefficient z_2^2 is certified by neq {z_2}
-    eq = IdealBasis((P("z_2^2*y_3-1", 2),))
+    eq = buchberger([P("z_2^2*y_3-1", 2)])
     part = Part(0, -1, eq, (P("z_2", 2),), 2)
     assert split_scan(part) is None
 
@@ -197,15 +197,25 @@ def test_split_scan_certified_by_equalities():
 
 
 def test_misaligned_basis_is_refused():
-    # a basis built holding a zero polynomial has no head for it, so its
-    # heads do not line up with its generators
+    # a basis takes its packed heads from the Groebner core; generators
+    # alone, such as a list holding a zero polynomial, which has no head,
+    # are refused when the basis is built
     pl1 = ProjLayout(1)
-    basis = IdealBasis((Polynomial.zero(QQ, 2), P("y_1^2-y_1", layout=pl1),
-                        P("y_2*y_1-y_1^2", layout=pl1)))
-    with pytest.raises(ValueError):
-        split_scan(Part(0, -1, basis, (), 0))
-    with pytest.raises(ValueError):
-        heuristic_radical(basis)
+    with pytest.raises(TypeError):
+        IdealBasis((Polynomial.zero(QQ, 2), P("y_1^2-y_1", layout=pl1),
+                    P("y_2*y_1-y_1^2", layout=pl1)))
+
+
+def test_generators_that_are_no_reduced_basis():
+    # y_2^2-y_1 and y_2*y_1-1 are no reduced basis, so a basis of them
+    # comes from buchberger, which puts y_1^3-1 in it
+    pl1 = ProjLayout(1)
+    gens = [P("y_2^2-y_1", layout=pl1), P("y_2*y_1-1", layout=pl1)]
+    f = P("y_1^3-1", layout=pl1)
+    basis = buchberger(gens)
+    assert basis.generators == (f, P("y_2-y_1^2", layout=pl1))
+    assert radical_membership(f, basis) and radical_membership(f, gens)
+    assert normalize_neq((P("z_1^3-1", 1, pl1),), basis) is None
 
 
 # -- inequality normalization ------------------------------------------------------
@@ -221,7 +231,7 @@ def test_normalize_neq_empty_part():
 
 
 def test_normalize_neq_sorts_by_scan_key():
-    eq = IdealBasis(())
+    eq = buchberger([])
     got = normalize_neq((P("z_2*z_4", 6), P("z_2", 6)), eq)
     assert got == (P("z_2", 6), P("z_2*z_4", 6))
 

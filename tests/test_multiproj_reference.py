@@ -139,9 +139,8 @@ def packed(heads):
 
 
 def assert_node_invariants(part):
-    assert buchberger(part.eq.generators) == part.eq
-    fresh = IdealBasis(part.eq.generators).heads
-    assert part.eq.heads is not None and packed(part.eq.heads) == packed(fresh)
+    fresh = buchberger(part.eq.generators)
+    assert fresh == part.eq and packed(part.eq.heads) == packed(fresh.heads)
     for q in part.neq:
         assert not q.is_constant() and q.lead_coeff() == q.field.one()
         assert squarefree_part(q) == q
@@ -317,7 +316,7 @@ def test_window_bounds(data):
         g = Polynomial(field, nslots, {
             m[:pos] + (m[pos] + shift,) + m[pos + 1:]: c
             for m, c in g.terms.items() if m[pos] <= e})
-    [(lo, hi)] = _lead_spans(IdealBasis((g,)))
+    [(lo, hi)] = _lead_spans(buchberger([g]))
     for level in range(nslots + 1):
         mono, lc = lead_split(g, nslots - level)
         assert (not lc.is_constant()) == (lo <= level), level

@@ -1,13 +1,13 @@
 import gc
 import random
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from p1parts import oracle
 from p1parts.fields import GF
-from p1parts.groebner import IdealBasis
 from p1parts.multiproj import (
     Part, homogenized_generators, leaf_parts, partition_variety,
 )
@@ -94,11 +94,20 @@ def test_representative_independence():
             assert g.evaluate(scaled) == 0
 
 
+@dataclass(frozen=True)
+class Equalities:
+    """Equalities as given, reduced or not, for a part the oracle checks:
+    it reads only ``part.eq.generators``, and an ``IdealBasis`` comes
+    only from the Groebner core."""
+
+    generators: tuple
+
+
 def part_from_texts(eq_texts, neq_texts, layout, field, level):
     """A part frozen at ``level``; inequalities name every slot z_k."""
     eq_layout = layout.at_level(level)
     neq_layout = layout.at_level(layout.nslots)
-    eq = IdealBasis(tuple(P(t, eq_layout, field) for t in eq_texts))
+    eq = Equalities(tuple(P(t, eq_layout, field) for t in eq_texts))
     neq = tuple(P(t, neq_layout, field) for t in neq_texts)
     return Part(0, -1, eq, neq, level)
 
@@ -160,7 +169,7 @@ def test_check_partition_valid_and_induced_failures(monkeypatch):
     assert leaf.id in tree.leaf_ids()
     wide = type(tree)(list(tree.nodes), tree.layout, tree.field)
     wide.nodes[17] = Part(leaf.id, leaf.prev,
-                          IdealBasis(leaf.eq.generators[:-1]), leaf.neq,
+                          Equalities(leaf.eq.generators[:-1]), leaf.neq,
                           leaf.frozen_level)
     rep4 = check_partition(wide, gens, 5, 3)
     assert rep4.unsound and not rep4.valid
@@ -189,6 +198,18 @@ def test_part_members_rejects_slot_count_mismatch():
     part = part_from_texts(["y_6*y_4"], [], PL3, F5, 0)
     with pytest.raises(ValueError, match="slot"):
         part_members(part, 5, 2)
+
+
+def test_variety_rejects_slot_count_mismatch():
+    # the slot count is checked before pair homogeneity, which would read
+    # past the slots of y_2 - y_1 for a second pair
+    g = P("y_2-y_1", ProjLayout(1), F5)
+    with pytest.raises(ValueError, match="constraint has 2 slots, expected 4"):
+        variety_points([g], 5, 2)
+    prob = parse_problem("char 5\nn 1\nform y\nideal:\ny_2-y_1\n")
+    tree = partition_variety(prob)
+    with pytest.raises(ValueError, match="constraint has 2 slots, expected 4"):
+        check_partition(tree, homogenized_generators(prob), 5, 2)
 
 
 def test_check_extension_rejects_wrong_prime():
@@ -386,6 +407,18 @@ KNOWN_EXTENSION_FAILURES = {
     (1144, 52): [(4, (1, k, 1)) for k in range(1, 7)],
 }
 
+# The same with the radical closure on, which changes the leaves and so
+# their ids.
+KNOWN_RADICAL_EXTENSION_FAILURES = {
+    (1066, 34): [(6, (1, 2, 1, 1, 1))],
+    (1083, 22): [(6, (1, 1, 1, 0, 1)), (6, (1, 2, 1, 0, 1))],
+    (1086, 46): [(2, (1,))],
+    (1086, 53): [(4, (1, k, 1)) for k in range(1, 7)],
+    (1105, 10): [(4, (1, 2, 1))],
+    (1108, 81): [(4, (1, 1, 1))],
+    (1144, 48): [(4, (1, k, 1)) for k in range(1, 7)],
+}
+
 
 def assert_dimension_is_most_free_levels(tree):
     """The root's dimension equals the largest number of free levels of
@@ -407,34 +440,38 @@ def assert_dimension_is_most_free_levels(tree):
     assert dimension == free, (dimension, free)
 
 
-def test_random_fp_sweep():
+def sweep_failures(trees) -> dict:
+    """(seed, leaf id) -> ``check_extension`` output, for each leaf of the
+    (seed, problem, tree) triples with a counterexample, once each tree is
+    checked to be a valid partition."""
     failures = {}
-    solved = 0
-    for seed in SWEEP_SEEDS:
-        prob = random_fp_problem(seed)
-        if not prob.generators:
-            continue
-        solved += 1
+    for seed, prob, tree in trees:
         p = prob.field.characteristic
-        tree = partition_variety(prob, max_nodes=400, radical=False)
         report = check_partition(tree, homogenized_generators(prob), p, prob.n)
         assert report.valid, (seed, report.summary())
-        assert_dimension_is_most_free_levels(tree)
         for leaf in leaf_parts(tree):
             cex = check_extension(leaf, p, prob.n)
             if cex:
                 failures[seed, leaf.id] = cex
-    assert solved == 148  # seeds 1095 and 1097 draw only constants
-    assert failures == KNOWN_EXTENSION_FAILURES
+    return failures
 
 
-def test_random_fp_sweep_dimension_with_radical():
+def test_random_fp_sweep(sweep_trees):
+    trees = sweep_trees(False)
+    assert len(trees) == 148  # seeds 1095 and 1097 draw only constants
+    for _, _, tree in trees:
+        assert_dimension_is_most_free_levels(tree)
+    assert sweep_failures(trees) == KNOWN_EXTENSION_FAILURES
+
+
+def test_random_fp_sweep_dimension_with_radical(sweep_trees):
     # the radical closure changes the leaves, not the root's dimension
-    for seed in SWEEP_SEEDS:
-        prob = random_fp_problem(seed)
-        if prob.generators:
-            assert_dimension_is_most_free_levels(
-                partition_variety(prob, max_nodes=400))
+    for _, _, tree in sweep_trees(True):
+        assert_dimension_is_most_free_levels(tree)
+
+
+def test_random_fp_sweep_extension_with_radical(sweep_trees):
+    assert sweep_failures(sweep_trees(True)) == KNOWN_RADICAL_EXTENSION_FAILURES
 
 
 @pytest.mark.parametrize("radical", [True, False])

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from p1parts.fields import GF, FieldError
-from p1parts.groebner import IdealBasis, principal_saturate
+from p1parts.groebner import principal_saturate
 from p1parts.multiproj import (
     Part, PartTree, homogenized_generators, leaf_parts, partition_variety,
 )
@@ -38,9 +38,7 @@ from p1parts.oracle import (
 )
 from p1parts.parser import parse_problem
 from p1parts.poly import Polynomial, ProjLayout, poly_gcd, support_level
-from test_oracle import (
-    SWEEP_SEEDS, part_from_texts, random_fp_problem, slot_values,
-)
+from test_oracle import Equalities, part_from_texts, slot_values
 
 HERE = Path(__file__).resolve().parent
 DEMO_PROBLEMS = HERE.parent / "demos" / "problems"
@@ -342,7 +340,7 @@ def parts(draw, nonconstant=False):
     eq = draw(st.lists(constraint, max_size=3))
     neq = draw(st.lists(constraint, max_size=3))
     level = draw(st.integers(0, nslots))
-    return p, n, Part(0, -1, IdealBasis(tuple(eq)), tuple(neq), level)
+    return p, n, Part(0, -1, Equalities(tuple(eq)), tuple(neq), level)
 
 
 @st.composite
@@ -429,13 +427,9 @@ def test_last_slot_where_no_value_passes(eqs, neqs, last):
 
 
 @pytest.mark.parametrize("radical", [True, False])
-def test_last_slot_matches_reference_on_sweep(radical):
-    for seed in SWEEP_SEEDS:
-        problem = random_fp_problem(seed)
-        if not problem.generators:
-            continue
+def test_last_slot_matches_reference_on_sweep(radical, sweep_trees):
+    for seed, problem, tree in sweep_trees(radical):
         p, nslots = problem.field.characteristic, 2 * problem.n
-        tree = partition_variety(problem, max_nodes=400, radical=radical)
         for part in leaf_parts(tree):
             systems = [_system(part, p)]
             assert last_slot(systems, p, nslots) == \
@@ -533,7 +527,7 @@ def mutants(tree: PartTree) -> dict:
     wide = next((q for q in leaves if q.eq.generators), None)
     if wide is not None:
         widened = Part(wide.id, wide.prev,
-                       IdealBasis(wide.eq.generators[:-1]), wide.neq,
+                       Equalities(wide.eq.generators[:-1]), wide.neq,
                        wide.frozen_level)
         out["widened"] = PartTree(
             [widened if q.id == wide.id else q for q in tree.nodes],
@@ -569,12 +563,12 @@ def test_check_partition_matches_reference(name, radical):
     assert_reports_agree(tree, gens, p, n)
 
 
-def test_check_partition_matches_reference_on_sweep():
+def test_check_partition_matches_reference_on_sweep(sweep_trees):
     broken = {"unsound": 0, "double_covered": 0, "missing": 0}
-    for seed in range(1000, 1030):
-        problem = random_fp_problem(seed)
+    prefix = [solved for solved in sweep_trees(False) if solved[0] < 1030]
+    assert len(prefix) == 30
+    for seed, problem, tree in prefix:
         p, n = problem.field.characteristic, problem.n
-        tree = partition_variety(problem, max_nodes=400, radical=False)
         reports = assert_reports_agree(
             tree, homogenized_generators(problem), p, n)
         for report in reports.values():

@@ -29,9 +29,9 @@ nodes):
   Groebner lcm, a signature step too.
 
 One more pins the ``_reduce`` calls of the ``found-f2`` root basis,
-which takes thousands when the homogenized generators and the canonical
-constraints go into one run, so that a change of ``root_part``'s
-insertion order shows.  Another pins the zero remainders and the queue
+grown from the empty basis by the canonical constraints and then the
+homogenized generators; it takes thousands when they all go into one
+run, so that a change of ``root_part``'s insertion order shows.  Another pins the zero remainders and the queue
 of the ``n5-f5`` root basis, which the signature criteria predict.  The
 last pin the oracle's work over the ``n5-f5`` tree: the nodes its walks
 visit, since the extension check walks a leaf only up to the last slot
@@ -126,13 +126,13 @@ def test_n5_f5_work_counters(monkeypatch):
     tree = partition_variety(parse_problem(N5_F5))
     render_tree(tree)
     assert len(tree.nodes) == 121
-    # 912 eliminants, 1308 reductions and 402 gcds when every closure
+    # 912 eliminants, 40 more reductions and 402 gcds when every closure
     # re-proved its parent's squarefree slots
-    assert counts == {"reduce": 1268, "eliminant": 80, "closure_lcm": 0,
+    assert counts == {"reduce": 1292, "eliminant": 80, "closure_lcm": 0,
                       "heuristic_radical": 121, "lead_split": 114, "poly_gcd": 279,
                       "radical_membership": 60, "to_canonical_text": 654}
-    # 667 when the skipped permuted eliminants ran their signature steps
-    assert len(queued) == 659
+    # 8 more when the skipped permuted eliminants ran their signature steps
+    assert len(queued) == 664
 
 
 def reduce_results(monkeypatch):
@@ -152,7 +152,7 @@ def test_found_f2_root_reduce_calls(monkeypatch):
     results = reduce_results(monkeypatch)
     root = root_part(parse_problem(FOUND_F2), radical=False)
     assert len(root.eq) == 27
-    assert len(results) == 77
+    assert len(results) == 96
 
 
 def test_n5_f5_root_zero_reductions(monkeypatch):
@@ -160,9 +160,9 @@ def test_n5_f5_root_zero_reductions(monkeypatch):
     queued = queue_pushes(monkeypatch)
     root = root_part(parse_problem(N5_F5), radical=False)
     assert len(root.eq) == 52
-    assert len(results) == 129
-    assert sum(r == {} for r in results) == 8
-    assert len(queued) == 172
+    assert len(results) == 153
+    assert sum(r == {} for r in results) == 13
+    assert len(queued) == 177
 
 
 def test_n5_f5_oracle_walk_nodes(monkeypatch):
