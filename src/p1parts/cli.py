@@ -29,7 +29,7 @@ def _constraint_texts(part, layouts: list, texts: dict):
     """Equalities named for the part's frozen level, inequalities all in z.
 
     ``layouts`` holds the tree's layout named for each level, 0 to the
-    slot count, each paired with the memo of its monomials' factor text.
+    slot count, made for this rendering.
     ``texts`` memoizes by (id of the polynomial, naming level) for one
     rendering, during which the tree keeps every polynomial alive: a child
     shares most generators with its parent as the same objects.
@@ -37,7 +37,7 @@ def _constraint_texts(part, layouts: list, texts: dict):
     def text(f, level):
         key = id(f), level
         if key not in texts:
-            texts[key] = to_canonical_text(f, *layouts[level])
+            texts[key] = to_canonical_text(f, layouts[level])
         return texts[key]
 
     return ([text(g, part.frozen_level) for g in part.eq.generators],
@@ -57,7 +57,7 @@ def render_tree(tree: PartTree, format: str = "text",
     if format not in ("text", "json", "dot"):
         raise ValueError(f"unknown format {format!r}")
     leaf_ids = set(tree.leaf_ids())
-    layouts = [(tree.layout.at_level(k), {}) for k in range(tree.layout.nslots + 1)]
+    layouts = [tree.layout.at_level(k) for k in range(tree.layout.nslots + 1)]
     texts = {}
     records = [(part, *_constraint_texts(part, layouts, texts), part.id in leaf_ids)
                for part in tree.nodes if not leaves_only or part.id in leaf_ids]
@@ -116,7 +116,7 @@ def main(argv=None) -> int:
     try:
         with open(args.input, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 1
 

@@ -28,8 +28,7 @@ child's equality J, the Rabinowitsch element t*f - 1, a squarefree
 eliminant, each canonical constraint and homogenized generator at the
 root, each permuted generator of an eliminant, and (t - 1)*g after
 {t*f} for the lcm.  So a solve never runs the pair loop.  Neither path
-removes repeats: a repeat reduces to zero, unless ``_extend`` skips it
-as a basis element already.
+removes repeats: a repeat reduces to zero.
 
 The signature step.  Every element h it finds is congruent to u*f
 modulo I for some polynomial u; its signature is lm(u), a packed
@@ -102,7 +101,9 @@ the first element, in increasing lead order, whose lead divides it.  A
 divisor of a monomial is at most that monomial in lex order, so the scan
 stops at the first lead above the term, which is then irreducible.  No
 later lead divides a term of an earlier element, so one pass in
-increasing lead order makes the minimal basis reduced.
+increasing lead order makes the minimal basis reduced.  The public
+``normal_form`` divides by an ``IdealBasis`` only, where the remainder
+is canonical.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class IdealBasis:
     """A reduced lex Groebner basis: monic, sorted by increasing lead.
 
     Made by the core only; a caller with generators calls ``buchberger``.
-    ``heads`` are the generators as packed ``_monic_head`` pairs.
+    ``generators`` are the elements, and ``heads`` the same elements as
+    packed ``_monic_head`` pairs, the one record of their leads.
     ``proved`` holds slots whose eliminant is proved squarefree for the
     ideal: ``heuristic_radical`` sets it, and ``_finish`` passes the old
     basis's set on to a basis of a larger ideal.  It is empty unless
@@ -144,9 +146,6 @@ class IdealBasis:
     generators: tuple
     heads: tuple = dc_field(compare=False, repr=False)
     proved: frozenset = dc_field(default=frozenset(), compare=False, repr=False)
-
-    def __iter__(self):
-        return iter(self.generators)
 
     def __len__(self):
         return len(self.generators)
@@ -278,29 +277,21 @@ def _reduce(work: dict, heads, p: int, guard: int, sigs=None, bound=0):
     return out
 
 
-def normal_form(f: Polynomial, basis_or_gens) -> Polynomial:
-    """Remainder of multivariate division of f by the basis.
+def normal_form(f: Polynomial, basis: IdealBasis) -> Polynomial:
+    """Remainder of multivariate division of f by the reduced basis:
+    canonical, and zero exactly on the members of its ideal.
 
-    Canonical (and zero exactly on ideal members) for an ``IdealBasis``;
-    for a list of generators it is only some valid remainder, by their
-    nonzero elements made monic and sorted by lead.
+    Generators go through ``buchberger`` first: a remainder by a list
+    depends on its order and is canonical for nothing.
     """
-    if f.is_zero():
+    if not isinstance(basis, IdealBasis):
+        raise TypeError("normal_form divides by an IdealBasis; "
+                        "make one from generators with buchberger")
+    if f.is_zero() or not basis.heads:
         return f
+    f._check(basis.generators[0])
     packing = _Packing(f.nslots)
-    if isinstance(basis_or_gens, IdealBasis):
-        for g in basis_or_gens.generators[:1]:
-            f._check(g)
-        heads = basis_or_gens.heads
-    else:
-        gens = [g for g in basis_or_gens if not g.is_zero()]
-        for g in gens:
-            f._check(g)
-        heads = sorted((_monic_head(packing.pack(g.terms), g.field) for g in gens),
-                       key=_lead_key)
-    if not heads:
-        return f
-    rem = _reduce(packing.pack(f.terms), heads, f.field.characteristic, packing.guard)
+    rem = _reduce(packing.pack(f.terms), basis.heads, f.field.characteristic, packing.guard)
     return packing.unpack(f.field, rem)
 
 
@@ -506,10 +497,10 @@ def buchberger(gens) -> IdealBasis:
 def _extend(basis: IdealBasis, polys) -> IdealBasis:
     """``buchberger(basis.generators + polys)`` by the one rule: a basis,
     the empty one included, grows by one signature step per nonzero
-    polynomial, never by the pair loop.  A multiple of a basis element is
-    skipped unreduced; any other member, such as a repeat, reduces to zero
-    at once.  The basis comes back itself when nothing new remains."""
-    polys = [g.monic() for g in polys if not g.is_zero()]
+    polynomial, never by the pair loop.  A member of the ideal, such as
+    a repeat, reduces to zero at once, and the basis comes back itself
+    when nothing new remains."""
+    polys = [g for g in polys if not g.is_zero()]
     if not polys:
         return basis
     first = basis.generators[0] if basis else polys[0]
@@ -517,11 +508,7 @@ def _extend(basis: IdealBasis, polys) -> IdealBasis:
         first._check(g)
     packing = _Packing(first.nslots)
     for g in polys:
-        terms = packing.pack(g.terms)
-        k = bisect_left(basis.heads, max(terms), key=_lead_key)
-        if k < len(basis) and basis.generators[k] == g:
-            continue
-        heads = _adjoin(basis.heads, terms, g.field, packing.guard)
+        heads = _adjoin(basis.heads, packing.pack(g.terms), g.field, packing.guard)
         if heads is not basis.heads:
             basis = _finish(heads, basis, g.field, packing)
     return basis

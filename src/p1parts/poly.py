@@ -19,15 +19,20 @@ from .fields import QQ, Field, FieldError
 
 
 class Layout:
-    """Ordered variable slots, lex-greatest first."""
+    """Ordered variable slots, lex-greatest first.
 
-    __slots__ = ("names", "_pos")
+    ``_texts`` memoizes the factor text of each monomial for
+    ``to_canonical_text``; the names never change, so no entry goes stale.
+    """
+
+    __slots__ = ("names", "_pos", "_texts")
 
     def __init__(self, names):
         self.names = tuple(names)
         self._pos = {name: i for i, name in enumerate(self.names)}
         if len(self._pos) != len(self.names):
             raise ValueError("duplicate variable names in layout")
+        self._texts = {}
 
     @classmethod
     def affine(cls, n: int) -> "Layout":
@@ -117,11 +122,13 @@ class Polynomial:
 
     Construction normalizes (zero coefficients dropped, values coerced to
     the field's canonical form).  Never mutate ``terms`` after creation.
-    ``_hash`` and ``_oracle`` (facts the finite-field oracle finds about
-    the object) are filled on first use; no constructor sets them.
+    The only facts kept about the object are ``_hash`` and ``_oracle``
+    (what the finite-field oracle finds about it), filled on first use;
+    no constructor sets them.  The leading monomial is read off the terms
+    per call: a basis element's lead is held, packed, by its basis.
     """
 
-    __slots__ = ("field", "nslots", "terms", "_lead", "_hash", "_oracle")
+    __slots__ = ("field", "nslots", "terms", "_hash", "_oracle")
 
     def __init__(self, field: Field, nslots: int, terms=None):
         self.field = field
@@ -136,7 +143,6 @@ class Polynomial:
                     raise ValueError("negative exponent")
                 _accumulate(clean, mono, field.coerce(c), field)
         self.terms = clean
-        self._lead = None
 
     # -- constructors ------------------------------------------------------
 
@@ -147,7 +153,6 @@ class Polynomial:
         p.field = field
         p.nslots = nslots
         p.terms = terms
-        p._lead = None
         return p
 
     @classmethod
@@ -186,9 +191,7 @@ class Polynomial:
     def lead_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        if self._lead is None:
-            self._lead = max(self.terms)
-        return self._lead
+        return max(self.terms)
 
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
@@ -510,17 +513,15 @@ def _squarefree_monic(f: Polynomial) -> Polynomial:
     return (w * extra).monic()
 
 
-def to_canonical_text(f: Polynomial, layout: Layout, factors=None) -> str:
+def to_canonical_text(f: Polynomial, layout: Layout) -> str:
     """Deterministic text form: terms in decreasing lex order, '*' between
     factors, '^' for powers, magnitude-1 coefficients and the leading '+'
-    suppressed.  ``factors``, a dict the caller keeps for this layout,
-    memoizes the factor text of each monomial across calls."""
+    suppressed."""
     if f.nslots != layout.nslots:
         raise ValueError("polynomial does not match layout")
     if f.is_zero():
         return "0"
-    if factors is None:
-        factors = {}
+    factors = layout._texts
     rational = f.field.characteristic == 0
     one, names = f.field.one(), layout.names
     chunks = []

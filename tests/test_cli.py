@@ -126,6 +126,14 @@ def test_run_missing_file(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_non_utf8_file(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# caf\xe9\nchar 0\nn 1\nform y\nideal:\ny_2-y_1\n".encode("latin-1"))
+    assert main([str(latin1)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {latin1}: ") and "utf-8" in err
+
+
 def test_run_bad_problem(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("char 4\nn 2\nform x\nideal:\nx_1\n")

@@ -12,6 +12,7 @@ from p1parts.groebner import (
 )
 from p1parts.poly import Layout, Polynomial, ProjLayout, squarefree_part
 from p1parts.parser import parse_polynomial
+from test_groebner_reference import ref_normal_form
 
 AX2 = Layout.affine(2)
 PL3 = ProjLayout(3)
@@ -48,7 +49,7 @@ def assert_reduced_basis(basis):
         assert not all(a <= b for a, b in zip(lm_g, lm_f))
     for i, g in enumerate(gens):
         rest = gens[:i] + gens[i + 1:]
-        assert normal_form(g, rest) == g  # fully reduced against the others
+        assert ref_normal_form(g, rest) == g  # fully reduced against the others
 
 
 # -- normal form -----------------------------------------------------------------
@@ -61,10 +62,19 @@ def test_normal_form_division():
     assert normal_form(parse_polynomial("y_2*y_1-1", two, QQ), B).is_zero()
 
     f = parse_polynomial("y_2", two, QQ)
-    assert normal_form(f, [parse_polynomial("y_1", two, QQ)]) == f
+    assert normal_form(f, buchberger([parse_polynomial("y_1", two, QQ)])) == f
 
     for g in B.generators:
         assert normal_form(g, B).is_zero()
+
+
+def test_normal_form_refuses_a_raw_list():
+    # a remainder by generators in some order is canonical for nothing
+    B = buchberger([A("x_1^2-1")])
+    for gens in ([A("x_1^2-1")], B.generators, []):
+        with pytest.raises(TypeError, match="buchberger"):
+            normal_form(A("x_2*x_1^3"), gens)
+    assert normal_form(A("x_2*x_1^3"), B) == A("x_2*x_1")
 
 
 # -- buchberger --------------------------------------------------------------------
@@ -111,11 +121,11 @@ def test_mixed_generators_rejected():
     with pytest.raises(FieldError):
         buchberger([A("x_1"), A("x_2", GF(5))])
     with pytest.raises(FieldError):
-        normal_form(A("x_2"), [A("x_1", GF(5))])
+        normal_form(A("x_2"), buchberger([A("x_1", GF(5))]))
     with pytest.raises(ValueError):
         buchberger([A("x_1"), P("y_1")])
     with pytest.raises(ValueError):
-        normal_form(A("x_2"), [P("y_1")])
+        normal_form(A("x_2"), buchberger([P("y_1")]))
 
 
 def test_saturation_and_radical_reject_mixed_operands():
@@ -143,13 +153,13 @@ def test_exponent_overflow_raises():
         with pytest.raises(ExponentOverflowError):
             buchberger([y ** e])
         with pytest.raises(ExponentOverflowError):
-            normal_form(y ** e, [y ** 2])
+            normal_form(y ** e, buchberger([y ** 2]))
     # while reducing: x_2*x_1^20000 reduces to x_1^40000
     with pytest.raises(ExponentOverflowError):
-        normal_form(A("x_2*x_1^20000"), [A("x_2-x_1^20000")])
+        normal_form(A("x_2*x_1^20000"), buchberger([A("x_2-x_1^20000")]))
     with pytest.raises(ExponentOverflowError):
         buchberger([A("x_2^2-1"), A("x_2-x_1^20000")])
-    assert normal_form(A("x_2*x_1^10000"), [A("x_2-x_1^10000")]) \
+    assert normal_form(A("x_2*x_1^10000"), buchberger([A("x_2-x_1^10000")])) \
         == A("x_1^20000")
 
 

@@ -4,10 +4,9 @@ The reference below is the earlier tuple-monomial implementation: a
 ``max(work)`` division loop, an interreduction that restarts its scan
 after every change, and the same pair queue and criteria.  Reduced lex
 bases are unique, so ``buchberger`` must return exactly the reference
-basis.  ``normal_form`` keeps the reference's divisor choice (the first
-generator, in increasing leading-monomial order, whose leading monomial
-divides the term), so it must return the identical remainder even for
-generator lists that are not Groebner bases.
+basis.  ``normal_form`` divides by a reduced basis only, by which every
+choice of divisor leaves the same remainder, so it must return the
+reference's remainder by the basis generators.
 
 The radical closure has a reference too: the earlier closure, which
 computes a univariate eliminant for every occurring slot on every pass
@@ -302,8 +301,6 @@ def test_buchberger_matches_reference(ideal):
 def test_normal_form_matches_reference(data):
     field, nslots, gens = data.draw(ideals())
     f = data.draw(polynomials(field, nslots, max_terms=5, max_degree=5))
-    expected = ref_normal_form(f, gens)
-    assert normal_form(f, gens) == expected
     basis = buchberger(gens)
     assert normal_form(f, basis) == ref_normal_form(f, basis.generators)
 
@@ -372,13 +369,13 @@ def test_extend_matches_reference(draw):
 
 @pytest.fixture
 def reduce_calls(monkeypatch):
-    """A list whose length counts the ``groebner._reduce`` calls."""
+    """A list of what each ``groebner._reduce`` call returns."""
     calls = []
     real_reduce = groebner._reduce
 
     def counting_reduce(*args):
-        calls.append(args)
-        return real_reduce(*args)
+        calls.append(real_reduce(*args))
+        return calls[-1]
 
     monkeypatch.setattr(groebner, "_reduce", counting_reduce)
     return calls
@@ -389,8 +386,9 @@ def _qq(text):
 
 
 def test_extend_skips_the_closed_pairs(reduce_calls):
-    """Adjoining a basis element reduces nothing and returns the basis;
-    a polynomial given twice adds no more than given once."""
+    """Adjoining a basis element, or a multiple of one, costs one
+    reduction to zero, forms no pair and returns the basis; a polynomial
+    given twice adds no more than given once."""
     basis = buchberger([_qq("y_4*y_1-y_2*y_3"), _qq("y_4^2-y_1"), _qq("y_3^2-y_2")])
     assert len(basis) == 6  # leading monomials share slots: pairs to redo
     extra = (basis.generators[-1],)
@@ -398,7 +396,8 @@ def test_extend_skips_the_closed_pairs(reduce_calls):
     assert _extend(basis, extra) is basis
     assert _extend(basis, (extra[0].scale(3),)) is basis
     assert _extend(basis, (extra[0], extra[0].scale(3))) is basis
-    assert len(reduce_calls) == 0
+    assert reduce_calls == [{}] * 4
+    reduce_calls.clear()
     assert buchberger(basis.generators + extra) == basis
     assert len(reduce_calls) > len(basis)
     new = _qq("y_2*y_1-y_4")

@@ -442,4 +442,4 @@ def test_lead_spans_are_the_lead_slots(path, radical):
                              radical=radical)
     for part in tree.nodes:
         assert _lead_spans(part.eq) == [
-            (lowest_lead_slot(g), support_level(g)) for g in part.eq], part.id
+            (lowest_lead_slot(g), support_level(g)) for g in part.eq.generators], part.id

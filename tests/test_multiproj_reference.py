@@ -290,7 +290,7 @@ def test_no_saturated_coefficient_is_a_unit(data):
     for level in range(1, nslots):
         low_eq = elimination_subbasis(basis, level).generators
         low_neq = [q for q in neq if support_level(q) <= level]
-        for g in basis:
+        for g in basis.generators:
             mono, lc = lead_split(g, nslots - level)
             if not any(mono):
                 continue
@@ -330,7 +330,7 @@ SEGRE_QQ = "char 0\nn 4\nform x\nideal:\nx_1*x_4-x_2*x_3\n"
 
 def first_pure_power(basis, pos):
     """The first generator leading with a power of the slot, 1 included."""
-    for g in basis:
+    for g in basis.generators:
         lead = g.lead_monomial()
         if lead[pos] == sum(lead):
             return g
