@@ -25,25 +25,6 @@ from .parser import ParseError, ProblemError, _integer, parse_problem
 from .poly import to_canonical_text
 
 
-def _constraint_texts(part, layouts: list, texts: dict):
-    """Equalities named for the part's frozen level, inequalities all in z.
-
-    ``layouts`` holds the tree's layout named for each level, 0 to the
-    slot count, made for this rendering.
-    ``texts`` memoizes by (id of the polynomial, naming level) for one
-    rendering, during which the tree keeps every polynomial alive: a child
-    shares most generators with its parent as the same objects.
-    """
-    def text(f, level):
-        key = id(f), level
-        if key not in texts:
-            texts[key] = to_canonical_text(f, layouts[level])
-        return texts[key]
-
-    return ([text(g, part.frozen_level) for g in part.eq.generators],
-            [text(q, len(layouts) - 1) for q in part.neq])
-
-
 def render_tree(tree: PartTree, format: str = "text",
                 leaves_only: bool = False) -> str:
     """Deterministic rendering of a part tree.
@@ -52,14 +33,26 @@ def render_tree(tree: PartTree, format: str = "text",
     full root-to-node path; JSON carries one object per node with stable
     key order; DOT emits one labelled node per part and prev->child edges.
     All three format one list of per-node records ``(part, eqs, neqs,
-    is_leaf)``.
+    is_leaf)``: the equalities named for the part's frozen level, the
+    inequalities all in z.  ``texts`` memoizes by (id of the polynomial,
+    naming level) for this rendering, during which the tree keeps every
+    polynomial alive: a child shares most generators with its parent as
+    the same objects.
     """
     if format not in ("text", "json", "dot"):
         raise ValueError(f"unknown format {format!r}")
     leaf_ids = set(tree.leaf_ids())
     layouts = [tree.layout.at_level(k) for k in range(tree.layout.nslots + 1)]
     texts = {}
-    records = [(part, *_constraint_texts(part, layouts, texts), part.id in leaf_ids)
+
+    def text(f, level):
+        key = id(f), level
+        if key not in texts:
+            texts[key] = to_canonical_text(f, layouts[level])
+        return texts[key]
+
+    records = [(part, [text(g, part.frozen_level) for g in part.eq.generators],
+                [text(q, tree.layout.nslots) for q in part.neq], part.id in leaf_ids)
                for part in tree.nodes if not leaves_only or part.id in leaf_ids]
 
     if format == "text":
@@ -114,7 +107,7 @@ def main(argv=None) -> int:
         print("error: --max-nodes must be at least 1", file=sys.stderr)
         return 1
     try:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)

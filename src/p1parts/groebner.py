@@ -135,7 +135,9 @@ class IdealBasis:
 
     Made by the core only; a caller with generators calls ``buchberger``.
     ``generators`` are the elements, and ``heads`` the same elements as
-    packed ``_monic_head`` pairs, the one record of their leads.
+    packed ``_monic_head`` pairs, the one record of their leads.  The
+    zero ideal's basis is empty, and the unit ideal's is (1,), which
+    ``is_unit`` reads off its packed lead.
     ``proved`` holds slots whose eliminant is proved squarefree for the
     ideal: ``heuristic_radical`` sets it, and ``_finish`` passes the old
     basis's set on to a basis of a larger ideal.  It is empty unless
@@ -153,9 +155,6 @@ class IdealBasis:
     def is_unit(self) -> bool:
         # a reduced basis of the unit ideal is (1,), whose packed lead is 0
         return bool(self.heads) and self.heads[0][0] == 0
-
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
 
 
 class _Packing:
@@ -441,8 +440,10 @@ def _finish(heads, old: IdealBasis, field, packing: _Packing, top=None) -> Ideal
 
     Old leads divide no other old lead or tail, and a larger lead nothing,
     so an element of the reduced basis ``old`` is dropped or reduced only
-    for a smaller surviving new lead, else returned as is.  Every caller's
-    ideal contains ``old``'s, so the result carries ``old.proved``.
+    for a smaller surviving new lead, else returned as is.  A lead divides
+    itself, so the divisor test also drops a repeated lead, which only a
+    raw Gebauer-Moeller run, with ``old`` empty, can produce.  Every
+    caller's ideal contains ``old``'s, so the result carries ``old.proved``.
     """
     if heads is None:
         return IdealBasis((Polynomial.const(field, packing.nslots, 1),), ((0, ()),))
@@ -450,12 +451,9 @@ def _finish(heads, old: IdealBasis, field, packing: _Packing, top=None) -> Ideal
         heads = heads[:bisect_left(heads, top, key=_lead_key)]
     old_at = dict(zip(map(_lead_key, old.heads), old.generators))
     p, guard, one = field.characteristic, packing.guard, field.one()
-    reduced, leads, new_leads, out, last = [], [], [], [], None
+    reduced, leads, new_leads, out = [], [], [], []
     for head in heads:
         lead, tail = head
-        if lead == last:
-            continue  # two generators of a raw run can share a lead
-        last = lead
         g = old_at.get(lead)
         lg = lead | guard
         if any((lg - d) & guard == guard for d in (leads if g is None else new_leads)):
@@ -647,26 +645,29 @@ def heuristic_radical(basis: IdealBasis) -> IdealBasis:
     squarefree (Gianni, Trager & Zacharias 1988).  So the closure starts
     from ``basis.proved``, a rescan after an adjunction skips the slots
     already proved, no eliminant is computed for a proved slot, and the
-    result carries every slot proved for it.  The set lives on a basis,
-    which has one ideal, never on a ``Polynomial``: bases of different
-    ideals, such as two sibling parts', share generator objects.
+    result carries every slot proved for it.  A slot whose eliminant m it
+    squares off counts as proved at once: the larger ideal contains s, so
+    its eliminant divides s, which is squarefree.  A zero or unit basis
+    leads with no pure power of a slot (the unit basis's span is (0, 0)),
+    so its scan finds nothing and the closure ends.  The set lives on a
+    basis, which has one ideal, never on a ``Polynomial``: bases of
+    different ideals, such as two sibling parts', share generator objects.
     """
     proved = set(basis.proved)
-    while not (basis.is_zero_ideal() or basis.is_unit()):
-        nslots = basis.generators[0].nslots
+    while True:
         firsts = {}  # position -> first generator leading with a pure power of it
         for g, (lo, hi) in zip(basis.generators, _lead_spans(basis)):
-            if 0 < lo == hi and nslots - hi not in proved:
-                firsts.setdefault(nslots - hi, g)
+            if 0 < lo == hi and g.nslots - hi not in proved:
+                firsts.setdefault(g.nslots - hi, g)
         for pos in sorted(firsts, reverse=True):
             m = _eliminant(basis, pos, firsts[pos])
             if m is None:
                 continue
+            proved.add(pos)
             s = squarefree_part(m)
             if s != m:
                 basis = _extend(basis, (s,))
                 break
-            proved.add(pos)
         else:
             break
     return IdealBasis(basis.generators, basis.heads, frozenset(proved))

@@ -235,7 +235,13 @@ def normalize_neq(neq, eq: IdealBasis, parent: Optional[Part] = None):
 
     Both verdicts depend only on the constraint and those low generators.
     So a constraint the ``parent`` part kept is kept again, without a
-    Groebner run, when the low generators are the parent's.
+    Groebner run, when the low generators are the parent's.  The one
+    constraint new to a child of ``parent`` is the split's J, and that
+    child's ideal lies between I : J^infinity and its radical, with the
+    closure on or off.  If a power of J lay in its low generators, J
+    would lie in that radical, so I : J^infinity would be the unit ideal,
+    and so would the child's; ``partition_variety`` discards a unit child
+    before this runs.  So J gets no emptiness test.
     """
     out = []
     for q in neq:
@@ -247,7 +253,7 @@ def normalize_neq(neq, eq: IdealBasis, parent: Optional[Part] = None):
                 == elimination_subbasis(parent.eq, level).generators):
             out.append(q)
             continue
-        if radical_membership(q, low_eq):
+        if (parent is None or q in parent.neq) and radical_membership(q, low_eq):
             return None
         if not _extend(low_eq, (q,)).is_unit():
             out.append(q)

@@ -44,8 +44,6 @@ class Layout:
         return len(self.names)
 
     def pos(self, name: str) -> int:
-        if name not in self._pos:
-            raise KeyError(name)
         return self._pos[name]
 
     def term_factor_positions(self, mono):
@@ -541,9 +539,5 @@ def to_canonical_text(f: Polynomial, layout: Layout) -> str:
             body = text
         else:
             body = str(mag) + "*" + text
-        chunks.append((sign, body))
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += sign + body
-    return out
+        chunks.append(sign + body)
+    return "".join(chunks).removeprefix("+")

@@ -134,6 +134,19 @@ def test_run_non_utf8_file(tmp_path, capsys):
     assert err.startswith(f"error: cannot read {latin1}: ") and "utf-8" in err
 
 
+def test_run_utf8_bom_file(tmp_path, capsys):
+    # a leading byte-order mark, as some editors write, is skipped
+    text = "char 5\nn 2\nform x\nideal:\nx_2*x_1-1\n"
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main([str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert main([str(bom)]) == 0
+    assert capsys.readouterr().out == expected != ""
+
+
 def test_run_bad_problem(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("char 4\nn 2\nform x\nideal:\nx_1\n")

@@ -10,7 +10,7 @@ from p1parts.groebner import (
     elimination_subbasis, heuristic_radical, ideal_saturate, normal_form,
     principal_saturate, radical_membership,
 )
-from p1parts.poly import Layout, Polynomial, ProjLayout, squarefree_part
+from p1parts.poly import Layout, Polynomial, ProjLayout
 from p1parts.parser import parse_polynomial
 from test_groebner_reference import ref_normal_form
 
@@ -475,8 +475,10 @@ def test_heuristic_radical_proves_the_slots_it_found_squarefree(monkeypatch):
     found, real_eliminant = set(), groebner._eliminant
 
     def recording(basis, pos, g):
+        # a slot is proved once its eliminant is found: squarefree, or
+        # squared off by adjoining its squarefree part
         m = real_eliminant(basis, pos, g)
-        if m is not None and squarefree_part(m) == m:
+        if m is not None:
             found.add(pos)
         return m
 
@@ -490,6 +492,19 @@ def test_heuristic_radical_proves_the_slots_it_found_squarefree(monkeypatch):
             assert J.proved == found
             proved += len(found)
     assert proved >= 25
+
+
+def test_closure_finds_a_squared_off_eliminant_once(monkeypatch):
+    # y_2's eliminant (y_2-1)^2 gives way to y_2-1, which needs no check
+    slots, real_eliminant = [], groebner._eliminant
+
+    def counting(basis, pos, g):
+        slots.append(pos)
+        return real_eliminant(basis, pos, g)
+
+    monkeypatch.setattr(groebner, "_eliminant", counting)
+    assert heuristic_radical(buchberger([P(t) for t in CLOSABLE])).proved == {Y1, Y2}
+    assert slots.count(Y2) == 1
 
 
 def test_extension_and_saturation_carry_proved():

@@ -204,7 +204,7 @@ def ref_heuristic_radical(basis: IdealBasis) -> IdealBasis:
     Slots with no univariate eliminant are skipped, so the result J only
     satisfies I <= J <= sqrt(I); that is all the callers rely on.
     """
-    if basis.is_zero_ideal() or basis.is_unit():
+    if not basis.generators or basis.is_unit():
         return basis
     while True:
         changed = False

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from p1parts import groebner
+from p1parts import groebner, multiproj
 from p1parts.fields import GF, QQ
 from p1parts.groebner import IdealBasis, _lead_spans, buchberger, radical_membership
 from p1parts.multiproj import (
@@ -416,30 +417,67 @@ SOLVES = [(path, radical)
           if (path.name, radical) != ("seed7185_qq.txt", True)]
 
 
-@pytest.mark.parametrize("path,radical", SOLVES,
-                         ids=[f"{path.name}-{radical}" for path, radical in SOLVES])
-def test_solve_never_runs_gebauer_moeller(path, radical, monkeypatch):
-    # every basis of a solve grows from a reduced basis, the empty one
-    # included, by signature steps; only raw generator lists reach _close
+def solve_recording(problem, **kwargs):
+    """The tree of a solve with Gebauer-Moeller replaced by a stub that
+    raises, and the (neq, eq, parent) of each child appended while solving.
+
+    Every basis of a solve grows from a reduced basis, the empty one
+    included, by signature steps; only raw generator lists reach _close.
+    """
+    children = []
+    real_close, real_normalize = groebner._close, multiproj.normalize_neq
+
     def no_close(*args):
         raise AssertionError("the solve ran Gebauer-Moeller")
 
-    monkeypatch.setattr(groebner, "_close", no_close)
-    tree = partition_variety(parse_problem(path.read_text(encoding="utf-8")),
-                             radical=radical)
+    def recording(neq, eq, parent):
+        children.append((neq, eq, parent))
+        return real_normalize(neq, eq, parent)
+
+    groebner._close, multiproj.normalize_neq = no_close, recording
+    try:
+        tree = partition_variety(problem, **kwargs)
+    finally:
+        groebner._close, multiproj.normalize_neq = real_close, real_normalize
+    return tree, children
+
+
+def assert_children_agree(children):
+    # the verdicts normalize_neq takes from the parent, or skips for the
+    # split's own J, are the ones it reaches without the parent
+    for neq, eq, parent in children:
+        assert normalize_neq(neq, eq, parent) == normalize_neq(neq, eq), parent.id
+
+
+@functools.cache
+def solved(path, radical):
+    """``solve_recording`` of a file in ``SOLVES``, once per session."""
+    return solve_recording(parse_problem(path.read_text(encoding="utf-8")),
+                           radical=radical)
+
+
+SOLVE_IDS = [f"{path.name}-{radical}" for path, radical in SOLVES]
+
+
+@pytest.mark.parametrize("path,radical", SOLVES, ids=SOLVE_IDS)
+def test_solve_never_runs_gebauer_moeller(path, radical):
+    tree, _ = solved(path, radical)
     assert tree.nodes
+
+
+@pytest.mark.parametrize("path,radical", SOLVES, ids=SOLVE_IDS)
+def test_children_agree_without_the_parent(path, radical):
+    assert_children_agree(solved(path, radical)[1])
 
 
 def lowest_lead_slot(g):
     return min((g.nslots - i for i, e in enumerate(g.lead_monomial()) if e), default=0)
 
 
-@pytest.mark.parametrize("path,radical", SOLVES,
-                         ids=[f"{path.name}-{radical}" for path, radical in SOLVES])
+@pytest.mark.parametrize("path,radical", SOLVES, ids=SOLVE_IDS)
 def test_lead_spans_are_the_lead_slots(path, radical):
     # the packed heads give the lowest and highest slot of every lead
-    tree = partition_variety(parse_problem(path.read_text(encoding="utf-8")),
-                             radical=radical)
+    tree, _ = solved(path, radical)
     for part in tree.nodes:
         assert _lead_spans(part.eq) == [
             (lowest_lead_slot(g), support_level(g)) for g in part.eq.generators], part.id

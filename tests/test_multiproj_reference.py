@@ -21,9 +21,10 @@ generators and carries the packed heads of exactly those generators,
 and each ``neq`` is monic, squarefree, nonconstant, pairwise
 distinct and sorted by the scan key.  Every child appended while
 solving gets the same inequalities whether or not ``normalize_neq``
-may take the verdicts of inherited ones from the parent, and the same
-basis whether or not its radical closure skips the slots the parent
-proved squarefree.
+may take the verdicts of inherited ones from the parent and skip the
+emptiness test of the split's own J, here and on the F_p sweep, and the
+same basis whether or not its radical closure skips the slots the
+parent proved squarefree.
 """
 
 import dataclasses
@@ -44,14 +45,15 @@ from p1parts.groebner import (
     heuristic_radical,
 )
 from p1parts.multiproj import (
-    MaxNodesExceeded, Part, SplitFinding, _scan_key, normalize_neq,
-    partition_variety, reduced_lead_coefficient, split_scan,
+    MaxNodesExceeded, Part, SplitFinding, _scan_key, partition_variety,
+    reduced_lead_coefficient, split_scan,
 )
 from p1parts.parser import ProblemSpec, parse_problem
 from p1parts.poly import (
     Layout, Polynomial, lead_split, squarefree_part, support_level,
 )
 from test_groebner_reference import FIELDS, polynomials
+from test_multiproj import assert_children_agree
 from test_oracle import assert_dimension_is_most_free_levels, random_fp_problem
 from test_work_counters import N5_F5
 
@@ -164,9 +166,14 @@ def assert_tree_agrees(monkeypatch, problem, radical) -> bool:
     for part in nodes:
         assert split_scan(part) == ref_split_scan(part) == full_split_scan(part), part.id
         assert_node_invariants(part)
-    for neq, eq, parent in children:
-        assert normalize_neq(neq, eq, parent) == normalize_neq(neq, eq), parent.id
+    assert_children_agree(children)
     return bool(nodes)
+
+
+@pytest.mark.parametrize("radical", [True, False])
+def test_sweep_children_agree_without_the_parent(radical, sweep_trees):
+    for *_, children in sweep_trees(radical):
+        assert_children_agree(children)
 
 
 DEMOS = sorted(path.name for path in DEMO_PROBLEMS.glob("*.txt"))

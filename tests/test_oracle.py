@@ -442,10 +442,10 @@ def assert_dimension_is_most_free_levels(tree):
 
 def sweep_failures(trees) -> dict:
     """(seed, leaf id) -> ``check_extension`` output, for each leaf of the
-    (seed, problem, tree) triples with a counterexample, once each tree is
+    ``sweep_trees`` entries with a counterexample, once each tree is
     checked to be a valid partition."""
     failures = {}
-    for seed, prob, tree in trees:
+    for seed, prob, tree, _ in trees:
         p = prob.field.characteristic
         report = check_partition(tree, homogenized_generators(prob), p, prob.n)
         assert report.valid, (seed, report.summary())
@@ -459,14 +459,14 @@ def sweep_failures(trees) -> dict:
 def test_random_fp_sweep(sweep_trees):
     trees = sweep_trees(False)
     assert len(trees) == 148  # seeds 1095 and 1097 draw only constants
-    for _, _, tree in trees:
+    for _, _, tree, _ in trees:
         assert_dimension_is_most_free_levels(tree)
     assert sweep_failures(trees) == KNOWN_EXTENSION_FAILURES
 
 
 def test_random_fp_sweep_dimension_with_radical(sweep_trees):
     # the radical closure changes the leaves, not the root's dimension
-    for _, _, tree in sweep_trees(True):
+    for _, _, tree, _ in sweep_trees(True):
         assert_dimension_is_most_free_levels(tree)
 
 

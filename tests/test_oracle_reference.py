@@ -428,7 +428,7 @@ def test_last_slot_where_no_value_passes(eqs, neqs, last):
 
 @pytest.mark.parametrize("radical", [True, False])
 def test_last_slot_matches_reference_on_sweep(radical, sweep_trees):
-    for seed, problem, tree in sweep_trees(radical):
+    for seed, problem, tree, _ in sweep_trees(radical):
         p, nslots = problem.field.characteristic, 2 * problem.n
         for part in leaf_parts(tree):
             systems = [_system(part, p)]
@@ -567,7 +567,7 @@ def test_check_partition_matches_reference_on_sweep(sweep_trees):
     broken = {"unsound": 0, "double_covered": 0, "missing": 0}
     prefix = [solved for solved in sweep_trees(False) if solved[0] < 1030]
     assert len(prefix) == 30
-    for seed, problem, tree in prefix:
+    for seed, problem, tree, _ in prefix:
         p, n = problem.field.characteristic, problem.n
         reports = assert_reports_agree(
             tree, homogenized_generators(problem), p, n)

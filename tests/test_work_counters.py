@@ -22,7 +22,9 @@ nodes):
 - the ``poly_gcd`` calls, few since a child's closure takes no squarefree
   part of an eliminant its parent proved squarefree;
 - the ``radical_membership`` calls of ``normalize_neq``, none for an
-  inherited inequality whose low basis is the parent's;
+  inherited inequality whose low basis is the parent's and none for a
+  split's own J, which leaves the inequality child nonempty unless its
+  ideal is the unit ideal: none at all on this solve;
 - the ``to_canonical_text`` calls, one per generator and naming level;
 - the entries the signature steps push onto their J-pair queues, one per
   signature an old lead does not divide; one of them is the solve's one
@@ -128,9 +130,11 @@ def test_n5_f5_work_counters(monkeypatch):
     assert len(tree.nodes) == 121
     # 912 eliminants, 40 more reductions and 402 gcds when every closure
     # re-proved its parent's squarefree slots
-    assert counts == {"reduce": 1292, "eliminant": 80, "closure_lcm": 0,
+    # 60 more reductions and 60 radical memberships when normalize_neq
+    # tested each split's own J for emptiness
+    assert counts == {"reduce": 1232, "eliminant": 80, "closure_lcm": 0,
                       "heuristic_radical": 121, "lead_split": 114, "poly_gcd": 279,
-                      "radical_membership": 60, "to_canonical_text": 654}
+                      "radical_membership": 0, "to_canonical_text": 654}
     # 8 more when the skipped permuted eliminants ran their signature steps
     assert len(queued) == 664
 
